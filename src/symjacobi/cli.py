@@ -7,7 +7,7 @@ CSV files carry one ``#``-prefixed echo line with the run configuration and a
 single column-header line; columns are fixed-order.  JSON reports carry
 ``schema_version`` (currently "1") and are byte-identical across runs with the
 same flags; wall-clock metadata appears only under ``--stamp``.  The
-``SYMJACOBI_THREADS`` environment variable caps sweep parallelism.
+estimate sweeps run sequentially; no command reads ``SYMJACOBI_THREADS``.
 
 Exit codes: 0 all checks pass, 1 verification failure or runtime error,
 2 usage error.
@@ -172,18 +172,38 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _is_float(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_coeffs(path) -> np.ndarray:
-    """Coefficient vector from a CSV: last field of each row, header lines and
-    comments skipped."""
+    """Coefficient vector from a CSV: last field of each row.
+
+    Blank lines and ``#`` comments are skipped, and so is a leading header
+    row, one in which no field is a number.  Any other row whose last field
+    is not a float raises, naming the file and line, so no coefficient is
+    dropped or renumbered."""
     vals = []
+    first = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
+                continue
+            header = first and not any(_is_float(f) for f in row)
+            first = False
+            if header:
                 continue
             try:
                 vals.append(float(row[-1]))
             except ValueError:
-                continue
+                raise ValueError(
+                    f"{path}:{reader.line_num}: last field {row[-1]!r} is not a number"
+                ) from None
     if not vals:
         raise ValueError(f"no numeric rows found in {path}")
     return np.array(vals)
@@ -554,11 +574,21 @@ def cmd_ap_check(args) -> int:
 # argument parsing
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=0.0, help="Jacobi parameter alpha > -1")
     common.add_argument("--beta", type=float, default=0.0, help="Jacobi parameter beta > -1")
-    common.add_argument("--nmax", type=int, default=16, help="largest basis index")
+    common.add_argument("--nmax", type=_nonnegative_int, default=16, help="largest basis index")
     common.add_argument("--nodes", type=int, default=256, help="quadrature resolution")
     common.add_argument("--level", type=int, default=2, help="grid refinement level")
     common.add_argument("--seed", type=int, default=0, help="seed for sampling suites")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -214,35 +215,45 @@ def _axis_rule(a: float, q_floor: float, cfg: HarnessConfig, refine: int = 1):
     The measure density (1-u^2)^(a-1/2) is folded into the weights.  The two
     endpoint panels use Gauss-Jacobi with the exact endpoint singularity; the
     interior panels toward u = 1 halve geometrically down to a fraction of
-    q_floor so that every shifted power (s + q)^-p is smooth panelwise."""
-    if a == -0.5:
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    q_floor so that every shifted power (s + q)^-p is smooth panelwise.
+    q_floor enters only through the integer panel depth, so the rules are
+    cached by (a, depth, nodes) and returned read-only."""
     nodes = cfg.nodes_per_panel + 2 * (refine - 1)
     floor = max(q_floor * cfg.panel_floor_frac / 4.0 ** (refine - 1), 1e-15)
     k_max = max(2, int(np.ceil(-np.log2(floor))))
-    edges = 1.0 - 2.0 ** -np.arange(0.0, k_max + 1)  # 0, 1/2, 3/4, ...
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    u_mid = (mid[:, None] + half[:, None] * xg).ravel()
-    w_mid = (half[:, None] * wg).ravel() * (1.0 - u_mid**2) ** (a - 0.5)
+    return _graded_axis(float(a), k_max, nodes)
 
-    # left panel [-1, 0] with weight (1+u)^(a-1/2) handled exactly
-    xj, wj = roots_jacobi(nodes, 0.0, a - 0.5)
-    u_left = (xj - 1.0) / 2.0
-    w_left = wj * 0.5 ** (a + 0.5) * (1.0 - u_left) ** (a - 0.5)
 
-    # right panel [1 - floor', 1] with weight (1-u)^(a-1/2) handled exactly
-    lo = edges[-1]
-    xr, wr = roots_jacobi(nodes, a - 0.5, 0.0)
-    scale = (1.0 - lo) / 2.0
-    u_right = 1.0 + (xr - 1.0) * scale
-    w_right = wr * scale ** (a + 0.5) * (1.0 + u_right) ** (a - 0.5)
+@lru_cache(maxsize=1024)
+def _graded_axis(a: float, k_max: int, nodes: int):
+    if a == -0.5:
+        u, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    else:
+        edges = 1.0 - 2.0 ** -np.arange(0.0, k_max + 1)  # 0, 1/2, 3/4, ...
+        xg, wg = np.polynomial.legendre.leggauss(nodes)
+        mid = (edges[1:] + edges[:-1]) / 2.0
+        half = (edges[1:] - edges[:-1]) / 2.0
+        u_mid = (mid[:, None] + half[:, None] * xg).ravel()
+        w_mid = (half[:, None] * wg).ravel() * (1.0 - u_mid**2) ** (a - 0.5)
 
-    u = np.concatenate([u_left, u_mid, u_right])
-    w = np.concatenate([w_left, w_mid, w_right])
-    norm = gamma_fn(a + 1.0) / (np.sqrt(np.pi) * gamma_fn(a + 0.5))
-    return u, norm * w
+        # left panel [-1, 0] with weight (1+u)^(a-1/2) handled exactly
+        xj, wj = roots_jacobi(nodes, 0.0, a - 0.5)
+        u_left = (xj - 1.0) / 2.0
+        w_left = wj * 0.5 ** (a + 0.5) * (1.0 - u_left) ** (a - 0.5)
+
+        # right panel [1 - floor', 1] with weight (1-u)^(a-1/2) handled exactly
+        lo = edges[-1]
+        xr, wr = roots_jacobi(nodes, a - 0.5, 0.0)
+        scale = (1.0 - lo) / 2.0
+        u_right = 1.0 + (xr - 1.0) * scale
+        w_right = wr * scale ** (a + 0.5) * (1.0 + u_right) ** (a - 0.5)
+
+        u = np.concatenate([u_left, u_mid, u_right])
+        norm = gamma_fn(a + 1.0) / (np.sqrt(np.pi) * gamma_fn(a + 0.5))
+        w = norm * np.concatenate([w_left, w_mid, w_right])
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
 
 
 _N_FAMS = 6  # 1, u, v, u^2, uv, v^2
@@ -280,17 +291,20 @@ def _pair_moments(a_eff, b_eff, theta, phi, shifts, cfg, refine=1, n_j=3):
 
 class _PairHead:
     """All head-route derivative assemblies for one point pair and one
-    parameter set, built from the shared moments."""
+    parameter set, built from the shared moments.
 
-    def __init__(self, params_eff: JacobiParams, theta, phi, t, cfg, refine=1):
+    The moments are symmetric in theta and phi, so the swapped pair can pass
+    its own in as m; only cs and sc depend on the order of the pair."""
+
+    def __init__(self, params_eff: JacobiParams, theta, phi, t, cfg, refine=1, m=None):
         self.p = params_eff.alpha + params_eff.beta + 2.0
         self.C = 2.0 ** (-self.p) / total_mass(params_eff)
         self.sh = np.sinh(t / 2.0)
         self.ch = np.cosh(t / 2.0)
-        shifts = 2.0 * np.sinh(t / 4.0) ** 2  # cosh(t/2) - 1, stably
-        self.m = _pair_moments(
-            params_eff.alpha, params_eff.beta, theta, phi, shifts, cfg, refine
-        )
+        if m is None:
+            shifts = 2.0 * np.sinh(t / 4.0) ** 2  # cosh(t/2) - 1, stably
+            m = _pair_moments(params_eff.alpha, params_eff.beta, theta, phi, shifts, cfg, refine)
+        self.m = m
         self.cs = np.cos(theta / 2.0) * np.sin(phi / 2.0)
         self.sc = np.sin(theta / 2.0) * np.cos(phi / 2.0)
         self.ss = np.sin(theta / 2.0) * np.sin(phi / 2.0)
@@ -357,29 +371,33 @@ def _cstar_prime(params: JacobiParams, theta: float) -> float:
 
 class _HeadKernels:
     """Per-pair head profiles of every kernel family's integrand, composed
-    from the plain and shifted parameter sets (built lazily)."""
+    from the plain and shifted parameter sets (built lazily).
 
-    def __init__(self, params: JacobiParams, theta, phi, t, cfg, refine=1):
+    A twin is the same unordered pair with the same times and refinement;
+    its plain and shifted moments are reused instead of recomputed."""
+
+    def __init__(self, params: JacobiParams, theta, phi, t, cfg, refine=1, twin=None):
         self.params = params
         self.theta, self.phi = theta, phi
         self._t, self._cfg, self._refine = t, cfg, refine
+        self._twin = twin
         self._plain = None
         self._shift = None
+
+    def _head(self, params_eff, which):
+        m = getattr(self._twin, which).m if self._twin is not None else None
+        return _PairHead(params_eff, self.theta, self.phi, self._t, self._cfg, self._refine, m)
 
     @property
     def plain(self):
         if self._plain is None:
-            self._plain = _PairHead(
-                self.params, self.theta, self.phi, self._t, self._cfg, self._refine
-            )
+            self._plain = self._head(self.params, "plain")
         return self._plain
 
     @property
     def shift(self):
         if self._shift is None:
-            self._shift = _PairHead(
-                self.params.shifted(), self.theta, self.phi, self._t, self._cfg, self._refine
-            )
+            self._shift = self._head(self.params.shifted(), "shift")
         return self._shift
 
     # plain family
@@ -653,7 +671,6 @@ class FamilyBatch:
                 if slot in spec:
                     plan.append((kid, slot, spec[slot][0], spec[slot][1]))
         out = {}
-        head_cols = {key[:2]: [] for key in [(kid, slot, None, None) for kid, slot, _, _ in plan]}
         for kid, slot, head_name, combo in plan:
             t_tail, _ = self._tail_grid_for(kid)
             if _FAMILY[kid]["kind"] == "atoms":
@@ -662,18 +679,24 @@ class FamilyBatch:
                 self.params, combo[0], combo[1], combo[2], combo[3], t_tail,
                 pairs[:, 0], pairs[:, 1],
             )
-            out[(kid, slot)] = [None, tail]
-        for i in range(pairs.shape[0]):
+            head = None if head_name is None else np.empty((self.t_head.size, pairs.shape[0]))
+            out[(kid, slot)] = (head, tail)
+        # the moments are symmetric in the pair, so visit the pairs sorted by
+        # (min, max): both orders of a pair, and repeats, arrive back to back
+        # and share the moments of the first one
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        prev, prev_key = None, None
+        for i in np.lexsort((hi, lo)):
+            key = (lo[i], hi[i])
             hk = _HeadKernels(
-                self.params, pairs[i, 0], pairs[i, 1], self.t_head, self.cfg, refine
+                self.params, pairs[i, 0], pairs[i, 1], self.t_head, self.cfg, refine,
+                twin=prev if key == prev_key else None,
             )
             for kid, slot, head_name, combo in plan:
                 if head_name is not None:
-                    head_cols[(kid, slot)].append(getattr(hk, head_name)())
-        for kid, slot, head_name, combo in plan:
-            if head_name is not None:
-                out[(kid, slot)][0] = np.column_stack(head_cols[(kid, slot)])
-        return {k: tuple(v) for k, v in out.items()}
+                    out[(kid, slot)][0][:, i] = getattr(hk, head_name)()
+            prev, prev_key = hk, key
+        return out
 
     # -- reductions -------------------------------------------------------
 
@@ -1247,24 +1270,32 @@ def _eval_pair_block(batch, pairs, cache, keys):
         gph, _ = batch._reduce(kid, *prof[(kid, "Gph")])
         vals[("grad", kid)] = gth + gph
     if vec_ids:
+        # the theta-move of (theta, phi) is the swap of the phi-move of
+        # (phi, theta), so both moved sets go through one profiles call
         th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
-        for tag, moved, ok in (("smth", th_moved, ok_th), ("smph", ph_moved, ok_ph)):
+        alt = np.vstack([
+            np.column_stack([th_moved[ok_th], pairs[ok_th, 1]]),
+            np.column_stack([pairs[ok_ph, 0], ph_moved[ok_ph]]),
+        ])
+        alt_prof = batch.profiles(alt, ("F",)) if alt.shape[0] else None
+        n_th = int(ok_th.sum())
+        for tag, ok, cols in (
+            ("smth", ok_th, slice(0, n_th)), ("smph", ok_ph, slice(n_th, None))
+        ):
             for kid in vec_ids:
                 vals[(tag, kid)] = np.full(pairs.shape[0], np.nan)
             if not ok.any():
                 continue
-            sub = pairs[ok]
-            alt = (
-                np.column_stack([moved[ok], sub[:, 1]])
-                if tag == "smth"
-                else np.column_stack([sub[:, 0], moved[ok]])
-            )
             base_sub = {
                 key: (h[:, ok] if h is not None else None, t[:, ok])
                 for key, (h, t) in prof.items()
                 if key[1] == "F"
             }
-            diffs = batch.diff_norms(base_sub, batch.profiles(alt, ("F",)))
+            alt_sub = {
+                key: (h[:, cols] if h is not None else None, t[:, cols])
+                for key, (h, t) in alt_prof.items()
+            }
+            diffs = batch.diff_norms(base_sub, alt_sub)
             for kid in vec_ids:
                 vals[(tag, kid)][ok] = diffs[kid]
     for i, key in enumerate(keys):

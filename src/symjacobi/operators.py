@@ -96,7 +96,11 @@ def semigroup_apply(
         raise ValueError(f"time must be nonnegative, got {t}")
     c = np.asarray(coeffs, dtype=float)
     lam = mode_eigenvalues(params, c.size, parity)
-    out = c * np.exp(-t * np.sqrt(lam))
+    # a zero eigenvalue (the critical line) keeps its mode at every t; at
+    # t = inf the product -t * 0 is nan, so that mode is set explicitly
+    with np.errstate(invalid="ignore"):
+        decay = np.where(lam > 0, np.exp(-t * np.sqrt(lam)), 1.0)
+    out = c * decay
     return 0.5 * out if restricted else out
 
 

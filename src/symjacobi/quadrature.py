@@ -9,7 +9,9 @@ exact interval/ball measures through the regularized incomplete Beta function.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -70,19 +72,30 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> QuadratureRule:
     Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of
     the recurrence coefficients; weights are the total mass times the squared
     first eigenvector components (Golub-Welsch).  Exact for polynomials of
-    degree <= 2n - 1.
+    degree <= 2n - 1.  Rules are cached by (alpha, beta, n), so a repeat call
+    returns the same rule, whose arrays are read-only.
     """
     JacobiParams(alpha, beta)
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    a, b = float(alpha), float(beta)
+    return _golub_welsch(float(alpha), float(beta), operator.index(n))
+
+
+def _frozen_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights)
+
+
+@lru_cache(maxsize=1024)
+def _golub_welsch(a: float, b: float, n: int) -> QuadratureRule:
     mass = float(np.exp((a + b + 1.0) * np.log(2.0) + betaln(a + 1.0, b + 1.0)))
     diag = np.empty(n)
     diag[0] = (b - a) / (a + b + 2.0)
     k = np.arange(1, n, dtype=float)
     diag[1:] = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
     if n == 1:
-        return QuadratureRule(nodes=diag.copy(), weights=np.array([mass]))
+        return _frozen_rule(diag, np.array([mass]))
     offsq = np.empty(n - 1)
     offsq[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
     k = np.arange(2, n, dtype=float)
@@ -92,7 +105,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> QuadratureRule:
     )
     nodes, vecs = eigh_tridiagonal(diag, np.sqrt(offsq))
     weights = mass * vecs[0] ** 2
-    return QuadratureRule(nodes=nodes, weights=weights)
+    return _frozen_rule(nodes, weights)
 
 
 def mu_plus_rule(params: JacobiParams, n: int) -> QuadratureRule:
@@ -123,7 +136,8 @@ def pi_rule(alpha: float, n: int) -> QuadratureRule:
     (1 - u^2)^{alpha - 1/2} on [-1, 1]; total mass one.
 
     At alpha = -1/2 the measure degenerates to the two atoms (+-1, 1/2) and
-    the returned rule has exactly two nodes regardless of n.
+    the returned rule has exactly two nodes regardless of n.  The nodes are
+    the read-only nodes of the cached Gauss-Jacobi rule.
     """
     if alpha < -0.5:
         raise ValueError(f"product-formula measure needs alpha >= -1/2, got {alpha}")

@@ -40,6 +40,11 @@ class TestParsing:
             main(["transmogrify"])
         assert exc.value.code == 2
 
+    def test_negative_nmax_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "--nmax", "-1"])
+        assert exc.value.code == 2
+
 
 class TestBasisTable:
     def test_layout_and_parity(self, tmp_path):
@@ -116,6 +121,34 @@ class TestOperatorTable:
         got = np.array([float(row[1]) for row in data])
         lam = mode_eigenvalues(JacobiParams(0.0, 0.0), 3)
         assert_allclose(got, np.array([1.0, 0.0, 0.5]) * np.exp(-0.5 * np.sqrt(lam)))
+
+    def test_reads_own_output_and_header_rows(self, tmp_path):
+        """A coefficient table written by the tool (echo line, n,value header)
+        reads back as the same coefficients."""
+        first = tmp_path / "first.csv"
+        assert main(["operator", "--op", "semigroup", "--t", "0", "--nmax", "5",
+                     "--out", str(first)]) == 0
+        second = tmp_path / "second.csv"
+        assert main(["operator", "--op", "semigroup", "--t", "0",
+                     "--input", str(first), "--out", str(second)]) == 0
+        _, _, data = read_table(second)
+        assert_allclose([float(row[1]) for row in data], 0.5 ** np.arange(6))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n,value\n0,np.float64(0.3)\n1,np.float64(0.5)\n", 2),
+            ("0,1.0\n1,abc\n2,0.5\n", 2),
+        ],
+    )
+    def test_bad_row_fails_with_line(self, tmp_path, capsys, text, line):
+        """A row that does not parse is an error naming the file and line,
+        never a silently dropped coefficient."""
+        src = tmp_path / "c.csv"
+        src.write_text(text)
+        rc = main(["operator", "--op", "semigroup", "--input", str(src)])
+        assert rc == 1
+        assert f"{src}:{line}:" in capsys.readouterr().err
 
     def test_multiplier_matches_inverse_root(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import symjacobi.estimates as estimates
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -18,15 +19,18 @@ from symjacobi.estimates import (
     EstimateAccuracyError,
     EstimateReport,
     FamilyBatch,
+    KERNEL_IDS,
     HarnessConfig,
     LadderResult,
     MultiplierProfile,
     WeightSpec,
     _axis_rule,
     _dyadic_log,
+    _eval_pair_block,
     _FAMILY,
     _HeadKernels,
     _nested_samples,
+    _pair_moments,
     _reproduce_or_raise,
     _tail_profile,
     _time_panels,
@@ -110,6 +114,73 @@ class TestAxisRule:
         u1, _ = _axis_rule(0.5, 1e-3, cfg, refine=1)
         u2, _ = _axis_rule(0.5, 1e-3, cfg, refine=2)
         assert u2.size > u1.size
+
+    def test_cached_by_depth_and_read_only(self):
+        """q_floor enters only through the integer panel depth: two floors
+        with the same depth share one cached rule, which cannot be written."""
+        cfg = HarnessConfig()
+        u1, w1 = _axis_rule(0.5, 1.0e-3, cfg)
+        u2, w2 = _axis_rule(0.5, 1.1e-3, cfg)
+        assert u1 is u2 and w1 is w2
+        with pytest.raises(ValueError):
+            u1[0] = 0.0
+        with pytest.raises(ValueError):
+            w1[0] = 0.0
+
+
+class TestSwapReuse:
+    """The moments depend on the pair only through quantities symmetric in
+    theta and phi, so a pair and its swap share them bit for bit."""
+
+    PAIRS = [(0.9, 1.7), (0.001, 0.002), (3.14, 3.1405), (0.3, 3.0)]
+
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED, SQUARE.shifted(), SKEWED.shifted()])
+    def test_moments_swap_symmetric(self, params):
+        cfg = HarnessConfig()
+        shifts = np.array([1e-8, 1e-3, 0.3])
+        for th, ph in self.PAIRS:
+            m1 = _pair_moments(params.alpha, params.beta, th, ph, shifts, cfg)
+            m2 = _pair_moments(params.alpha, params.beta, ph, th, shifts, cfg)
+            assert np.array_equal(m1, m2)
+
+    @staticmethod
+    def _count_moments(monkeypatch):
+        calls = []
+        inner = estimates._pair_moments
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(estimates, "_pair_moments", counted)
+        return calls
+
+    def test_block_equals_single_pairs(self, monkeypatch):
+        """Both orders and a repeat in one block: bitwise the one-pair
+        results, from one moment call per unordered pair and parameter set."""
+        batch = FamilyBatch(SKEWED, KERNEL_IDS)
+        pairs = np.array(
+            [[0.9, 1.7], [1.7, 0.9], [2.4, 3.0], [0.9, 1.7], [0.001, 0.002], [0.002, 0.001]]
+        )
+        slots = ("F", "Gth", "Gph")
+        singles = [batch.profiles(pairs[i : i + 1], slots) for i in range(len(pairs))]
+        calls = self._count_moments(monkeypatch)
+        prof = batch.profiles(pairs, slots)
+        assert len(calls) == 2 * 3  # plain and shifted sets, three unordered pairs
+        for i, one in enumerate(singles):
+            for key, (head, tail) in prof.items():
+                if head is not None:
+                    assert np.array_equal(head[:, i], one[key][0][:, 0])
+                assert np.array_equal(tail[:, i], one[key][1][:, 0])
+
+    def test_moved_pairs_share_one_call(self, monkeypatch):
+        """The theta-move of (theta, phi) is the swap of the phi-move of
+        (phi, theta), so a pair and its swap need two unordered moved pairs."""
+        batch = FamilyBatch(SKEWED, ("poisson", "poisson_reflected"))
+        pairs = np.array([[0.9, 1.7], [1.7, 0.9]])
+        calls = self._count_moments(monkeypatch)
+        _eval_pair_block(batch, pairs, {}, ["a", "b"])
+        assert len(calls) == 2 * (1 + 2)
 
 
 class TestRouteAgreement:

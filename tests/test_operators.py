@@ -84,6 +84,15 @@ class TestSemigroup:
             rtol=0,
         )
 
+    def test_infinite_time_projects_on_zero_mode(self):
+        """On the critical line the bottom eigenvalue is 0, so at t = inf
+        only that mode survives; finite t keeps the plain decay bit for bit."""
+        p = JacobiParams(-0.25, -0.75)
+        c = np.array([1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(semigroup_apply(p, np.inf, c), [1.0, 0.0, 0.0, 0.0])
+        lam = mode_eigenvalues(p, 4)
+        assert np.array_equal(semigroup_apply(p, 0.7, c), c * np.exp(-0.7 * np.sqrt(lam)))
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             semigroup_apply(JacobiParams(0.0, 0.0), -0.1, np.ones(2))

@@ -53,6 +53,16 @@ class TestGaussJacobi:
             assert_allclose(rule.nodes, x_ref, rtol=1e-11, atol=1e-12)
             assert_allclose(rule.weights, w_ref, rtol=1e-10, atol=1e-14)
 
+    def test_cached_read_only(self):
+        """A repeat call returns the cached rule itself, which is read-only."""
+        rule = gauss_jacobi_rule(0.5, 2.0, 12)
+        assert gauss_jacobi_rule(0.5, 2.0, 12) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+        assert pi_rule(1.0, 12).nodes is gauss_jacobi_rule(0.5, 0.5, 12).nodes
+
     def test_critical_sum_params(self):
         """alpha + beta = -1 exercises the cancelled recurrence branches."""
         rule = gauss_jacobi_rule(-0.25, -0.75, 12)
