@@ -17,13 +17,11 @@ pair serves every kernel family at once.
 
 The fixed time grids below are part of the computable surrogate norms: sup
 norms are taken over the standardized grid, not over the continuum, and
-time integrals run over [t_head_lo, t_tail_hi].
+time integrals run over [T_HEAD_LO, T_TAIL_HI].
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,9 +30,9 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import roots_jacobi
 
 from .core import JacobiParams, total_mass, trig_poly_table
-from .kernels import n_max_for
+from .kernels import n_max_for, q_fn, q_theta
 from .operators import mode_eigenvalues
-from .quadrature import ball_measure
+from .quadrature import ball_measure, composite_gauss
 
 ESTIMATE_IDS = (
     "Growth",
@@ -58,6 +56,22 @@ KERNEL_IDS = VECTOR_KERNELS + SCALAR_KERNELS
 # distances below this are excluded: the diagonal singularity makes both the
 # mode sum and the product rule lose digits faster than the ladder gains them
 MIN_DISTANCE = 1e-3
+
+# time grid of the surrogate norms: product-rule head on [T_HEAD_LO, T_SPLIT],
+# mode-sum tail on [T_SPLIT, T_TAIL_HI]
+T_HEAD_LO = 1e-8
+T_SPLIT = 0.5
+T_TAIL_HI = 60.0
+NODES_PER_TIME_PANEL = 4
+# product-rule panels: Gauss nodes per panel, and the grading floor as a
+# fraction of the pair's q_floor
+NODES_PER_PANEL = 6
+PANEL_FLOOR_FRAC = 1.0 / 4.0
+# ladder verdicts, and the relative drift allowed when an argmax value is
+# recomputed at doubled quadrature resolution
+STABILITY_THRESHOLD = 0.05
+DIVERGENCE_FACTOR = 2.0
+REPRODUCE_TOL = 1e-6
 
 
 class EstimateAccuracyError(RuntimeError):
@@ -97,19 +111,6 @@ class WeightSpec:
         # negative exponents are legal and give +inf at the singular points
         with np.errstate(divide="ignore"):
             return np.abs(np.sin(theta / 2.0)) ** self.r * np.cos(theta / 2.0) ** self.s
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    t_head_lo: float = 1e-8
-    t_split: float = 0.5
-    t_tail_hi: float = 60.0
-    nodes_per_time_panel: int = 4
-    nodes_per_panel: int = 6
-    panel_floor_frac: float = 1.0 / 4.0
-    stability_threshold: float = 0.05
-    divergence_factor: float = 2.0
-    reproduce_tol: float = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +194,8 @@ def _time_panels(lo: float, hi: float, nodes: int, breaks=()) -> tuple[np.ndarra
     edges = set(np.exp(np.linspace(np.log(lo), np.log(hi), int(np.ceil(decades)) + 1)))
     edges.update(b for b in breaks if lo < b < hi)
     edges = np.array(sorted(edges))
-    x, w = np.polynomial.legendre.leggauss(nodes)
     # per panel, still integrate in log time for resolution near lo
-    s_edges = np.log(edges)
-    mid = (s_edges[1:] + s_edges[:-1]) / 2.0
-    half = (s_edges[1:] - s_edges[:-1]) / 2.0
-    s = (mid[:, None] + half[:, None] * x).ravel()
-    ws = (half[:, None] * w).ravel()
+    s, ws = composite_gauss(np.log(edges), nodes)
     t = np.exp(s)
     return t, ws * t
 
@@ -208,7 +204,7 @@ def _time_panels(lo: float, hi: float, nodes: int, breaks=()) -> tuple[np.ndarra
 # panel-split product rules and moments
 
 
-def _axis_rule(a: float, q_floor: float, cfg: HarnessConfig, refine: int = 1):
+def _axis_rule(a: float, q_floor: float, refine: int = 1):
     """Composite rule for the one-dimensional factor of the product measure,
     resolving the layer of width q_floor at the right endpoint.
 
@@ -218,8 +214,8 @@ def _axis_rule(a: float, q_floor: float, cfg: HarnessConfig, refine: int = 1):
     q_floor so that every shifted power (s + q)^-p is smooth panelwise.
     q_floor enters only through the integer panel depth, so the rules are
     cached by (a, depth, nodes) and returned read-only."""
-    nodes = cfg.nodes_per_panel + 2 * (refine - 1)
-    floor = max(q_floor * cfg.panel_floor_frac / 4.0 ** (refine - 1), 1e-15)
+    nodes = NODES_PER_PANEL + 2 * (refine - 1)
+    floor = max(q_floor * PANEL_FLOOR_FRAC / 4.0 ** (refine - 1), 1e-15)
     k_max = max(2, int(np.ceil(-np.log2(floor))))
     return _graded_axis(float(a), k_max, nodes)
 
@@ -230,11 +226,8 @@ def _graded_axis(a: float, k_max: int, nodes: int):
         u, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
     else:
         edges = 1.0 - 2.0 ** -np.arange(0.0, k_max + 1)  # 0, 1/2, 3/4, ...
-        xg, wg = np.polynomial.legendre.leggauss(nodes)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        u_mid = (mid[:, None] + half[:, None] * xg).ravel()
-        w_mid = (half[:, None] * wg).ravel() * (1.0 - u_mid**2) ** (a - 0.5)
+        u_mid, w_mid = composite_gauss(edges, nodes)
+        w_mid = w_mid * (1.0 - u_mid**2) ** (a - 0.5)
 
         # left panel [-1, 0] with weight (1+u)^(a-1/2) handled exactly
         xj, wj = roots_jacobi(nodes, 0.0, a - 0.5)
@@ -259,14 +252,14 @@ def _graded_axis(a: float, k_max: int, nodes: int):
 _N_FAMS = 6  # 1, u, v, u^2, uv, v^2
 
 
-def _pair_moments(a_eff, b_eff, theta, phi, shifts, cfg, refine=1, n_j=3):
+def _pair_moments(a_eff, b_eff, theta, phi, shifts, refine=1, n_j=3):
     """Moments of (shift + q)^(-p-j) against the monomial families for one
     point pair, all time shifts at once.  Returns (n_j, n_t, 6)."""
     A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
     B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
     q_floor = 1.0 - np.cos((theta - phi) / 2.0)
-    u, wu = _axis_rule(a_eff, q_floor, cfg, refine)
-    v, wv = _axis_rule(b_eff, q_floor, cfg, refine)
+    u, wu = _axis_rule(a_eff, q_floor, refine)
+    v, wv = _axis_rule(b_eff, q_floor, refine)
     q = 1.0 - A * u[:, None] - B * v[None, :]
     w = wu[:, None] * wv[None, :]
 
@@ -296,14 +289,14 @@ class _PairHead:
     The moments are symmetric in theta and phi, so the swapped pair can pass
     its own in as m; only cs and sc depend on the order of the pair."""
 
-    def __init__(self, params_eff: JacobiParams, theta, phi, t, cfg, refine=1, m=None):
+    def __init__(self, params_eff: JacobiParams, theta, phi, t, refine=1, m=None):
         self.p = params_eff.alpha + params_eff.beta + 2.0
         self.C = 2.0 ** (-self.p) / total_mass(params_eff)
         self.sh = np.sinh(t / 2.0)
         self.ch = np.cosh(t / 2.0)
         if m is None:
             shifts = 2.0 * np.sinh(t / 4.0) ** 2  # cosh(t/2) - 1, stably
-            m = _pair_moments(params_eff.alpha, params_eff.beta, theta, phi, shifts, cfg, refine)
+            m = _pair_moments(params_eff.alpha, params_eff.beta, theta, phi, shifts, refine)
         self.m = m
         self.cs = np.cos(theta / 2.0) * np.sin(phi / 2.0)
         self.sc = np.sin(theta / 2.0) * np.cos(phi / 2.0)
@@ -376,17 +369,17 @@ class _HeadKernels:
     A twin is the same unordered pair with the same times and refinement;
     its plain and shifted moments are reused instead of recomputed."""
 
-    def __init__(self, params: JacobiParams, theta, phi, t, cfg, refine=1, twin=None):
+    def __init__(self, params: JacobiParams, theta, phi, t, refine=1, twin=None):
         self.params = params
         self.theta, self.phi = theta, phi
-        self._t, self._cfg, self._refine = t, cfg, refine
+        self._t, self._refine = t, refine
         self._twin = twin
         self._plain = None
         self._shift = None
 
     def _head(self, params_eff, which):
         m = getattr(self._twin, which).m if self._twin is not None else None
-        return _PairHead(params_eff, self.theta, self.phi, self._t, self._cfg, self._refine, m)
+        return _PairHead(params_eff, self.theta, self.phi, self._t, self._refine, m)
 
     @property
     def plain(self):
@@ -629,7 +622,6 @@ class FamilyBatch:
         self,
         params: JacobiParams,
         kernel_ids=KERNEL_IDS,
-        cfg: HarnessConfig | None = None,
         profile: MultiplierProfile = PROFILE_SIGN,
         atoms=STOCK_ATOMS,
     ):
@@ -640,15 +632,13 @@ class FamilyBatch:
             raise ValueError(f"unknown kernel_id {unknown[0]!r}")
         self.params = params
         self.kernel_ids = tuple(kernel_ids)
-        self.cfg = cfg or HarnessConfig()
         self.profile = profile
         self.atoms = atoms
-        c = self.cfg
-        self.t_head, self.w_head = _time_panels(c.t_head_lo, c.t_split, c.nodes_per_time_panel)
-        self.t_tail, self.w_tail = _time_panels(c.t_split, c.t_tail_hi, c.nodes_per_time_panel)
+        self.t_head, self.w_head = _time_panels(T_HEAD_LO, T_SPLIT, NODES_PER_TIME_PANEL)
+        self.t_tail, self.w_tail = _time_panels(T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL)
         if any(_FAMILY[k]["kind"] == "mult" for k in self.kernel_ids):
             self.t_mult, self.w_mult = _time_panels(
-                c.t_split, c.t_tail_hi, c.nodes_per_time_panel, profile.breakpoints
+                T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL, profile.breakpoints
             )
         else:
             self.t_mult = self.t_tail
@@ -689,7 +679,7 @@ class FamilyBatch:
         for i in np.lexsort((hi, lo)):
             key = (lo[i], hi[i])
             hk = _HeadKernels(
-                self.params, pairs[i, 0], pairs[i, 1], self.t_head, self.cfg, refine,
+                self.params, pairs[i, 0], pairs[i, 1], self.t_head, refine,
                 twin=prev if key == prev_key else None,
             )
             for kid, slot, head_name, combo in plan:
@@ -762,14 +752,7 @@ class FamilyBatch:
 
 
 # ---------------------------------------------------------------------------
-# standard-estimate checks
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SYMJACOBI_THREADS", "1")))
-    except ValueError:
-        return 1
+# shared argmax helpers
 
 
 def _ball_factors(params, pairs):
@@ -787,55 +770,6 @@ def _reproduce_or_raise(value, refined, tol, label):
         )
 
 
-def check_growth(
-    kernel_id: str,
-    params: JacobiParams,
-    grid_level: int,
-    cfg: HarnessConfig | None = None,
-    **kw,
-) -> EstimateReport:
-    """Empirical sup of ||K(theta, phi)|| times the ball measure of
-    B(theta, |theta - phi|) over the off-diagonal grid."""
-    batch = FamilyBatch(params, (kernel_id,), cfg, **kw)
-    pairs = pair_grid(grid_level)
-    norms, tmax = batch.norms(pairs)[kernel_id]
-    d, mb = _ball_factors(params, pairs)
-    ratios = norms * mb
-    k = int(np.argmax(ratios))
-    refined, _ = batch.norms(pairs[k : k + 1], refine=2)[kernel_id]
-    _reproduce_or_raise(
-        norms[k], refined[0], batch.cfg.reproduce_tol, f"growth[{kernel_id}]"
-    )
-    arg = (pairs[k, 0], pairs[k, 1]) if tmax is None else (pairs[k, 0], pairs[k, 1], tmax[k])
-    return EstimateReport("Growth", grid_level, float(ratios[k]), pairs.shape[0], arg)
-
-
-def check_gradient(
-    kernel_id: str,
-    params: JacobiParams,
-    grid_level: int,
-    cfg: HarnessConfig | None = None,
-    **kw,
-) -> EstimateReport:
-    """Empirical sup of (|d_theta K| + |d_phi K|) |theta - phi| mu+(B) for
-    scalar kernels."""
-    if kernel_id not in SCALAR_KERNELS:
-        raise ValueError(f"gradient check needs a scalar kernel, got {kernel_id}")
-    batch = FamilyBatch(params, (kernel_id,), cfg, **kw)
-    pairs = pair_grid(grid_level)
-    grads = batch.gradients(pairs)[kernel_id]
-    d, mb = _ball_factors(params, pairs)
-    ratios = grads * d * mb
-    k = int(np.argmax(ratios))
-    refined = batch.gradients(pairs[k : k + 1], refine=2)[kernel_id]
-    _reproduce_or_raise(
-        grads[k], refined[0], batch.cfg.reproduce_tol, f"gradient[{kernel_id}]"
-    )
-    return EstimateReport(
-        "Gradient", grid_level, float(ratios[k]), pairs.shape[0], (pairs[k, 0], pairs[k, 1])
-    )
-
-
 def _smoothness_pairs(pairs):
     """Admissible triples: the moved point sits a quarter distance away."""
     d = np.abs(pairs[:, 0] - pairs[:, 1])
@@ -846,78 +780,8 @@ def _smoothness_pairs(pairs):
     return th_moved, ok_th, ph_moved, ok_ph
 
 
-def check_smoothness(
-    kernel_id: str,
-    params: JacobiParams,
-    grid_level: int,
-    cfg: HarnessConfig | None = None,
-    **kw,
-):
-    """Difference-quotient estimates for vector kernels; returns the theta
-    and phi variant reports."""
-    if kernel_id not in VECTOR_KERNELS:
-        raise ValueError(f"smoothness check needs a vector kernel, got {kernel_id}")
-    batch = FamilyBatch(params, (kernel_id,), cfg, **kw)
-    pairs = pair_grid(grid_level)
-    reports = _smoothness_reports(batch, pairs, grid_level)
-    return reports[(kernel_id, "SmoothTheta")], reports[(kernel_id, "SmoothPhi")]
-
-
-def _smoothness_reports(batch, pairs, grid_level, base_prof=None):
-    """Smoothness reports for every vector kernel in the batch, reusing the
-    base profiles when the caller already has them."""
-    params, cfg = batch.params, batch.cfg
-    vec_ids = [k for k in batch.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
-    if not vec_ids:
-        return {}
-    if base_prof is None:
-        base_prof = batch.profiles(pairs, ("F",))
-    th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
-    out = {}
-    for which, moved, ok in (("theta", th_moved, ok_th), ("phi", ph_moved, ok_ph)):
-        sub = pairs[ok]
-        if sub.shape[0] == 0:
-            continue
-        if which == "theta":
-            alt = np.column_stack([moved[ok], sub[:, 1]])
-            sep = np.abs(sub[:, 0] - alt[:, 0])
-        else:
-            alt = np.column_stack([sub[:, 0], moved[ok]])
-            sep = np.abs(sub[:, 1] - alt[:, 1])
-        base_sub = {
-            key: (h[:, ok] if h is not None else None, t[:, ok])
-            for key, (h, t) in base_prof.items()
-        }
-        alt_prof = batch.profiles(alt, ("F",))
-        diffs = batch.diff_norms(base_sub, alt_prof)
-        d, mb = _ball_factors(params, sub)
-        eid = "SmoothTheta" if which == "theta" else "SmoothPhi"
-        for kid in vec_ids:
-            ratios = diffs[kid] * d * mb / sep
-            k = int(np.argmax(ratios))
-            one = FamilyBatch(params, (kid,), cfg, profile=batch.profile, atoms=batch.atoms)
-            p1 = one.profiles(sub[k : k + 1], ("F",), refine=2)
-            p2 = one.profiles(alt[k : k + 1], ("F",), refine=2)
-            ref = one.diff_norms(p1, p2)[kid][0]
-            _reproduce_or_raise(
-                diffs[kid][k], ref, cfg.reproduce_tol, f"smooth-{which}[{kid}]"
-            )
-            out[(kid, eid)] = EstimateReport(
-                eid, grid_level, float(ratios[k]), sub.shape[0], (sub[k, 0], sub[k, 1])
-            )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lemma samplers
-
-
-def q_aux(theta, phi, u, v):
-    return (
-        1.0
-        - u * np.sin(theta / 2.0) * np.sin(phi / 2.0)
-        - v * np.cos(theta / 2.0) * np.cos(phi / 2.0)
-    )
 
 
 def _nested_samples(seed: int, level: int, base: int = 100_000) -> np.ndarray:
@@ -940,7 +804,7 @@ def _nested_samples(seed: int, level: int, base: int = 100_000) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _bridge_ratio(params, pairs, power_extra, dist_power, cfg, shift=(0.0, 0.0), prefac=None, refine=1):
+def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), prefac=None, refine=1):
     """Sup of the product-measure integral of q^-(power) times the ball and
     distance factors."""
     a = params.alpha + shift[0]
@@ -949,9 +813,9 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, cfg, shift=(0.0, 0.0),
     out = np.zeros(pairs.shape[0])
     for i, (th, ph) in enumerate(pairs):
         q_floor = 1.0 - np.cos((th - ph) / 2.0)
-        u, wu = _axis_rule(a, q_floor, cfg, refine)
-        v, wv = _axis_rule(b, q_floor, cfg, refine)
-        q = q_aux(th, ph, u[:, None], v[None, :])
+        u, wu = _axis_rule(a, q_floor, refine)
+        v, wv = _axis_rule(b, q_floor, refine)
+        q = q_fn(th, ph, u[:, None], v[None, :])
         out[i] = np.sum((wu[:, None] * wv[None, :]) * q ** (-power))
     d, mb = _ball_factors(params, pairs)
     ratios = out * mb * d**dist_power
@@ -964,7 +828,6 @@ def lemma_samplers(
     params: JacobiParams,
     which: str,
     grid_level: int,
-    cfg: HarnessConfig | None = None,
     l43_exponents=(1.0, 1.0, 0.0, 0.0, 0.0),
 ) -> EstimateReport:
     """Empirical sup of the left-to-right quotient of the comparison lemmas.
@@ -974,16 +837,13 @@ def lemma_samplers(
     sqrt(q)), Comp (stability of q under moving theta a quarter distance)
     and Asympt (the hyperbolic-prefactor bound).
     """
-    cfg = cfg or HarnessConfig()
     if which in ("Bridge1", "Bridge2"):
         pairs = pair_grid(grid_level)
         power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
-        _, ratios = _bridge_ratio(params, pairs, power_extra, dist_power, cfg)
+        _, ratios = _bridge_ratio(params, pairs, power_extra, dist_power)
         k = int(np.argmax(ratios))
-        _, refined = _bridge_ratio(
-            params, pairs[k : k + 1], power_extra, dist_power, cfg, refine=2
-        )
-        _reproduce_or_raise(ratios[k], refined[0], cfg.reproduce_tol, which)
+        _, refined = _bridge_ratio(params, pairs[k : k + 1], power_extra, dist_power, refine=2)
+        _reproduce_or_raise(ratios[k], refined[0], REPRODUCE_TOL, which)
         return EstimateReport(
             which, grid_level, float(ratios[k]), pairs.shape[0], (pairs[k, 0], pairs[k, 1])
         )
@@ -1003,20 +863,18 @@ def lemma_samplers(
             shift=(g1 + kappa + k1, g2 + kappa + k2),
             prefac=prefac,
         )
-        _, ratios = _bridge_ratio(params, pairs, cfg=cfg, **args)
+        _, ratios = _bridge_ratio(params, pairs, **args)
         k = int(np.argmax(ratios))
-        _, refined = _bridge_ratio(params, pairs[k : k + 1], cfg=cfg, refine=2, **args)
-        _reproduce_or_raise(ratios[k], refined[0], cfg.reproduce_tol, which)
+        _, refined = _bridge_ratio(params, pairs[k : k + 1], refine=2, **args)
+        _reproduce_or_raise(ratios[k], refined[0], REPRODUCE_TOL, which)
         return EstimateReport(
             which, grid_level, float(ratios[k]), pairs.shape[0], (pairs[k, 0], pairs[k, 1])
         )
 
     if which == "Trig":
         th, ph, u, v = _nested_samples(20, grid_level).T
-        q = q_aux(th, ph, u, v)
-        qth = -u / 2.0 * np.cos(th / 2.0) * np.sin(ph / 2.0) + v / 2.0 * np.sin(
-            th / 2.0
-        ) * np.cos(ph / 2.0)
+        q = q_fn(th, ph, u, v)
+        qth = q_theta(th, ph, u, v)
         ratio = np.abs(qth) / np.sqrt(np.maximum(q, 1e-300))
         k = int(np.argmax(ratio))
         return EstimateReport("Trig", grid_level, float(ratio[k]), th.size, (th[k], ph[k]))
@@ -1026,8 +884,8 @@ def lemma_samplers(
         keep = np.abs(th - ph) > 1e-12
         th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
         tht = th + (ph - th) / 4.0  # |theta - theta~| = |theta - phi| / 4
-        q1 = np.maximum(q_aux(th, ph, u, v), 1e-300)
-        q2 = np.maximum(q_aux(tht, ph, u, v), 1e-300)
+        q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
+        q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
         ratio = np.maximum(q1 / q2, q2 / q1)
         k = int(np.argmax(ratio))
         return EstimateReport("Comp", grid_level, float(ratio[k]), th.size, (th[k], ph[k]))
@@ -1101,10 +959,7 @@ def _cell_rule(lo: float, hi: float, singular, nodes: int = 8, depth: int = 6):
     if hi in singular:
         edges += [hi - width * 2.0**-k for k in range(1, depth + 1)]
     edges = np.array(sorted(set(edges)))
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+    return composite_gauss(edges, nodes)
 
 
 def ap_member(weight: WeightSpec, params: JacobiParams, p: float | None = None) -> bool:
@@ -1212,7 +1067,9 @@ class LadderResult:
         return [r.empirical_sup for r in self.reports]
 
 
-def ladder_verdict(sups, stability=0.05, divergence_factor=2.0) -> str:
+def ladder_verdict(
+    sups, stability=STABILITY_THRESHOLD, divergence_factor=DIVERGENCE_FACTOR
+) -> str:
     """stable: last-step relative growth below threshold; diverging: growth
     above the factor at each of the last three steps; else inconclusive."""
     sups = list(sups)
@@ -1232,23 +1089,6 @@ def _assert_monotone(sups, label):
             raise AssertionError(
                 f"{label}: sup decreased across nested refinement: {a} -> {b}"
             )
-
-
-def run_ladder(check, levels=(1, 2, 3, 4), cfg: HarnessConfig | None = None) -> LadderResult:
-    """Run a single-level check callable across the levels and join the
-    verdict; monotonicity of the sups is asserted exactly (nested grids)."""
-    cfg = cfg or HarnessConfig()
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(check, levels))
-    else:
-        reports = [check(lv) for lv in levels]
-    sups = [r.empirical_sup for r in reports]
-    _assert_monotone(sups, getattr(check, "__name__", "ladder"))
-    return LadderResult(
-        tuple(reports), ladder_verdict(sups, cfg.stability_threshold, cfg.divergence_factor)
-    )
 
 
 def _eval_pair_block(batch, pairs, cache, keys):
@@ -1308,7 +1148,6 @@ def run_standard_ladders(
     params: JacobiParams,
     kernel_ids=KERNEL_IDS,
     levels=(1, 2, 3, 4),
-    cfg: HarnessConfig | None = None,
     profile: MultiplierProfile = PROFILE_SIGN,
     atoms=STOCK_ATOMS,
 ) -> dict:
@@ -1318,11 +1157,12 @@ def run_standard_ladders(
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
     The level grids are nested with bitwise-identical coordinates, so each
-    pair is evaluated once and reused by every level containing it."""
-    cfg = cfg or HarnessConfig()
-    batch = FamilyBatch(params, kernel_ids, cfg, profile=profile, atoms=atoms)
+    pair is evaluated once and reused by every level containing it.  One
+    level gives the single-level check:
+    run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
+    batch = FamilyBatch(params, kernel_ids, profile=profile, atoms=atoms)
     ones = {
-        kid: FamilyBatch(params, (kid,), cfg, profile=profile, atoms=atoms)
+        kid: FamilyBatch(params, (kid,), profile=profile, atoms=atoms)
         for kid in batch.kernel_ids
     }
     vec_ids = [k for k in batch.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
@@ -1339,7 +1179,7 @@ def run_standard_ladders(
         mark = (kind, kid, pair.tobytes())
         if mark in checked:
             return
-        _reproduce_or_raise(value, compute(), cfg.reproduce_tol, f"{kind}[{kid}]")
+        _reproduce_or_raise(value, compute(), REPRODUCE_TOL, f"{kind}[{kid}]")
         checked.add(mark)
 
     for level in levels:
@@ -1421,8 +1261,5 @@ def run_standard_ladders(
     for key, reports in collected.items():
         sups = [r.empirical_sup for r in reports]
         _assert_monotone(sups, f"{key[0]}/{key[1]}")
-        out[key] = LadderResult(
-            tuple(reports),
-            ladder_verdict(sups, cfg.stability_threshold, cfg.divergence_factor),
-        )
+        out[key] = LadderResult(tuple(reports), ladder_verdict(sups))
     return out

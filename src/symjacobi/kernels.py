@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiParams, eigenvalue, total_mass, trig_poly_table
-from .quadrature import QuadratureRule, pi_rule
+from .quadrature import QuadratureRule, composite_gauss, pi_rule
 
 __all__ = [
     "ConvergenceError",
@@ -442,8 +442,9 @@ def _kernel_derivative_dk(params, t, theta, phi, m, n_delta, parity):
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:
-    """Integral of H_t(theta, .) over dmu+: e^{-t(alpha+beta+1)/2} / 2."""
-    return 0.5 * float(np.exp(-t * (params.alpha + params.beta + 1.0) / 2.0))
+    """Integral of H_t(theta, .) over dmu+: e^{-t sqrt(lam_0)} / 2, which is
+    e^{-t |alpha+beta+1| / 2} / 2 on both sides of the critical line."""
+    return 0.5 * float(np.exp(-t * abs(params.alpha + params.beta + 1.0) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -496,16 +497,10 @@ class L2TWeighted:
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights in t for integrating f(t) t^w dt."""
-        from numpy.polynomial.legendre import leggauss
-
         s_lo, s_hi = np.log(self.t_lo), np.log(self.t_hi())
         panels = max(1, int(np.ceil((s_hi - s_lo) / np.log(10.0) * self.points_per_decade / self.nodes_per_panel)))
         edges = np.linspace(s_lo, s_hi, panels + 1)
-        x, wq = leggauss(self.nodes_per_panel)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        s_nodes = (mid[:, None] + half[:, None] * x).ravel()
-        s_weights = (half[:, None] * wq).ravel()
+        s_nodes, s_weights = composite_gauss(edges, self.nodes_per_panel)
         t_nodes = np.exp(s_nodes)
         # dt = t ds and the measure weight t^w
         t_weights = s_weights * t_nodes ** (self.weight_power + 1.0)

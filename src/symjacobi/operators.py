@@ -29,6 +29,7 @@ from scipy.special import gammaln
 from .basis import half_index, sym_eigenvalue
 from .core import JacobiParams, eigenvalue, trig_poly_table
 from .kernels import L2TWeighted, SupOverT
+from .quadrature import composite_gauss
 
 _PARITIES = ("full", "even", "odd")
 
@@ -319,12 +320,7 @@ class LaplaceMultiplier:
         # substitute u = t z: m = integral e^{-u} phi(u/z) du on (0, u_max)
         edges = set(np.arange(0.0, self.u_max + 1.0))
         edges.update(z * b for b in self.breakpoints if 0.0 < z * b < self.u_max)
-        edges = np.array(sorted(edges))
-        x, w = np.polynomial.legendre.leggauss(self.nodes_per_panel)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        u = (mid[:, None] + half[:, None] * x).ravel()
-        wq = (half[:, None] * w).ravel()
+        u, wq = composite_gauss(sorted(edges), self.nodes_per_panel)
         return float(np.sum(wq * np.exp(-u) * self.phi(u / z)))
 
 
@@ -363,12 +359,7 @@ def fractional_atoms(s_max: float = 6.0, panel_width: float = 0.25, nodes: int =
     discretized by composite Gauss on (0, s_max).  Accurate to roughly
     e^{-s_max^2 z} for z of order one."""
     n_panels = int(np.ceil(s_max / panel_width))
-    edges = np.linspace(0.0, s_max, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    s = (mid[:, None] + half[:, None] * x).ravel()
-    ws = (half[:, None] * w).ravel()
+    s, ws = composite_gauss(np.linspace(0.0, s_max, n_panels + 1), nodes)
     return AtomicMultiplier(times=s**2, weights=2.0 * ws / np.sqrt(np.pi))
 
 

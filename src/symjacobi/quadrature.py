@@ -3,8 +3,9 @@
 Provides Gauss-Jacobi rules on [-1, 1] built by Golub-Welsch (symmetric
 tridiagonal eigenproblem), their transplant to (0, pi) against the measure
 dmu+, the normalized product-formula measures on [-1, 1] (absolutely
-continuous for parameter > -1/2, two atoms at the endpoint value -1/2), and
-exact interval/ball measures through the regularized incomplete Beta function.
+continuous for parameter > -1/2, two atoms at the endpoint value -1/2), the
+composite Gauss-Legendre panel rule, and exact interval/ball measures through
+the regularized incomplete Beta function.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import JacobiParams, total_mass
 __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
+    "composite_gauss",
     "mu_plus_rule",
     "mu_full_rule",
     "pi_rule",
@@ -106,6 +108,17 @@ def _golub_welsch(a: float, b: float, n: int) -> QuadratureRule:
     nodes, vecs = eigh_tridiagonal(diag, np.sqrt(offsq))
     weights = mass * vecs[0] ** 2
     return _frozen_rule(nodes, weights)
+
+
+def composite_gauss(edges, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with `nodes` points on each panel
+    between consecutive edges; exact panelwise for polynomials of degree
+    <= 2 nodes - 1.  Nodes and weights come back flattened panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def mu_plus_rule(params: JacobiParams, n: int) -> QuadratureRule:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from symjacobi import cli
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
 from symjacobi.estimates import EstimateReport
@@ -226,14 +227,48 @@ class TestVerifyReports:
         assert verdicts[True] == "stable"
         assert verdicts[False] == "diverging"
 
-    def test_module_error_exits_one(self, capsys, tmp_path):
-        # kernel families need alpha, beta >= -1/2; the error is surfaced
-        rc = main(
-            ["verify", "--suite", "estimates", "--alpha", "-0.9",
-             "--report", str(tmp_path / "r.json")]
-        )
+    def test_module_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        """A suite that raises ends the run with exit 1, and the report keeps
+        the entries of the suites that finished before it."""
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._SUITE_FUNCS, "kernels", broken)
+        path = tmp_path / "r.json"
+        rc = main(["verify", "--suite", "all", "--report", str(path)])
         assert rc == 1
-        assert "error" in capsys.readouterr().err
+        assert "RuntimeError: boom" in capsys.readouterr().err
+        report = json.loads(path.read_text())
+        assert report["passed"] is False
+        assert report["error"] == "suite kernels: RuntimeError: boom"
+        assert report["failures"] == []
+        ids = [e["estimate_id"] for e in report["results"]]
+        assert ids == ["BasisOrthonormality", "BasisRoundtrip"]
+
+    @pytest.mark.parametrize("suite", ["kernels", "estimates"])
+    def test_product_checks_skipped_below_minus_half(self, tmp_path, suite):
+        """Outside alpha, beta >= -1/2 the product-formula checks are written
+        as skipped entries with a reason; the series-route checks still run."""
+        path = tmp_path / f"{suite}.json"
+        argv = ["verify", "--suite", suite, "--alpha", "-0.9", "--beta", "-0.9",
+                "--level", "1", "--report", str(path)]
+        assert main(argv) == 0
+        report = json.loads(path.read_text())
+        assert report["passed"] is True and "error" not in report
+        skipped = [e for e in report["results"] if e["verdict"] == "skipped"]
+        ran = {e["estimate_id"] for e in report["results"] if e["verdict"] != "skipped"}
+        for entry in skipped:
+            assert entry["levels"] == [] and "alpha, beta >= -1/2" in entry["reason"]
+        if suite == "kernels":
+            assert [e["estimate_id"] for e in skipped] == ["KernelRouteAgreement"]
+            assert ran == {"KernelSplitIdentity", "KernelHalfMass", "KernelFullMass"}
+        else:
+            assert len(skipped) == 20 + 3
+            assert {e["estimate_id"] for e in skipped if "kernel_id" not in e} == {
+                "Bridge1", "Bridge2", "L43Star"
+            }
+            assert ran == {"Trig", "Comp", "Asympt", "EstimatesA", "EstimatesB"}
 
     def test_entry_builders_record_failures(self):
         failures = []

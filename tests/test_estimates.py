@@ -20,10 +20,9 @@ from symjacobi.estimates import (
     EstimateReport,
     FamilyBatch,
     KERNEL_IDS,
-    HarnessConfig,
-    LadderResult,
     MultiplierProfile,
     WeightSpec,
+    _assert_monotone,
     _axis_rule,
     _dyadic_log,
     _eval_pair_block,
@@ -36,15 +35,11 @@ from symjacobi.estimates import (
     _time_panels,
     ap_constant,
     ap_member,
-    check_gradient,
-    check_growth,
-    check_smoothness,
     exact_lemma_report,
     ladder_verdict,
     lemma_estimates_exact,
     lemma_samplers,
     pair_grid,
-    run_ladder,
     run_standard_ladders,
 )
 
@@ -98,29 +93,27 @@ class TestAxisRule:
     def test_normalized_moments(self, a):
         """Weights integrate the normalized density exactly: total mass one,
         odd moment zero, second moment 1/(2a + 2)."""
-        u, w = _axis_rule(a, 1e-4, HarnessConfig())
+        u, w = _axis_rule(a, 1e-4)
         assert_allclose(w.sum(), 1.0, atol=1e-9)
         assert_allclose(w @ u, 0.0, atol=1e-9)
         assert_allclose(w @ u**2, 1.0 / (2.0 * a + 2.0), atol=1e-9)
 
     def test_atomic_rule(self):
-        u, w = _axis_rule(-0.5, 1e-6, HarnessConfig())
+        u, w = _axis_rule(-0.5, 1e-6)
         assert np.array_equal(u, [-1.0, 1.0])
         assert np.array_equal(w, [0.5, 0.5])
         assert w @ u**2 == 1.0  # matches 1/(2a + 2) at a = -1/2
 
     def test_refine_tightens_floor(self):
-        cfg = HarnessConfig()
-        u1, _ = _axis_rule(0.5, 1e-3, cfg, refine=1)
-        u2, _ = _axis_rule(0.5, 1e-3, cfg, refine=2)
+        u1, _ = _axis_rule(0.5, 1e-3, refine=1)
+        u2, _ = _axis_rule(0.5, 1e-3, refine=2)
         assert u2.size > u1.size
 
     def test_cached_by_depth_and_read_only(self):
         """q_floor enters only through the integer panel depth: two floors
         with the same depth share one cached rule, which cannot be written."""
-        cfg = HarnessConfig()
-        u1, w1 = _axis_rule(0.5, 1.0e-3, cfg)
-        u2, w2 = _axis_rule(0.5, 1.1e-3, cfg)
+        u1, w1 = _axis_rule(0.5, 1.0e-3)
+        u2, w2 = _axis_rule(0.5, 1.1e-3)
         assert u1 is u2 and w1 is w2
         with pytest.raises(ValueError):
             u1[0] = 0.0
@@ -136,11 +129,10 @@ class TestSwapReuse:
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED, SQUARE.shifted(), SKEWED.shifted()])
     def test_moments_swap_symmetric(self, params):
-        cfg = HarnessConfig()
         shifts = np.array([1e-8, 1e-3, 0.3])
         for th, ph in self.PAIRS:
-            m1 = _pair_moments(params.alpha, params.beta, th, ph, shifts, cfg)
-            m2 = _pair_moments(params.alpha, params.beta, ph, th, shifts, cfg)
+            m1 = _pair_moments(params.alpha, params.beta, th, ph, shifts)
+            m2 = _pair_moments(params.alpha, params.beta, ph, th, shifts)
             assert np.array_equal(m1, m2)
 
     @staticmethod
@@ -189,7 +181,6 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED])
     def test_head_matches_series(self, params):
-        cfg = HarnessConfig()
         t = np.array([0.35, 0.5])
         checks = [
             ("H", ("even", 0, 0, 0)),
@@ -200,7 +191,7 @@ class TestRouteAgreement:
             ("Ht_low_dth", ("odd", "low1", 0, 0)),
         ]
         for th, ph in ((0.9, 1.7), (2.4, 3.0)):
-            head = _HeadKernels(params, th, ph, t, cfg)
+            head = _HeadKernels(params, th, ph, t)
             for name, (parity, th_op, ph_op, m_t) in checks:
                 hv = getattr(head, name)()
                 tv = _tail_profile(params, parity, th_op, ph_op, m_t, t, th, ph)[:, 0]
@@ -235,12 +226,6 @@ class TestReports:
         with pytest.raises(ValueError):
             FamilyBatch(SQUARE, ("not_a_kernel",))
 
-    def test_check_domain_errors(self):
-        with pytest.raises(ValueError):
-            check_gradient("poisson", SQUARE, 1)
-        with pytest.raises(ValueError):
-            check_smoothness("riesz_even", SQUARE, 1)
-
 
 class TestLadderLogic:
     def test_verdicts(self):
@@ -249,21 +234,18 @@ class TestLadderLogic:
         assert ladder_verdict([1.0, 1.2, 1.5, 1.9]) == "inconclusive"
         assert ladder_verdict([1.0]) == "inconclusive"
 
-    def test_run_ladder_synthetic(self):
-        def check(level):
-            return EstimateReport("Growth", level, 1.0 + 0.001 * level, 10, (1.0, 2.0))
+    def test_assert_monotone_guard(self):
+        """Nested grids can only raise a sup; a drop beyond rounding raises."""
+        _assert_monotone([1.0, 1.0, 1.5], "flat then up")
+        _assert_monotone([1.0, 1.0 - 1e-13], "rounding")
+        with pytest.raises(AssertionError, match="drop: sup decreased"):
+            _assert_monotone([1.5, 1.0], "drop")
 
-        res = run_ladder(check, levels=(1, 2, 3, 4))
-        assert isinstance(res, LadderResult)
-        assert res.verdict == "stable"
-        assert [r.grid_level for r in res.reports] == [1, 2, 3, 4]
 
-    def test_run_ladder_monotonicity_guard(self):
-        def check(level):
-            return EstimateReport("Growth", level, 2.0 - 0.5 * level, 10, (1.0, 2.0))
-
-        with pytest.raises(AssertionError):
-            run_ladder(check, levels=(1, 2))
+def single_level(kernel_id, params, level, **kw):
+    """estimate_id -> the one report of a single-level ladder run."""
+    res = run_standard_ladders(params, (kernel_id,), levels=(level,), **kw)
+    return {eid: lad.reports[0] for (kid, eid), lad in res.items() if kid == kernel_id}
 
 
 class TestChecksSmoke:
@@ -271,19 +253,25 @@ class TestChecksSmoke:
     collapse to two atoms and the grid costs stay small."""
 
     def test_check_growth_report(self):
-        rep = check_growth("poisson", ATOMIC, 1)
-        assert rep.estimate_id == "Growth"
+        reps = single_level("poisson", ATOMIC, 1)
+        assert set(reps) == {"Growth", "SmoothTheta", "SmoothPhi"}
+        rep = reps["Growth"]
+        assert rep.estimate_id == "Growth" and rep.grid_level == 1
+        assert rep.sample_count == pair_grid(1).shape[0]
         assert rep.empirical_sup > 0.0
         assert len(rep.argmax_point) == 3  # includes the sup-attaining time
 
     def test_check_gradient_report(self):
-        rep = check_gradient("riesz_odd", ATOMIC, 1)
+        reps = single_level("riesz_odd", ATOMIC, 1)
+        assert set(reps) == {"Growth", "Gradient"}
+        rep = reps["Gradient"]
         assert rep.estimate_id == "Gradient"
         assert rep.empirical_sup > 0.0
         assert len(rep.argmax_point) == 2
 
     def test_check_smoothness_reports(self):
-        rth, rph = check_smoothness("poisson_reflected", ATOMIC, 1)
+        reps = single_level("poisson_reflected", ATOMIC, 1)
+        rth, rph = reps["SmoothTheta"], reps["SmoothPhi"]
         assert rth.estimate_id == "SmoothTheta"
         assert rph.estimate_id == "SmoothPhi"
         assert rth.empirical_sup > 0.0 and rph.empirical_sup > 0.0
@@ -320,8 +308,10 @@ class TestChecksSmoke:
 
     def test_custom_profile(self):
         prof = MultiplierProfile(fn=lambda t: np.exp(-t), name="exp")
-        rep = check_growth("multiplier_laplace", ATOMIC, 1, profile=prof)
+        rep = single_level("multiplier_laplace", ATOMIC, 1, profile=prof)["Growth"]
         assert rep.empirical_sup > 0.0
+        stock = single_level("multiplier_laplace", ATOMIC, 1)["Growth"]
+        assert rep.empirical_sup != stock.empirical_sup
 
 
 class TestLemmaSamplers:

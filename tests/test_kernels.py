@@ -127,8 +127,9 @@ class TestSeriesKernel:
         assert np.all(vals > 0.0)
 
     def test_half_line_mass(self):
-        """integral H_t(theta, .) dmu+ = e^{-t(alpha+beta+1)/2}/2."""
-        for a, b in KERNEL_PAIRS + [(3.0, -0.5)]:
+        """integral H_t(theta, .) dmu+ = e^{-t |alpha+beta+1| / 2}/2; below the
+        critical line the bottom mode still decays."""
+        for a, b in KERNEL_PAIRS + [(3.0, -0.5), (-0.9, -0.9), (-0.75, -0.5)]:
             p = JacobiParams(a, b)
             rule = mu_plus_rule(p, 400)
             for t in [0.3, 1.0]:

@@ -14,6 +14,7 @@ from symjacobi.quadrature import (
     QuadratureRule,
     ball_comparable,
     ball_measure,
+    composite_gauss,
     gauss_jacobi_rule,
     interval_measure,
     mu_plus_rule,
@@ -190,3 +191,34 @@ class TestSerialization:
         assert_allclose(back.weights, rule.weights, rtol=0, atol=0)
         header = path.read_text().splitlines()[0]
         assert header == "node,weight"
+
+
+class TestCompositeGauss:
+    EDGES = {
+        "uneven": np.array([-1.0, -0.3, 0.05, 0.5, 2.0]),
+        "log-spaced": np.geomspace(1e-6, 10.0, 8),
+    }
+
+    @pytest.mark.parametrize("kind", ["uneven", "log-spaced"])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_exact_to_degree_2n_minus_1(self, kind, n):
+        """Each panel gets an n-point Gauss rule, so every polynomial of
+        degree <= 2n - 1 integrates exactly over the union of the panels."""
+        edges = self.EDGES[kind]
+        x, w = composite_gauss(edges, n)
+        assert x.shape == w.shape == (n * (edges.size - 1),)
+        assert np.all((x > edges[0]) & (x < edges[-1]))
+        lo, hi = edges[0], edges[-1]
+        for k in range(2 * n):
+            exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+            assert_allclose(w @ x**k, exact, rtol=1e-12, atol=1e-14)
+
+    def test_degree_2n_not_exact(self):
+        x, w = composite_gauss(np.array([0.0, 1.0]), 2)
+        assert abs(w @ x**4 - 0.2) > 1e-3
+
+    def test_panels_in_order(self):
+        """Nodes come back panel by panel, increasing across the edges."""
+        x, _ = composite_gauss([0.0, 1.0, 3.0], 4)
+        assert np.all(np.diff(x) > 0)
+        assert np.all(x[:4] < 1.0) and np.all(x[4:] > 1.0)
