@@ -495,7 +495,7 @@ def _suite_ap(args):
     db = 2.0 * params.beta + 2.0
     probes = [
         (WeightSpec(da / 2.0, -db / 2.0, p), "stable"),
-        (WeightSpec(da * (p - 1.0) + da / 4.0, 0.0, p), "diverging"),
+        (WeightSpec(da * (p - 1.0) + max(da / 4.0, 0.5), 0.0, p), "diverging"),
     ]
     depths = range(3, 3 + max(args.level + 2, 4))
     for weight, expected in probes:

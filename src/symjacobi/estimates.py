@@ -9,11 +9,11 @@ inequalities (those with constant 1) are asserted directly instead.
 
 Kernel families are evaluated in the time variable by a hybrid scheme: a
 truncated mode sum for t >= 0.5 and the product-formula double integral for
-smaller t, the latter with per-pair composite rules whose panels halve
-geometrically toward the corner u = v = 1 where the integrand peaks.  All
-theta and time derivatives reduce to moments of shifted negative powers
-against the quadratic monomials in (u, v), so one set of moments per point
-pair serves every kernel family at once.
+smaller t, the latter on the corner-graded rules of symjacobi.product,
+whose L-shaped cells halve geometrically toward the corner u = v = 1 where
+the integrand peaks.  All theta and time derivatives reduce to moments of
+shifted negative powers against the quadratic monomials in (u, v), so one
+set of moments per point pair serves every kernel family at once.
 
 The fixed time grids below are part of the computable surrogate norms: sup
 norms are taken over the standardized grid, not over the continuum, and
@@ -23,15 +23,13 @@ time integrals run over [T_HEAD_LO, T_TAIL_HI].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_jacobi
 
-from .core import JacobiParams, total_mass, trig_poly_table
+from .core import JacobiParams, trig_poly_table
 from .kernels import n_max_for, q_fn, q_theta
 from .operators import mode_eigenvalues
+from .product import HeadKernels, pair_moments
 from .quadrature import ball_measure, composite_gauss
 
 ESTIMATE_IDS = (
@@ -63,10 +61,6 @@ T_HEAD_LO = 1e-8
 T_SPLIT = 0.5
 T_TAIL_HI = 60.0
 NODES_PER_TIME_PANEL = 4
-# product-rule panels: Gauss nodes per panel, and the grading floor as a
-# fraction of the pair's q_floor
-NODES_PER_PANEL = 6
-PANEL_FLOOR_FRAC = 1.0 / 4.0
 # ladder verdicts, and the relative drift allowed when an argmax value is
 # recomputed at doubled quadrature resolution
 STABILITY_THRESHOLD = 0.05
@@ -198,280 +192,6 @@ def _time_panels(lo: float, hi: float, nodes: int, breaks=()) -> tuple[np.ndarra
     s, ws = composite_gauss(np.log(edges), nodes)
     t = np.exp(s)
     return t, ws * t
-
-
-# ---------------------------------------------------------------------------
-# panel-split product rules and moments
-
-
-def _axis_rule(a: float, q_floor: float, refine: int = 1):
-    """Composite rule for the one-dimensional factor of the product measure,
-    resolving the layer of width q_floor at the right endpoint.
-
-    The measure density (1-u^2)^(a-1/2) is folded into the weights.  The two
-    endpoint panels use Gauss-Jacobi with the exact endpoint singularity; the
-    interior panels toward u = 1 halve geometrically down to a fraction of
-    q_floor so that every shifted power (s + q)^-p is smooth panelwise.
-    q_floor enters only through the integer panel depth, so the rules are
-    cached by (a, depth, nodes) and returned read-only."""
-    nodes = NODES_PER_PANEL + 2 * (refine - 1)
-    floor = max(q_floor * PANEL_FLOOR_FRAC / 4.0 ** (refine - 1), 1e-15)
-    k_max = max(2, int(np.ceil(-np.log2(floor))))
-    return _graded_axis(float(a), k_max, nodes)
-
-
-@lru_cache(maxsize=1024)
-def _graded_axis(a: float, k_max: int, nodes: int):
-    if a == -0.5:
-        u, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    else:
-        edges = 1.0 - 2.0 ** -np.arange(0.0, k_max + 1)  # 0, 1/2, 3/4, ...
-        u_mid, w_mid = composite_gauss(edges, nodes)
-        w_mid = w_mid * (1.0 - u_mid**2) ** (a - 0.5)
-
-        # left panel [-1, 0] with weight (1+u)^(a-1/2) handled exactly
-        xj, wj = roots_jacobi(nodes, 0.0, a - 0.5)
-        u_left = (xj - 1.0) / 2.0
-        w_left = wj * 0.5 ** (a + 0.5) * (1.0 - u_left) ** (a - 0.5)
-
-        # right panel [1 - floor', 1] with weight (1-u)^(a-1/2) handled exactly
-        lo = edges[-1]
-        xr, wr = roots_jacobi(nodes, a - 0.5, 0.0)
-        scale = (1.0 - lo) / 2.0
-        u_right = 1.0 + (xr - 1.0) * scale
-        w_right = wr * scale ** (a + 0.5) * (1.0 + u_right) ** (a - 0.5)
-
-        u = np.concatenate([u_left, u_mid, u_right])
-        norm = gamma_fn(a + 1.0) / (np.sqrt(np.pi) * gamma_fn(a + 0.5))
-        w = norm * np.concatenate([w_left, w_mid, w_right])
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
-
-
-_N_FAMS = 6  # 1, u, v, u^2, uv, v^2
-
-
-def _pair_moments(a_eff, b_eff, theta, phi, shifts, refine=1, n_j=3):
-    """Moments of (shift + q)^(-p-j) against the monomial families for one
-    point pair, all time shifts at once.  Returns (n_j, n_t, 6)."""
-    A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
-    B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
-    q_floor = 1.0 - np.cos((theta - phi) / 2.0)
-    u, wu = _axis_rule(a_eff, q_floor, refine)
-    v, wv = _axis_rule(b_eff, q_floor, refine)
-    q = 1.0 - A * u[:, None] - B * v[None, :]
-    w = wu[:, None] * wv[None, :]
-
-    qf = q.ravel()
-    uf = np.broadcast_to(u[:, None], q.shape).ravel()
-    vf = np.broadcast_to(v[None, :], q.shape).ravel()
-    fams = np.stack(
-        [np.ones_like(qf), uf, vf, uf * uf, uf * vf, vf * vf], axis=1
-    ) * w.ravel()[:, None]
-
-    p = a_eff + b_eff + 2.0
-    sq = shifts[:, None] + qf[None, :]
-    base = sq ** (-p)
-    inv = 1.0 / sq
-    out = np.empty((n_j, shifts.size, _N_FAMS))
-    for j in range(n_j):
-        out[j] = base @ fams
-        if j + 1 < n_j:
-            base = base * inv
-    return out
-
-
-class _PairHead:
-    """All head-route derivative assemblies for one point pair and one
-    parameter set, built from the shared moments.
-
-    The moments are symmetric in theta and phi, so the swapped pair can pass
-    its own in as m; only cs and sc depend on the order of the pair."""
-
-    def __init__(self, params_eff: JacobiParams, theta, phi, t, refine=1, m=None):
-        self.p = params_eff.alpha + params_eff.beta + 2.0
-        self.C = 2.0 ** (-self.p) / total_mass(params_eff)
-        self.sh = np.sinh(t / 2.0)
-        self.ch = np.cosh(t / 2.0)
-        if m is None:
-            shifts = 2.0 * np.sinh(t / 4.0) ** 2  # cosh(t/2) - 1, stably
-            m = _pair_moments(params_eff.alpha, params_eff.beta, theta, phi, shifts, refine)
-        self.m = m
-        self.cs = np.cos(theta / 2.0) * np.sin(phi / 2.0)
-        self.sc = np.sin(theta / 2.0) * np.cos(phi / 2.0)
-        self.ss = np.sin(theta / 2.0) * np.sin(phi / 2.0)
-        self.cc = np.cos(theta / 2.0) * np.cos(phi / 2.0)
-
-    def value(self):
-        return self.C * self.sh * self.m[0][:, 0]
-
-    def d_theta(self):
-        lin = (self.cs / 2.0) * self.m[1][:, 1] - (self.sc / 2.0) * self.m[1][:, 2]
-        return self.C * self.sh * self.p * lin
-
-    def d_phi(self):
-        lin = (self.sc / 2.0) * self.m[1][:, 1] - (self.cs / 2.0) * self.m[1][:, 2]
-        return self.C * self.sh * self.p * lin
-
-    def d_t(self):
-        return self.C * (
-            self.ch / 2.0 * self.m[0][:, 0] - self.p * self.sh**2 / 2.0 * self.m[1][:, 0]
-        )
-
-    def d_t_theta(self):
-        lin1 = (self.cs / 2.0) * self.m[1][:, 1] - (self.sc / 2.0) * self.m[1][:, 2]
-        lin2 = (self.cs / 2.0) * self.m[2][:, 1] - (self.sc / 2.0) * self.m[2][:, 2]
-        return self.C * self.p * (
-            self.ch / 2.0 * lin1 - (self.p + 1.0) * self.sh**2 / 2.0 * lin2
-        )
-
-    def d_t_phi(self):
-        lin1 = (self.sc / 2.0) * self.m[1][:, 1] - (self.cs / 2.0) * self.m[1][:, 2]
-        lin2 = (self.sc / 2.0) * self.m[2][:, 1] - (self.cs / 2.0) * self.m[2][:, 2]
-        return self.C * self.p * (
-            self.ch / 2.0 * lin1 - (self.p + 1.0) * self.sh**2 / 2.0 * lin2
-        )
-
-    def d_theta2(self):
-        quad = (
-            self.cs**2 / 4.0 * self.m[2][:, 3]
-            - self.cs * self.sc / 2.0 * self.m[2][:, 4]
-            + self.sc**2 / 4.0 * self.m[2][:, 5]
-        )
-        curv = self.ss / 4.0 * self.m[1][:, 1] + self.cc / 4.0 * self.m[1][:, 2]
-        return self.C * self.sh * self.p * ((self.p + 1.0) * quad - curv)
-
-    def d_theta_phi(self):
-        quad = self.cs * self.sc / 4.0 * (self.m[2][:, 3] + self.m[2][:, 5]) - (
-            self.cs**2 + self.sc**2
-        ) / 4.0 * self.m[2][:, 4]
-        mixed = -self.cc / 4.0 * self.m[1][:, 1] - self.ss / 4.0 * self.m[1][:, 2]
-        return self.C * self.sh * self.p * ((self.p + 1.0) * quad - mixed)
-
-
-def _cstar(params: JacobiParams, theta: float) -> float:
-    half = theta / 2.0
-    return -(params.alpha + 0.5) / np.tan(half) + (params.beta + 0.5) * np.tan(half)
-
-
-def _cstar_prime(params: JacobiParams, theta: float) -> float:
-    half = theta / 2.0
-    return (params.alpha + 0.5) / (2.0 * np.sin(half) ** 2) + (params.beta + 0.5) / (
-        2.0 * np.cos(half) ** 2
-    )
-
-
-class _HeadKernels:
-    """Per-pair head profiles of every kernel family's integrand, composed
-    from the plain and shifted parameter sets (built lazily).
-
-    A twin is the same unordered pair with the same times and refinement;
-    its plain and shifted moments are reused instead of recomputed."""
-
-    def __init__(self, params: JacobiParams, theta, phi, t, refine=1, twin=None):
-        self.params = params
-        self.theta, self.phi = theta, phi
-        self._t, self._refine = t, refine
-        self._twin = twin
-        self._plain = None
-        self._shift = None
-
-    def _head(self, params_eff, which):
-        m = getattr(self._twin, which).m if self._twin is not None else None
-        return _PairHead(params_eff, self.theta, self.phi, self._t, self._refine, m)
-
-    @property
-    def plain(self):
-        if self._plain is None:
-            self._plain = self._head(self.params, "plain")
-        return self._plain
-
-    @property
-    def shift(self):
-        if self._shift is None:
-            self._shift = self._head(self.params.shifted(), "shift")
-        return self._shift
-
-    # plain family
-    def H(self):
-        return self.plain.value()
-
-    def H_dth(self):
-        return self.plain.d_theta()
-
-    def H_dph(self):
-        return self.plain.d_phi()
-
-    def H_dt(self):
-        return self.plain.d_t()
-
-    def H_dt_dth(self):
-        return self.plain.d_t_theta()
-
-    def H_dt_dph(self):
-        return self.plain.d_t_phi()
-
-    def H_dth2(self):
-        return self.plain.d_theta2()
-
-    def H_dth_dph(self):
-        return self.plain.d_theta_phi()
-
-    # reflected family: (1/4) sin(theta) sin(phi) times the shifted kernel
-    def _prefix(self):
-        return 0.25 * np.sin(self.theta) * np.sin(self.phi)
-
-    def Ht(self):
-        return self._prefix() * self.shift.value()
-
-    def Ht_dth(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (c * self.shift.value() + s * self.shift.d_theta())
-
-    def Ht_dph(self):
-        s, c = np.sin(self.phi), np.cos(self.phi)
-        return 0.25 * np.sin(self.theta) * (c * self.shift.value() + s * self.shift.d_phi())
-
-    def Ht_dt(self):
-        return self._prefix() * self.shift.d_t()
-
-    def Ht_dt_dth(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (c * self.shift.d_t() + s * self.shift.d_t_theta())
-
-    def Ht_dth2(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (
-            -s * self.shift.value() + 2.0 * c * self.shift.d_theta() + s * self.shift.d_theta2()
-        )
-
-    def Ht_dth_dph(self):
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        sp, cp = np.sin(self.phi), np.cos(self.phi)
-        return 0.25 * (
-            ct * cp * self.shift.value()
-            + ct * sp * self.shift.d_phi()
-            + st * cp * self.shift.d_theta()
-            + st * sp * self.shift.d_theta_phi()
-        )
-
-    # adjoint lowering applied in theta to the reflected family
-    def Ht_low(self):
-        return -self.Ht_dth() + _cstar(self.params, self.theta) * self.Ht()
-
-    def Ht_dt_low(self):
-        return -self.Ht_dt_dth() + _cstar(self.params, self.theta) * self.Ht_dt()
-
-    def Ht_low_dth(self):
-        return (
-            -self.Ht_dth2()
-            + _cstar_prime(self.params, self.theta) * self.Ht()
-            + _cstar(self.params, self.theta) * self.Ht_dth()
-        )
-
-    def Ht_low_dph(self):
-        return -self.Ht_dth_dph() + _cstar(self.params, self.theta) * self.Ht_dph()
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +398,7 @@ class FamilyBatch:
         prev, prev_key = None, None
         for i in np.lexsort((hi, lo)):
             key = (lo[i], hi[i])
-            hk = _HeadKernels(
+            hk = HeadKernels(
                 self.params, pairs[i, 0], pairs[i, 1], self.t_head, refine,
                 twin=prev if key == prev_key else None,
             )
@@ -757,8 +477,7 @@ class FamilyBatch:
 
 def _ball_factors(params, pairs):
     d = np.abs(pairs[:, 0] - pairs[:, 1])
-    mb = np.array([ball_measure(params, th, dd) for th, dd in zip(pairs[:, 0], d)])
-    return d, mb
+    return d, ball_measure(params, pairs[:, 0], d)
 
 
 def _reproduce_or_raise(value, refined, tol, label):
@@ -810,13 +529,11 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), pref
     a = params.alpha + shift[0]
     b = params.beta + shift[1]
     power = params.alpha + params.beta + power_extra
-    out = np.zeros(pairs.shape[0])
-    for i, (th, ph) in enumerate(pairs):
-        q_floor = 1.0 - np.cos((th - ph) / 2.0)
-        u, wu = _axis_rule(a, q_floor, refine)
-        v, wv = _axis_rule(b, q_floor, refine)
-        q = q_fn(th, ph, u[:, None], v[None, :])
-        out[i] = np.sum((wu[:, None] * wv[None, :]) * q ** (-power))
+    zero = np.zeros(1)
+    out = np.array([
+        pair_moments(a, b, th, ph, zero, power, n_j=1, refine=refine)[0, 0, 0]
+        for th, ph in pairs
+    ])
     d, mb = _ball_factors(params, pairs)
     ratios = out * mb * d**dist_power
     if prefac is not None:
@@ -837,32 +554,25 @@ def lemma_samplers(
     sqrt(q)), Comp (stability of q under moving theta a quarter distance)
     and Asympt (the hyperbolic-prefactor bound).
     """
-    if which in ("Bridge1", "Bridge2"):
+    if which in ("Bridge1", "Bridge2", "L43Star"):
+        if which == "L43Star":
+            g1, g2, kappa, k1, k2 = l43_exponents
+
+            def prefac(prs):
+                s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
+                c = np.cos(prs[:, 0] / 2.0) + np.cos(prs[:, 1] / 2.0)
+                return s ** (2.0 * g1) * c ** (2.0 * g2)
+
+            args = dict(
+                power_extra=1.5 + g1 + g2 + kappa,
+                dist_power=0.0,
+                shift=(g1 + kappa + k1, g2 + kappa + k2),
+                prefac=prefac,
+            )
+        else:
+            power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
+            args = dict(power_extra=power_extra, dist_power=dist_power)
         pairs = pair_grid(grid_level)
-        power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
-        _, ratios = _bridge_ratio(params, pairs, power_extra, dist_power)
-        k = int(np.argmax(ratios))
-        _, refined = _bridge_ratio(params, pairs[k : k + 1], power_extra, dist_power, refine=2)
-        _reproduce_or_raise(ratios[k], refined[0], REPRODUCE_TOL, which)
-        return EstimateReport(
-            which, grid_level, float(ratios[k]), pairs.shape[0], (pairs[k, 0], pairs[k, 1])
-        )
-
-    if which == "L43Star":
-        g1, g2, kappa, k1, k2 = l43_exponents
-        pairs = pair_grid(grid_level)
-
-        def prefac(prs):
-            s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
-            c = np.cos(prs[:, 0] / 2.0) + np.cos(prs[:, 1] / 2.0)
-            return s ** (2.0 * g1) * c ** (2.0 * g2)
-
-        args = dict(
-            power_extra=1.5 + g1 + g2 + kappa,
-            dist_power=0.0,
-            shift=(g1 + kappa + k1, g2 + kappa + k2),
-            prefac=prefac,
-        )
         _, ratios = _bridge_ratio(params, pairs, **args)
         k = int(np.argmax(ratios))
         _, refined = _bridge_ratio(params, pairs[k : k + 1], refine=2, **args)

@@ -17,7 +17,12 @@ product-formula measures,
     q   = 1 - u sin(theta/2) sin(phi/2) - v cos(theta/2) cos(phi/2),
 
 with c = 2^{-alpha-beta-2} / mass(dmu+).  The reflected part uses the shifted
-measures and exponent; both routes must agree, which the tests enforce.
+measures and exponent; both routes must agree, which the tests enforce.  The
+double average runs on the corner-graded rule of symjacobi.product, graded
+toward u = v = 1 down to a fraction of the smallest cosh(t/2) - 1 + q, so
+small t near the diagonal is resolved by more cells, not by a finer tensor
+grid; poisson_kernel_dk_auto raises the Gauss nodes per cell until two
+counts agree.
 
 Also here: derivative kernels (time derivatives and iterated one-sided
 lowering compositions, reduced to closed mode-wise factors on the series
@@ -33,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, eigenvalue, total_mass, trig_poly_table
-from .quadrature import QuadratureRule, composite_gauss, pi_rule
+from .core import JacobiParams, eigenvalue, trig_poly_table
+from .product import HeadKernels, cosh_half_minus_one
+from .quadrature import composite_gauss
 
 __all__ = [
     "ConvergenceError",
@@ -58,6 +64,8 @@ __all__ = [
 
 MODE_CAP = 4096
 TAIL_TOL = 1e-14
+# Gauss nodes per cell side of the integral route's corner rule
+DK_NODES = 12
 
 
 class ConvergenceError(RuntimeError):
@@ -65,7 +73,7 @@ class ConvergenceError(RuntimeError):
 
 
 class AccuracyWarning(UserWarning):
-    """Signals quadrature under-resolution of a near-diagonal boundary layer."""
+    """Signals an integral-route value that did not converge to its tolerance."""
 
 
 def q_fn(theta, phi, u, v) -> np.ndarray:
@@ -91,11 +99,6 @@ def q_theta(theta, phi, u, v) -> np.ndarray:
     return -0.5 * np.asarray(u) * np.cos(theta / 2.0) * np.sin(phi / 2.0) + 0.5 * np.asarray(
         v
     ) * np.sin(theta / 2.0) * np.cos(phi / 2.0)
-
-
-def cosh_half_minus_one(t) -> np.ndarray:
-    """cosh(t/2) - 1 = 2 sinh^2(t/4), stable for small t."""
-    return 2.0 * np.sinh(np.asarray(t, dtype=float) / 4.0) ** 2
 
 
 def psi(params: JacobiParams, t, q) -> np.ndarray:
@@ -169,65 +172,29 @@ def poisson_kernel_series(
     return vals.reshape(shape)
 
 
-def _dk_layer_check(params, t, theta, phi, rule_u, rule_v) -> None:
-    """Warn when the near-diagonal boundary layer at u = v = 1 is thinner than
-    the node resolution of the supplied product rules."""
-    a_f = np.sin(theta / 2.0) * np.sin(phi / 2.0)
-    b_f = np.cos(theta / 2.0) * np.cos(phi / 2.0)
-    floor = cosh_half_minus_one(t) + np.min(q_fn(theta, phi, 1.0, 1.0))
-    for rule, coef, name in ((rule_u, a_f, "u"), (rule_v, b_f, "v")):
-        if rule.nodes.size <= 2:
-            continue  # atomic measure, nothing to resolve
-        res = 1.0 - np.partition(rule.nodes, -1)[-1]
-        layer = float(floor / max(np.max(np.abs(coef)), 1e-300))
-        if layer < 4.0 * res:
-            warnings.warn(
-                f"{name}-rule resolution {res:.2e} cannot resolve boundary layer "
-                f"{layer:.2e}; increase nodes or avoid t -> 0 near the diagonal",
-                AccuracyWarning,
-                stacklevel=3,
-            )
-
-
-def default_pi_nodes(params: JacobiParams) -> int:
-    """Default product-measure node count: 48, doubled for large parameter sums."""
-    return 96 if params.alpha + params.beta > 6.0 else 48
-
-
-def poisson_kernel_dk(
-    params: JacobiParams,
-    t: float,
-    theta,
-    phi,
-    rule_u: QuadratureRule | None = None,
-    rule_v: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Half-kernel H_t by the double product-formula average (integral route).
-
-    Valid for alpha, beta >= -1/2.  Emits AccuracyWarning when the supplied
-    rules cannot resolve the near-diagonal layer (small t and theta ~ phi).
-    """
+def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
+    """One HeadKernels profile (H, Ht, a first derivative or lowering) of the
+    integral route at each point, with the given nodes per cell side."""
     if not params.kernel_valid:
         raise ValueError("integral route needs alpha, beta >= -1/2")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    if rule_u is None:
-        rule_u = pi_rule(params.alpha, default_pi_nodes(params))
-    if rule_v is None:
-        rule_v = pi_rule(params.beta, default_pi_nodes(params))
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    _dk_layer_check(params, t, theta, phi, rule_u, rule_v)
-    const = 2.0 ** (-params.alpha - params.beta - 2.0) / total_mass(params)
-    th = theta.reshape(theta.shape + (1, 1))
-    ph = phi.reshape(phi.shape + (1, 1))
-    u = rule_u.nodes.reshape((-1, 1))
-    v = rule_v.nodes.reshape((1, -1))
-    q = q_fn(th, ph, u, v)
-    vals = psi(params, t, q)
-    w = np.outer(rule_u.weights, rule_v.weights)
-    return const * np.tensordot(vals, w, axes=([-2, -1], [0, 1]))
+    times = np.array([float(t)])
+    vals = [
+        getattr(HeadKernels(params, th, ph, times, nodes=nodes or DK_NODES), name)()[0]
+        for th, ph in zip(theta.ravel(), phi.ravel())
+    ]
+    return np.array(vals).reshape(theta.shape)
+
+
+def poisson_kernel_dk(params: JacobiParams, t: float, theta, phi, nodes: int | None = None):
+    """Half-kernel H_t by the double product-formula average (integral route),
+    with `nodes` Gauss points per cell side of the corner rule (DK_NODES by
+    default).  Valid for alpha, beta >= -1/2."""
+    return _dk_eval(params, t, theta, phi, "H", nodes)
 
 
 def poisson_kernel_dk_auto(
@@ -236,33 +203,28 @@ def poisson_kernel_dk_auto(
     theta,
     phi,
     rel_tol: float = 1e-8,
-    max_nodes: int = 1024,
+    max_nodes: int = 32,
 ) -> np.ndarray:
-    """Integral-route kernel with node counts doubled until the boundary-layer
-    check passes and two consecutive refinements agree to rel_tol elementwise.
-    Hitting the cap unconverged leaves a final AccuracyWarning standing."""
-    n = default_pi_nodes(params)
-    prev = None
+    """Integral-route kernel with the Gauss nodes per cell side raised by four,
+    from four below DK_NODES, until two consecutive counts agree to rel_tol
+    elementwise.  Hitting max_nodes unconverged leaves an AccuracyWarning
+    standing."""
+    n = DK_NODES - 4
+    prev = poisson_kernel_dk(params, t, theta, phi, n)
     while True:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AccuracyWarning)
-            vals = poisson_kernel_dk(
-                params, t, theta, phi, pi_rule(params.alpha, n), pi_rule(params.beta, n)
-            )
-        warned = any(issubclass(c.category, AccuracyWarning) for c in caught)
-        if prev is not None and not warned:
-            gap = np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300))
-            if gap <= rel_tol:
-                return vals
+        n = min(n + 4, max_nodes)
+        vals = poisson_kernel_dk(params, t, theta, phi, n)
+        gap = np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300))
+        if gap <= rel_tol:
+            return vals
         if n >= max_nodes:
             warnings.warn(
-                f"integral route not converged to {rel_tol:.1e} at {n} nodes; "
+                f"integral route not converged to {rel_tol:.1e} at {n} nodes per cell; "
                 "avoid t -> 0 near the diagonal",
                 AccuracyWarning,
             )
             return vals
         prev = vals
-        n = min(2 * n, max_nodes)
 
 
 def tilde_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series", **kw):
@@ -350,7 +312,10 @@ def kernel_derivative(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
     if route == "dk":
-        return _kernel_derivative_dk(params, t, theta, phi, m, n_delta, parity)
+        if m + n_delta > 1:
+            raise NotImplementedError("integral route carries first-order derivatives only")
+        names = ("H", "H_dt", "H_dth") if parity == "even" else ("Ht", "Ht_dt", "Ht_low")
+        return _dk_eval(params, t, theta, phi, names[m + 2 * n_delta])
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
     shape = theta.shape
@@ -394,51 +359,6 @@ def kernel_derivative(
         factor = -np.sqrt(gap / 2.0)
         vals = np.einsum("n,nk,nk->k", coeff * factor, tab_th, odd_tab_ph)
     return vals.reshape(shape)
-
-
-def _kernel_derivative_dk(params, t, theta, phi, m, n_delta, parity):
-    """First-order integral-route derivatives, differentiated under the average."""
-    if m + n_delta > 1:
-        raise NotImplementedError("integral route carries first-order derivatives only")
-    if parity == "odd":
-        # reflected part through the shifted family and the product rule in theta
-        shifted = params.shifted()
-        s_th, s_ph = np.sin(theta), np.sin(phi)
-        core = poisson_kernel_dk(shifted, t, theta, phi)
-        if m == 0 and n_delta == 0:
-            return 0.25 * s_th * s_ph * core
-        if m == 1:
-            d_core = _kernel_derivative_dk(shifted, t, theta, phi, 1, 0, "even")
-            return 0.25 * s_th * s_ph * d_core
-        # n_delta == 1: delta* = -d/dtheta - (a+1/2)cot(th/2) + (b+1/2)tan(th/2)
-        d_th = _kernel_derivative_dk(shifted, t, theta, phi, 0, 1, "even")
-        dHt = 0.25 * s_ph * (np.cos(theta) * core + s_th * d_th)
-        coeff = -(params.alpha + 0.5) / np.tan(theta / 2.0) + (params.beta + 0.5) * np.tan(
-            theta / 2.0
-        )
-        return -dHt + coeff * 0.25 * s_th * s_ph * core
-
-    if not params.kernel_valid:
-        raise ValueError("integral route needs alpha, beta >= -1/2")
-    rule_u = pi_rule(params.alpha, default_pi_nodes(params))
-    rule_v = pi_rule(params.beta, default_pi_nodes(params))
-    p = params.alpha + params.beta + 2.0
-    const = 2.0 ** (-params.alpha - params.beta - 2.0) / total_mass(params)
-    th = theta.reshape(theta.shape + (1, 1))
-    ph = phi.reshape(phi.shape + (1, 1))
-    u = rule_u.nodes.reshape((-1, 1))
-    v = rule_v.nodes.reshape((1, -1))
-    g = cosh_half_minus_one(t) + q_fn(th, ph, u, v)
-    if m == 0 and n_delta == 0:
-        integrand = np.sinh(t / 2.0) * g ** (-p)
-    elif m == 1:
-        integrand = 0.5 * np.cosh(t / 2.0) * g ** (-p) - 0.5 * p * np.sinh(
-            t / 2.0
-        ) ** 2 * g ** (-p - 1.0)
-    else:
-        integrand = -p * np.sinh(t / 2.0) * g ** (-p - 1.0) * q_theta(th, ph, u, v)
-    w = np.outer(rule_u.weights, rule_v.weights)
-    return const * np.tensordot(integrand, w, axes=([-2, -1], [0, 1]))
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:

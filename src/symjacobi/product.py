@@ -1,0 +1,358 @@
+"""The product-formula integrator: moments of shifted negative powers of q
+against the normalized product measures dPi_a(u) dPi_b(v) on [-1, 1]^2.
+
+For a point pair (theta, phi),
+
+    q = 1 - A u - B v = q_floor + A (1 - u) + B (1 - v),
+    A = sin(theta/2) sin(phi/2),  B = cos(theta/2) cos(phi/2),
+    q_floor = 1 - cos((theta - phi)/2) = 2 sin^2((theta - phi)/4),
+
+so (s + q)^-p is near-singular only at the corner u = v = 1.  The rule is an
+L-shaped geometric mesh in (xi, eta) = (A (1 - u), B (1 - v)).  Each axis is
+split at its midpoint, so that no cell sees both endpoint singularities of
+the density (1 - u^2)^(a - 1/2), and its near half halves toward the corner
+until the scaled width drops below the grading floor.  In the tensor grid of
+these cells, the cells of a column whose eta-range lies wholly below the
+column's xi-start merge into one strip [0, eta*], and the same holds with xi
+and eta swapped, so O(K) cells remain instead of O(K^2).  Cells at u = +-1
+use Gauss-Jacobi with the exact endpoint singularity, the others Gauss-
+Legendre, and at a = -1/2 the measure is the two atoms (+-1, 1/2).
+
+The mesh depends on the pair only through A, B and the floor, all symmetric
+in theta and phi, so a pair and its swap get bitwise equal moments.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, lru_cache
+
+import numpy as np
+from scipy.special import gammaln
+
+from .core import JacobiParams, total_mass
+from .quadrature import composite_gauss, gauss_jacobi_rule
+
+__all__ = [
+    "cosh_half_minus_one", "nodes_for", "corner_rule", "pair_moments", "PairHead",
+    "HeadKernels",
+]
+
+# Gauss nodes per cell side (two more above a + b = 4, where the exponent
+# makes the corner layer steeper), and the grading floor as a fraction of
+# the smallest value of the shifted q
+NODES_PER_PANEL = 6
+PANEL_FLOOR_FRAC = 1.0 / 4.0
+
+
+def cosh_half_minus_one(t) -> np.ndarray:
+    """cosh(t/2) - 1 = 2 sinh^2(t/4), the time shift of q, stable for small t."""
+    return 2.0 * np.sinh(np.asarray(t, dtype=float) / 4.0) ** 2
+
+
+def nodes_for(a: float, b: float, refine: int = 1) -> int:
+    """Default Gauss nodes per cell side; each refine step adds two."""
+    return NODES_PER_PANEL + (2 if a + b > 4.0 else 0) + 2 * (refine - 1)
+
+
+def _axis_cells(k: int) -> list:
+    """Cells of one axis in x = 1 - u: [0, 2^-k], the near half halving
+    toward x = 0 up to [1/2, 1], and the far half [1, 2]."""
+    edges = [0.0] + [2.0**-j for j in range(k, -2, -1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@lru_cache(maxsize=1024)
+def _segment(a: float, x0: float, x1: float, n: int):
+    """Nodes x = 1 - u and weights of dPi_a restricted to x in [x0, x1]."""
+    if a == -0.5:
+        return np.array([0.0, 2.0]), np.array([0.5, 0.5])
+    norm = np.exp(gammaln(a + 1.0) - gammaln(a + 0.5)) / np.sqrt(np.pi)
+    if x0 == 0.0:  # endpoint u = 1, weight x^(a - 1/2) handled exactly
+        rule = gauss_jacobi_rule(a - 0.5, 0.0, n)
+        x = x1 * (1.0 - rule.nodes) / 2.0
+        w = rule.weights * (x1 / 2.0) ** (a + 0.5) * (2.0 - x) ** (a - 0.5)
+    elif x1 == 2.0:  # endpoint u = -1, weight (2 - x)^(a - 1/2) handled exactly
+        rule = gauss_jacobi_rule(0.0, a - 0.5, n)
+        x = 2.0 - (2.0 - x0) * (1.0 + rule.nodes) / 2.0
+        w = rule.weights * ((2.0 - x0) / 2.0) ** (a + 0.5) * x ** (a - 0.5)
+    else:
+        x, w = composite_gauss([x0, x1], n)
+        w = w * (x * (2.0 - x)) ** (a - 0.5)
+    return x, norm * w
+
+
+def _levels(c: float, floor: float) -> int:
+    """Halvings of the near half until the scaled width c 2^-k <= floor."""
+    return max(0, int(np.ceil(np.log2(c / floor)))) if c > floor else 0
+
+
+def corner_rule(a: float, b: float, A: float, B: float, floor: float, nodes: int):
+    """Corner-graded rule for dPi_a(u) dPi_b(v) at the scales A, B, graded
+    down to the floor.  Returns (1 - u, 1 - v, weights times the monomials
+    1, u, v, u^2, uv, v^2 as an (N, 6) array); the arrays are cached by the
+    mesh signature and read-only."""
+    ku = 0 if a == -0.5 else _levels(A, floor)
+    kv = 0 if b == -0.5 else _levels(B, floor)
+    d = 0
+    if a != -0.5 and b != -0.5:
+        # the mesh compares xi- and eta-edges A 2^-i and B 2^-j, so it depends
+        # on A / B only through floor(log2(A / B)), clamped to where it matters
+        with np.errstate(divide="ignore"):
+            d = int(np.clip(np.floor(np.log2(A) - np.log2(B)), -kv - 3, ku + 3))
+    return _corner_rule(float(a), float(b), ku, kv, d, nodes)
+
+
+# a rule holds 10^2 to 10^4 nodes with eight values each, so only recent meshes
+# are kept: the sorted pair sweeps revisit a mesh soon after first building it
+@lru_cache(maxsize=32)
+def _corner_rule(a: float, b: float, ku: int, kv: int, d: int, n: int):
+    xs, ys = _axis_cells(ku), _axis_cells(kv)
+    if a == -0.5 or b == -0.5:
+        # an atomic axis is one cell holding both atoms, and nothing merges
+        xs = [(0.0, 2.0)] if a == -0.5 else xs
+        ys = [(0.0, 2.0)] if b == -0.5 else ys
+        cells = [(x, y) for x in xs for y in ys]
+    else:
+        ratio = 2.0 ** (d + 0.5)  # stands for A / B in the edge comparisons
+        # column i absorbs the near-half eta-cells with y1_j <= ratio x0_i, row
+        # j the near-half xi-cells with ratio x1_i < y0_j; both are prefixes
+        col = [sum(y1 <= ratio * x0 for _, y1 in ys[:-1]) for x0, _ in xs]
+        row = [sum(ratio * x1 < y0 for _, x1 in xs[:-1]) for y0, _ in ys]
+        cells = [(xs[i], (0.0, ys[col[i] - 1][1])) for i in range(len(xs)) if col[i]]
+        cells += [((0.0, xs[row[j] - 1][1]), ys[j]) for j in range(len(ys)) if row[j]]
+        cells += [
+            (xs[i], ys[j])
+            for i in range(len(xs))
+            for j in range(len(ys))
+            if j >= col[i] and i >= row[j]
+        ]
+    su, sv = sorted({c[0] for c in cells}), sorted({c[1] for c in cells})
+    nu, wu = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in su)))
+    nv, wv = (np.array(z) for z in zip(*(_segment(b, y0, y1, n) for y0, y1 in sv)))
+    iu = [su.index(c[0]) for c in cells]
+    iv = [sv.index(c[1]) for c in cells]
+    shape = (len(cells), nu.shape[1], nv.shape[1])
+    xu = np.broadcast_to(nu[iu][:, :, None], shape).ravel()
+    xv = np.broadcast_to(nv[iv][:, None, :], shape).ravel()
+    w = (wu[iu][:, :, None] * wv[iv][:, None, :]).ravel()
+    u, v = 1.0 - xu, 1.0 - xv
+    fams = np.stack([w, w * u, w * v, w * u * u, w * u * v, w * v * v], axis=1)
+    for arr in (xu, xv, fams):
+        arr.flags.writeable = False
+    return xu, xv, fams
+
+
+def pair_moments(a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1):
+    """Moments of (shift + q)^(-power-j), j < n_j, against the six monomial
+    families for one point pair, all time shifts at once: (n_j, n_t, 6).
+
+    power defaults to a + b + 2.  The mesh is graded down to a fraction of
+    the smallest shifted q, q_floor + min(shifts), which each refine step
+    divides by four while adding two nodes per cell side."""
+    A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
+    B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
+    q_floor = 2.0 * np.sin(abs(theta - phi) / 4.0) ** 2
+    shifts = np.asarray(shifts, dtype=float)
+    floor = max((q_floor + shifts.min()) * PANEL_FLOOR_FRAC / 4.0 ** (refine - 1), 1e-15)
+    if nodes is None:
+        nodes = nodes_for(a, b, refine)
+    xu, xv, fams = corner_rule(a, b, A, B, floor, nodes)
+    p = a + b + 2.0 if power is None else power
+    sq = shifts[:, None] + (q_floor + A * xu + B * xv)[None, :]
+    base = sq ** (-p)
+    inv = 1.0 / sq
+    out = np.empty((n_j, shifts.size, fams.shape[1]))
+    for j in range(n_j):
+        out[j] = base @ fams
+        if j + 1 < n_j:
+            base = base * inv
+    return out
+
+
+class PairHead:
+    """The product-formula kernel c sinh(t/2) int int (cosh(t/2) - 1 + q)^-p
+    and its time and theta/phi derivatives for one point pair, all times at
+    once, assembled from the pair's moments m.
+
+    The moments are symmetric in theta and phi, so the swapped pair can pass
+    its own in as m; only cs and sc depend on the order of the pair."""
+
+    def __init__(self, params_eff: JacobiParams, theta, phi, t, m):
+        self.p = params_eff.alpha + params_eff.beta + 2.0
+        self.C = 2.0 ** (-self.p) / total_mass(params_eff)
+        self.sh = np.sinh(t / 2.0)
+        self.ch = np.cosh(t / 2.0)
+        self.m = m
+        self.cs = np.cos(theta / 2.0) * np.sin(phi / 2.0)
+        self.sc = np.sin(theta / 2.0) * np.cos(phi / 2.0)
+        self.ss = np.sin(theta / 2.0) * np.sin(phi / 2.0)
+        self.cc = np.cos(theta / 2.0) * np.cos(phi / 2.0)
+
+    def value(self):
+        return self.C * self.sh * self.m[0][:, 0]
+
+    def _lin(self, j, first, second):
+        return (first / 2.0) * self.m[j][:, 1] - (second / 2.0) * self.m[j][:, 2]
+
+    def _d_t_lin(self, first, second):
+        return self.C * self.p * (
+            self.ch / 2.0 * self._lin(1, first, second)
+            - (self.p + 1.0) * self.sh**2 / 2.0 * self._lin(2, first, second)
+        )
+
+    def d_theta(self):
+        return self.C * self.sh * self.p * self._lin(1, self.cs, self.sc)
+
+    def d_phi(self):
+        return self.C * self.sh * self.p * self._lin(1, self.sc, self.cs)
+
+    def d_t(self):
+        return self.C * (
+            self.ch / 2.0 * self.m[0][:, 0] - self.p * self.sh**2 / 2.0 * self.m[1][:, 0]
+        )
+
+    def d_t_theta(self):
+        return self._d_t_lin(self.cs, self.sc)
+
+    def d_t_phi(self):
+        return self._d_t_lin(self.sc, self.cs)
+
+    def d_theta2(self):
+        quad = (
+            self.cs**2 / 4.0 * self.m[2][:, 3]
+            - self.cs * self.sc / 2.0 * self.m[2][:, 4]
+            + self.sc**2 / 4.0 * self.m[2][:, 5]
+        )
+        curv = self.ss / 4.0 * self.m[1][:, 1] + self.cc / 4.0 * self.m[1][:, 2]
+        return self.C * self.sh * self.p * ((self.p + 1.0) * quad - curv)
+
+    def d_theta_phi(self):
+        quad = self.cs * self.sc / 4.0 * (self.m[2][:, 3] + self.m[2][:, 5]) - (
+            self.cs**2 + self.sc**2
+        ) / 4.0 * self.m[2][:, 4]
+        mixed = -self.cc / 4.0 * self.m[1][:, 1] - self.ss / 4.0 * self.m[1][:, 2]
+        return self.C * self.sh * self.p * ((self.p + 1.0) * quad - mixed)
+
+
+def _cstar(params: JacobiParams, theta: float) -> float:
+    half = theta / 2.0
+    return -(params.alpha + 0.5) / np.tan(half) + (params.beta + 0.5) * np.tan(half)
+
+
+def _cstar_prime(params: JacobiParams, theta: float) -> float:
+    half = theta / 2.0
+    return (params.alpha + 0.5) / (2.0 * np.sin(half) ** 2) + (params.beta + 0.5) / (
+        2.0 * np.cos(half) ** 2
+    )
+
+
+class HeadKernels:
+    """Per-pair product-formula profiles of every kernel family's integrand
+    (H, the reflected Ht = (1/4) sin(theta) sin(phi) H^(alpha+1, beta+1), their
+    derivatives and adjoint lowerings), composed from the plain and shifted
+    parameter sets, built lazily.  The estimate harness takes them for its
+    time head and the kernels module for its integral route.
+
+    A twin is the same unordered pair with the same times and refinement;
+    its plain and shifted moments are reused instead of recomputed."""
+
+    def __init__(self, params: JacobiParams, theta, phi, t, refine=1, twin=None, nodes=None):
+        self.params = params
+        self.theta, self.phi = theta, phi
+        self._t, self._refine, self._nodes = t, refine, nodes
+        self._twin = twin
+
+    def _head(self, params_eff, which):
+        if self._twin is not None:
+            m = getattr(self._twin, which).m
+        else:
+            m = pair_moments(
+                params_eff.alpha, params_eff.beta, self.theta, self.phi,
+                cosh_half_minus_one(self._t), nodes=self._nodes, refine=self._refine,
+            )
+        return PairHead(params_eff, self.theta, self.phi, self._t, m)
+
+    @cached_property
+    def plain(self):
+        return self._head(self.params, "plain")
+
+    @cached_property
+    def shift(self):
+        return self._head(self.params.shifted(), "shift")
+
+    # plain family
+    def H(self):
+        return self.plain.value()
+
+    def H_dth(self):
+        return self.plain.d_theta()
+
+    def H_dt(self):
+        return self.plain.d_t()
+
+    def H_dt_dth(self):
+        return self.plain.d_t_theta()
+
+    def H_dt_dph(self):
+        return self.plain.d_t_phi()
+
+    def H_dth2(self):
+        return self.plain.d_theta2()
+
+    def H_dth_dph(self):
+        return self.plain.d_theta_phi()
+
+    # reflected family: (1/4) sin(theta) sin(phi) times the shifted kernel
+    def _prefix(self):
+        return 0.25 * np.sin(self.theta) * np.sin(self.phi)
+
+    def Ht(self):
+        return self._prefix() * self.shift.value()
+
+    def Ht_dth(self):
+        s, c = np.sin(self.theta), np.cos(self.theta)
+        return 0.25 * np.sin(self.phi) * (c * self.shift.value() + s * self.shift.d_theta())
+
+    def Ht_dph(self):
+        s, c = np.sin(self.phi), np.cos(self.phi)
+        return 0.25 * np.sin(self.theta) * (c * self.shift.value() + s * self.shift.d_phi())
+
+    def Ht_dt(self):
+        return self._prefix() * self.shift.d_t()
+
+    def Ht_dt_dth(self):
+        s, c = np.sin(self.theta), np.cos(self.theta)
+        return 0.25 * np.sin(self.phi) * (c * self.shift.d_t() + s * self.shift.d_t_theta())
+
+    def Ht_dth2(self):
+        s, c = np.sin(self.theta), np.cos(self.theta)
+        return 0.25 * np.sin(self.phi) * (
+            -s * self.shift.value() + 2.0 * c * self.shift.d_theta() + s * self.shift.d_theta2()
+        )
+
+    def Ht_dth_dph(self):
+        st, ct = np.sin(self.theta), np.cos(self.theta)
+        sp, cp = np.sin(self.phi), np.cos(self.phi)
+        return 0.25 * (
+            ct * cp * self.shift.value()
+            + ct * sp * self.shift.d_phi()
+            + st * cp * self.shift.d_theta()
+            + st * sp * self.shift.d_theta_phi()
+        )
+
+    # adjoint lowering applied in theta to the reflected family
+    def Ht_low(self):
+        return -self.Ht_dth() + _cstar(self.params, self.theta) * self.Ht()
+
+    def Ht_dt_low(self):
+        return -self.Ht_dt_dth() + _cstar(self.params, self.theta) * self.Ht_dt()
+
+    def Ht_low_dth(self):
+        return (
+            -self.Ht_dth2()
+            + _cstar_prime(self.params, self.theta) * self.Ht()
+            + _cstar(self.params, self.theta) * self.Ht_dth()
+        )
+
+    def Ht_low_dph(self):
+        return -self.Ht_dth_dph() + _cstar(self.params, self.theta) * self.Ht_dph()

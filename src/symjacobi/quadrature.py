@@ -115,10 +115,17 @@ def composite_gauss(edges, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     between consecutive edges; exact panelwise for polynomials of degree
     <= 2 nodes - 1.  Nodes and weights come back flattened panel by panel."""
     edges = np.asarray(edges, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre(nodes)
     mid = (edges[1:] + edges[:-1]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+@lru_cache(maxsize=64)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    rule = _frozen_rule(*np.polynomial.legendre.leggauss(nodes))
+    return rule.nodes, rule.weights
 
 
 def mu_plus_rule(params: JacobiParams, n: int) -> QuadratureRule:

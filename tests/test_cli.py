@@ -3,6 +3,7 @@ byte-level determinism of the verification reports."""
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from symjacobi import cli
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
 from symjacobi.estimates import EstimateReport
-from symjacobi.kernels import semigroup_mass
+from symjacobi.kernels import AccuracyWarning, semigroup_mass
 from symjacobi.operators import mode_eigenvalues
 
 
@@ -105,6 +106,26 @@ class TestKernelTable:
         assert header[-1] == "rel_diff"
         diffs = np.array([float(row[-1]) for row in data])
         assert np.max(diffs) < 1e-6
+
+
+    def test_dk_route_matches_series_at_small_t(self, tmp_path):
+        """At t = 0.2 every dk column, H_tilde and H_full included, agrees with
+        the series table within 1e-6 of H, and no AccuracyWarning is raised."""
+        tables = {}
+        for route in ("series", "dk"):
+            out = tmp_path / f"{route}.csv"
+            argv = ["kernel", "--route", route, "--t", "0.2", "--level", "1",
+                    "--alpha", "0.5", "--beta", "2", "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", AccuracyWarning)
+                assert main(argv) == 0
+            _, _, data = read_table(out)
+            tables[route] = np.array([[float(x) for x in row] for row in data])
+        dk, series = tables["dk"], tables["series"]
+        assert np.array_equal(dk[:, :3], series[:, :3])
+        scale = np.abs(series[:, 3])
+        for j in range(3, dk.shape[1]):
+            assert np.max(np.abs(dk[:, j] - series[:, j]) / scale) < 1e-6
 
 
 class TestOperatorTable:
@@ -226,6 +247,20 @@ class TestVerifyReports:
         verdicts = {e["member"]: e["verdict"] for e in report["results"]}
         assert verdicts[True] == "stable"
         assert verdicts[False] == "diverging"
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.9, -0.9), (-0.7, 0.5)])
+    def test_ap_probe_clears_narrow_window(self, tmp_path, alpha, beta):
+        """At alpha near -1 the window (-(2 alpha + 2), 2 alpha + 2) is narrow;
+        the out-of-window probe sits at least 1/2 past it and diverges."""
+        path = tmp_path / "ap.json"
+        argv = ["verify", "--suite", "ap", "--alpha", str(alpha), "--beta", str(beta),
+                "--report", str(path)]
+        assert main(argv) == 0
+        report = json.loads(path.read_text())
+        verdicts = {e["member"]: e["verdict"] for e in report["results"]}
+        assert verdicts == {True: "stable", False: "diverging"}
+        probe = next(e for e in report["results"] if not e["member"])
+        assert probe["weight"][0] == pytest.approx(2.0 * alpha + 2.0 + 0.5)
 
     def test_module_error_exits_one(self, capsys, tmp_path, monkeypatch):
         """A suite that raises ends the run with exit 1, and the report keeps

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import symjacobi.estimates as estimates
+from symjacobi import product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -23,13 +23,10 @@ from symjacobi.estimates import (
     MultiplierProfile,
     WeightSpec,
     _assert_monotone,
-    _axis_rule,
     _dyadic_log,
     _eval_pair_block,
     _FAMILY,
-    _HeadKernels,
     _nested_samples,
-    _pair_moments,
     _reproduce_or_raise,
     _tail_profile,
     _time_panels,
@@ -42,6 +39,7 @@ from symjacobi.estimates import (
     pair_grid,
     run_standard_ladders,
 )
+from symjacobi.product import HeadKernels, corner_rule, nodes_for, pair_moments
 
 ATOMIC = JacobiParams(-0.5, -0.5)
 SQUARE = JacobiParams(0.0, 0.0)
@@ -89,36 +87,53 @@ class TestGrids:
 
 
 class TestAxisRule:
+    """Axis marginals of the corner rule (symjacobi.product), the one
+    product-formula rule: each integrates its normalized density exactly,
+    at a generic pair's scales and at both band margins."""
+
+    SCALES = [(0.33, 0.59, 2e-2), (5e-7, 0.99, 3e-8), (0.99, 5e-7, 3e-8)]
+
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.7, 2.0])
     def test_normalized_moments(self, a):
-        """Weights integrate the normalized density exactly: total mass one,
-        odd moment zero, second moment 1/(2a + 2)."""
-        u, w = _axis_rule(a, 1e-4)
-        assert_allclose(w.sum(), 1.0, atol=1e-9)
-        assert_allclose(w @ u, 0.0, atol=1e-9)
-        assert_allclose(w @ u**2, 1.0 / (2.0 * a + 2.0), atol=1e-9)
+        """Total mass one, zero first moments and u v moment, second moments
+        1/(2a + 2) and 1/(2b + 2)."""
+        b = 2.0 - a / 2.0
+        for A, B, floor in self.SCALES:
+            _, _, fams = corner_rule(a, b, A, B, floor, nodes_for(a, b))
+            one, mu, mv, muu, muv, mvv = fams.sum(axis=0)
+            assert_allclose(one, 1.0, atol=1e-9)
+            assert_allclose([mu, mv, muv], 0.0, atol=1e-9)
+            assert_allclose(muu, 1.0 / (2.0 * a + 2.0), atol=1e-9)
+            assert_allclose(mvv, 1.0 / (2.0 * b + 2.0), atol=1e-9)
 
     def test_atomic_rule(self):
-        u, w = _axis_rule(-0.5, 1e-6)
-        assert np.array_equal(u, [-1.0, 1.0])
-        assert np.array_equal(w, [0.5, 0.5])
-        assert w @ u**2 == 1.0  # matches 1/(2a + 2) at a = -1/2
+        """At a = -1/2 the u-marginal is the two atoms (+-1, 1/2) exactly."""
+        xu, xv, fams = corner_rule(-0.5, 1.0, 0.3, 0.6, 1e-4, 6)
+        assert set(xu.tolist()) == {0.0, 2.0}
+        assert_allclose(fams[xu == 0.0, 0].sum(), 0.5, atol=1e-9)
+        assert_allclose(fams[:, 3].sum(), 1.0, atol=1e-9)  # matches 1/(2a + 2)
+        assert_allclose(fams[:, 5].sum(), 0.25, atol=1e-9)
+        xu, xv, fams = corner_rule(-0.5, -0.5, 0.3, 0.6, 1e-4, 6)
+        assert sorted(zip(xu.tolist(), xv.tolist())) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert np.array_equal(fams[:, 0], [0.25] * 4)
 
     def test_refine_tightens_floor(self):
-        u1, _ = _axis_rule(0.5, 1e-3, refine=1)
-        u2, _ = _axis_rule(0.5, 1e-3, refine=2)
-        assert u2.size > u1.size
+        """A lower floor adds cells toward the corner; more nodes per cell
+        side add nodes to every cell."""
+        base = corner_rule(0.5, 0.5, 0.4, 0.5, 1e-3, 6)[0].size
+        assert corner_rule(0.5, 0.5, 0.4, 0.5, 1e-3 / 4.0, 6)[0].size > base
+        assert corner_rule(0.5, 0.5, 0.4, 0.5, 1e-3, 8)[0].size > base
 
     def test_cached_by_depth_and_read_only(self):
-        """q_floor enters only through the integer panel depth: two floors
-        with the same depth share one cached rule, which cannot be written."""
-        u1, w1 = _axis_rule(0.5, 1.0e-3)
-        u2, w2 = _axis_rule(0.5, 1.1e-3)
-        assert u1 is u2 and w1 is w2
-        with pytest.raises(ValueError):
-            u1[0] = 0.0
-        with pytest.raises(ValueError):
-            w1[0] = 0.0
+        """The pair enters only through the integer halving depths and the
+        edge order: two floors with the same depths share one cached rule,
+        which cannot be written."""
+        r1 = corner_rule(0.5, 0.5, 0.4, 0.5, 1.0e-3, 6)
+        r2 = corner_rule(0.5, 0.5, 0.4, 0.5, 1.1e-3, 6)
+        assert all(x is y for x, y in zip(r1, r2))
+        for arr in r1:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSwapReuse:
@@ -131,20 +146,20 @@ class TestSwapReuse:
     def test_moments_swap_symmetric(self, params):
         shifts = np.array([1e-8, 1e-3, 0.3])
         for th, ph in self.PAIRS:
-            m1 = _pair_moments(params.alpha, params.beta, th, ph, shifts)
-            m2 = _pair_moments(params.alpha, params.beta, ph, th, shifts)
+            m1 = pair_moments(params.alpha, params.beta, th, ph, shifts)
+            m2 = pair_moments(params.alpha, params.beta, ph, th, shifts)
             assert np.array_equal(m1, m2)
 
     @staticmethod
     def _count_moments(monkeypatch):
         calls = []
-        inner = estimates._pair_moments
+        inner = product.pair_moments
 
         def counted(*args, **kw):
             calls.append(args)
             return inner(*args, **kw)
 
-        monkeypatch.setattr(estimates, "_pair_moments", counted)
+        monkeypatch.setattr(product, "pair_moments", counted)
         return calls
 
     def test_block_equals_single_pairs(self, monkeypatch):
@@ -191,7 +206,7 @@ class TestRouteAgreement:
             ("Ht_low_dth", ("odd", "low1", 0, 0)),
         ]
         for th, ph in ((0.9, 1.7), (2.4, 3.0)):
-            head = _HeadKernels(params, th, ph, t)
+            head = HeadKernels(params, th, ph, t)
             for name, (parity, th_op, ph_op, m_t) in checks:
                 hv = getattr(head, name)()
                 tv = _tail_profile(params, parity, th_op, ph_op, m_t, t, th, ph)[:, 0]

@@ -31,7 +31,7 @@ from symjacobi.kernels import (
     symmetrized_kernel_mode_sum,
     tilde_kernel,
 )
-from symjacobi.quadrature import mu_full_rule, mu_plus_rule, pi_rule
+from symjacobi.quadrature import mu_full_rule, mu_plus_rule
 
 KERNEL_PAIRS = [(-0.5, -0.5), (0.0, 0.0), (0.5, 2.0)]
 
@@ -178,16 +178,20 @@ class TestDKRoute:
             poisson_kernel_dk(JacobiParams(-0.75, 0.0), 1.0, 1.0, 2.0)
 
     def test_layer_warning_and_auto_upgrade(self):
-        """Near-diagonal small-t evaluation warns at default nodes; the auto
-        variant resolves it and matches the series value."""
+        """Near-diagonal small-t evaluation: the corner rule resolves the
+        boundary layer at the default nodes, the auto variant converges
+        without a warning and matches the series value, and it warns only
+        when its node cap stops it short of rel_tol."""
         p = JacobiParams(0.0, 0.0)
         t, th, ph = 0.05, 1.0, 1.01
-        with pytest.warns(AccuracyWarning):
-            poisson_kernel_dk(p, t, th, ph)
+        ser = poisson_kernel_series(p, t, th, ph)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AccuracyWarning)
+            assert_allclose(poisson_kernel_dk(p, t, th, ph), ser, rtol=1e-7)
             val = poisson_kernel_dk_auto(p, t, th, ph)
-        assert_allclose(val, poisson_kernel_series(p, t, th, ph), rtol=1e-7)
+        assert_allclose(val, ser, rtol=1e-7)
+        with pytest.warns(AccuracyWarning, match="not converged"):
+            poisson_kernel_dk_auto(p, t, th, ph, rel_tol=1e-17, max_nodes=12)
 
 
 class TestSymmetrizedKernel:

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import betaln
 
+from symjacobi import quadrature
 from symjacobi.core import JacobiParams, eval_trig_poly, total_mass
 from symjacobi.quadrature import (
     QuadratureRule,
@@ -216,6 +217,19 @@ class TestCompositeGauss:
     def test_degree_2n_not_exact(self):
         x, w = composite_gauss(np.array([0.0, 1.0]), 2)
         assert abs(w @ x**4 - 0.2) > 1e-3
+
+    def test_legendre_rule_cached_read_only(self):
+        """The Gauss-Legendre rule is built once per node count and shared by
+        every composite rule; its arrays cannot be written."""
+        x1, w1 = quadrature._legendre(6)
+        x2, w2 = quadrature._legendre(6)
+        assert x1 is x2 and w1 is w2
+        with pytest.raises(ValueError):
+            x1[0] = 0.0
+        with pytest.raises(ValueError):
+            w1[0] = 0.0
+        ref_x, ref_w = np.polynomial.legendre.leggauss(6)
+        assert np.array_equal(x1, ref_x) and np.array_equal(w1, ref_w)
 
     def test_panels_in_order(self):
         """Nodes come back panel by panel, increasing across the edges."""
