@@ -41,6 +41,8 @@ __all__ = [
     "sym_eigenvalue",
     "eval_phi",
     "phi_table",
+    "mode_eigenvalues",
+    "mode_table",
     "analyze",
     "synthesize",
     "d_apply_spectral",
@@ -91,6 +93,64 @@ def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
         odd_tab = trig_poly_table(params.shifted(), kmax - 1, theta)
         out[1::2] = np.sin(theta) * odd_tab / (2.0 * np.sqrt(2.0))
     return out
+
+
+def mode_eigenvalues(params: JacobiParams, n_modes: int, parity: str = "full") -> np.ndarray:
+    """Eigenvalue attached to each coefficient slot: lam_{<n>} under "full",
+    lam_n for the even half-line family P_n and lam_{n+1} for the odd family
+    (1/2) sin(theta) P_n^{(alpha+1,beta+1)}."""
+    n = np.arange(n_modes)
+    if parity == "full":
+        return sym_eigenvalue(params, n)
+    if parity == "even":
+        return eigenvalue(params, n)
+    return eigenvalue(params, n + 1)
+
+
+def mode_table(
+    params: JacobiParams, n_modes: int, theta, parity: str = "full", order=0, lowered=False
+) -> np.ndarray:
+    """Sampled mode functions, one row per coefficient slot.
+
+    On the half-line parities, `order` (at most 2) takes that many theta
+    derivatives of each row, and `lowered` (odd family only) first replaces
+    slot n by its adjoint lowering -sqrt(lam_{n+1} - lam_0) P_{n+1}.  An
+    even row's derivative is d P_n = -(1/2) sqrt(n(n+alpha+beta+1)) times
+    twice the odd row n-1, so the two families' rows are built from each
+    other down to plain polynomial tables.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if parity == "full":
+        if order or lowered:
+            raise ValueError("derivative and lowered rows need a half-line parity")
+        return phi_table(params, n_modes - 1, theta)
+    if order not in (0, 1, 2):
+        raise ValueError(f"unsupported derivative order {order}")
+    if lowered:
+        if parity != "odd":
+            raise ValueError("lowered rows are defined for the odd family only")
+        fac = -np.sqrt(mode_eigenvalues(params, n_modes, "odd") - params.lam0)
+        rows = mode_table(params, n_modes + 1, theta, "even", order)[1:]
+        return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
+    if parity == "even":
+        if order == 0:
+            return trig_poly_table(params, n_modes - 1, theta)
+        n = np.arange(n_modes)
+        fac = -0.5 * np.sqrt(n * (n + params.alpha + params.beta + 1.0))
+        rows = np.zeros((n_modes,) + theta.shape)
+        if n_modes > 1:
+            rows[1:] = 2.0 * mode_table(params, n_modes - 1, theta, "odd", order - 1)
+        return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
+    # odd family (1/2) sin(theta) P^{+1}_n, differentiated by the product rule
+    base = trig_poly_table(params.shifted(), n_modes - 1, theta)
+    sin, cos = np.sin(theta), np.cos(theta)
+    if order == 0:
+        return 0.5 * sin * base
+    dbase = mode_table(params.shifted(), n_modes, theta, "even", 1)
+    if order == 1:
+        return 0.5 * (cos * base + sin * dbase)
+    d2base = mode_table(params.shifted(), n_modes, theta, "even", 2)
+    return 0.5 * (-sin * base + 2.0 * cos * dbase + sin * d2base)
 
 
 def analyze(params: JacobiParams, f, nmax: int, nodes: int | None = None) -> np.ndarray:

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, trig_poly_table
-from .kernels import n_max_for, q_fn, q_theta
-from .operators import mode_eigenvalues
+from .core import JacobiParams
+from .kernels import mode_sum, q_fn, q_theta
 from .product import HeadKernels, pair_moments
 from .quadrature import ball_measure, composite_gauss
 
@@ -195,88 +194,11 @@ def _time_panels(lo: float, hi: float, nodes: int, breaks=()) -> tuple[np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# tail mode sums
-
-
-def _even_rows(params: JacobiParams, n_modes: int, theta, order: int) -> np.ndarray:
-    """Rows of d^order P_n(theta) for the even half-line family."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if order == 0:
-        return trig_poly_table(params, n_modes - 1, theta)
-    n = np.arange(n_modes)
-    a, b = params.alpha, params.beta
-    fac = -0.5 * np.sqrt(n * (n + a + b + 1.0))
-    sub = np.zeros((n_modes, theta.size))
-    if order == 1:
-        if n_modes > 1:
-            sub[1:] = np.sin(theta) * trig_poly_table(params.shifted(), n_modes - 2, theta)
-        return fac[:, None] * sub
-    if order == 2:
-        # differentiate sin(theta) P^{+1}_{n-1} once more
-        if n_modes > 1:
-            base = trig_poly_table(params.shifted(), n_modes - 2, theta)
-            dbase = _even_rows(params.shifted(), n_modes - 1, theta, 1)
-            sub[1:] = np.cos(theta) * base + np.sin(theta) * dbase
-        return fac[:, None] * sub
-    raise ValueError(f"unsupported derivative order {order}")
-
-
-def _odd_rows(params: JacobiParams, n_modes: int, theta, order: int) -> np.ndarray:
-    """Rows of d^order of the odd family (1/2) sin(theta) P^{+1}_n(theta)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    base = trig_poly_table(params.shifted(), n_modes - 1, theta)
-    if order == 0:
-        return 0.5 * np.sin(theta) * base
-    dbase = _even_rows(params.shifted(), n_modes, theta, 1)
-    if order == 1:
-        return 0.5 * (np.cos(theta) * base + np.sin(theta) * dbase)
-    if order == 2:
-        d2base = _even_rows(params.shifted(), n_modes, theta, 2)
-        return 0.5 * (
-            -np.sin(theta) * base + 2.0 * np.cos(theta) * dbase + np.sin(theta) * d2base
-        )
-    raise ValueError(f"unsupported derivative order {order}")
-
-
-def _tail_rows(params: JacobiParams, parity: str, op, n_modes: int, theta) -> np.ndarray:
-    """Mode rows for the tail sums; op is a plain derivative order or one of
-    "low" (single lowering chain step) and "low1" (its theta derivative).
-
-    On the even family one lowering is the plain derivative, so "low" only
-    appears for the odd family, where it maps mode n to -sqrt(gap) P_{n+1}.
-    """
-    if isinstance(op, int):
-        rows = _even_rows if parity == "even" else _odd_rows
-        return rows(params, n_modes, theta, op)
-    if parity != "odd":
-        raise ValueError("lowering rows are precomputed only for the odd family")
-    lam = mode_eigenvalues(params, n_modes, "odd")
-    fac = -np.sqrt(lam - params.lam0)
-    order = 0 if op == "low" else 1
-    ev = _even_rows(params, n_modes + 1, theta, order)
-    return fac[:, None] * ev[1:]
-
-
-def _tail_profile(params, parity, th_op, ph_op, m_t, t, theta, phi, n_modes=None):
-    """Mode-sum profile (n_t, n_pairs) of the chosen derivative combination."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if n_modes is None:
-        n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
-    lam = mode_eigenvalues(params, n_modes, parity)
-    root = np.sqrt(lam)
-    decay = np.exp(-np.outer(t, root))
-    if m_t:
-        decay = decay * (-root) ** m_t
-    A = _tail_rows(params, parity, th_op, n_modes, theta)
-    B = _tail_rows(params, parity, ph_op, n_modes, phi)
-    return 0.5 * np.einsum("tn,np,np->tp", decay, A, B)
-
-
-# ---------------------------------------------------------------------------
 # kernel families
 
-# profiles per family: slot -> (head assembly name, tail combo); the "F" slot
-# is the B-norm profile, G* slots are gradient components for scalar kernels
+# profiles per family: slot -> (head assembly name, tail combo), the combo
+# being mode_sum's (parity, th_op, ph_op, m); the "F" slot is the B-norm
+# profile, G* slots are gradient components for scalar kernels
 _FAMILY = {
     "poisson": dict(kind="sup", F=("H", ("even", 0, 0, 0))),
     "poisson_reflected": dict(kind="sup", F=("Ht", ("odd", 0, 0, 0))),
@@ -385,9 +307,8 @@ class FamilyBatch:
             t_tail, _ = self._tail_grid_for(kid)
             if _FAMILY[kid]["kind"] == "atoms":
                 t_tail = self.atoms[0]
-            tail = _tail_profile(
-                self.params, combo[0], combo[1], combo[2], combo[3], t_tail,
-                pairs[:, 0], pairs[:, 1],
+            tail = mode_sum(
+                self.params, combo[0], t_tail, pairs[:, 0], pairs[:, 1], *combo[1:]
             )
             head = None if head_name is None else np.empty((self.t_head.size, pairs.shape[0]))
             out[(kid, slot)] = (head, tail)

@@ -24,9 +24,10 @@ small t near the diagonal is resolved by more cells, not by a finer tensor
 grid; poisson_kernel_dk_auto raises the Gauss nodes per cell until two
 counts agree.
 
-Also here: derivative kernels (time derivatives and iterated one-sided
-lowering compositions, reduced to closed mode-wise factors on the series
-route), and the two norms in the time variable used by square functions and
+Also here: mode_sum, the one damped half-line mode sum behind the series
+route, the estimate tails and the derivative kernels (time derivatives and
+iterated one-sided lowering compositions, reduced to closed mode-wise
+factors), and the two norms in the time variable used by square functions and
 maximal operators.
 """
 
@@ -38,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, eigenvalue, trig_poly_table
-from .product import HeadKernels, cosh_half_minus_one
+from .basis import mode_eigenvalues, mode_table, phi_table, sym_eigenvalue
+from .core import JacobiParams, eigenvalue
+from .product import HeadKernels
 from .quadrature import composite_gauss
 
 __all__ = [
@@ -47,8 +49,8 @@ __all__ = [
     "AccuracyWarning",
     "q_fn",
     "q_theta",
-    "psi",
     "n_max_for",
+    "mode_sum",
     "poisson_kernel_series",
     "poisson_kernel_dk",
     "poisson_kernel_dk_auto",
@@ -101,33 +103,6 @@ def q_theta(theta, phi, u, v) -> np.ndarray:
     ) * np.sin(theta / 2.0) * np.cos(phi / 2.0)
 
 
-def psi(params: JacobiParams, t, q) -> np.ndarray:
-    """Integrand profile sinh(t/2) (cosh(t/2) - 1 + q)^{-alpha-beta-2}.
-
-    Evaluated through 2 sinh^2(t/4) for small-t stability; beyond t ~ 600 the
-    hyperbolics overflow and the value is formed by exponent differences in
-    log space, saturating cleanly to zero.
-    """
-    p = params.alpha + params.beta + 2.0
-    t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t, q = np.broadcast_arrays(t, q)
-    out = np.empty(t.shape, dtype=float)
-    big = t > 600.0
-    small = ~big
-    if np.any(small):
-        ts = t[small]
-        out[small] = np.sinh(ts / 2.0) * (cosh_half_minus_one(ts) + q[small]) ** (-p)
-    if np.any(big):
-        tb = t[big]
-        # log sinh(t/2) = t/2 - log 2 (+ exponentially small), and the
-        # denominator is dominated by cosh(t/2) ~ e^{t/2}/2.
-        log_num = tb / 2.0 - np.log(2.0)
-        log_den = tb / 2.0 - np.log(2.0)
-        out[big] = np.exp(log_num - p * log_den)
-    return out
-
-
 def n_max_for(
     params: JacobiParams,
     t: float,
@@ -154,6 +129,41 @@ def n_max_for(
     return int(ok[0] + 1)
 
 
+def mode_sum(
+    params: JacobiParams, parity: str, t, theta, phi, th_op=0, ph_op=0, m=0, pairs=0, n_modes=None
+) -> np.ndarray:
+    """Damped half-line mode sum, shape (len(t), len(theta)):
+
+        (1/2) sum_n (-sqrt(lam_n))^m (lam_n - lam_0)^pairs e^{-t sqrt(lam_n)}
+              A_n(theta) B_n(phi)
+
+    over the "even" or "odd" family, with theta and phi paired elementwise.
+    The rows A and B come from basis.mode_table: th_op and ph_op are a
+    derivative order (0, 1 or 2), or "low" / "low1" for the odd family's
+    adjoint lowering and its first derivative.  Each pair of lowerings
+    contributes one gap factor, which `pairs` supplies.  By default the mode
+    count meets the tail bound with four extra powers at the smallest t.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if n_modes is None:
+        n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
+    lam = mode_eigenvalues(params, n_modes, parity)
+    root = np.sqrt(lam)
+    decay = np.exp(-np.outer(t, root))
+    if m:
+        decay = decay * (-root) ** m
+    if pairs:
+        decay = decay * (lam - params.lam0) ** pairs
+
+    def rows(op, x):
+        order = {"low": 0, "low1": 1}.get(op, op)
+        return mode_table(params, n_modes, x, parity, order, lowered=op in ("low", "low1"))
+
+    return 0.5 * np.einsum("tn,np,np->tp", decay, rows(th_op, theta), rows(ph_op, phi))
+
+
 def poisson_kernel_series(
     params: JacobiParams, t: float, theta, phi, nmax: int | None = None
 ) -> np.ndarray:
@@ -163,13 +173,8 @@ def poisson_kernel_series(
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
-    shape = theta.shape
-    lam = eigenvalue(params, np.arange(nmax + 1))
-    damp = np.exp(-t * np.sqrt(lam))
-    tab_th = trig_poly_table(params, nmax, theta.ravel())
-    tab_ph = trig_poly_table(params, nmax, phi.ravel())
-    vals = 0.5 * np.einsum("n,nk,nk->k", damp, tab_th, tab_ph)
-    return vals.reshape(shape)
+    vals = mode_sum(params, "even", t, theta.ravel(), phi.ravel(), n_modes=nmax + 1)
+    return vals.reshape(theta.shape)
 
 
 def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
@@ -257,8 +262,6 @@ def symmetrized_kernel_mode_sum(
 ) -> np.ndarray:
     """HH_t summed directly over the symmetrized basis (independent route for
     the decomposition check): sum_n e^{-t sqrt(lam_{<n>})} Phi_n(theta) Phi_n(phi)."""
-    from .basis import phi_table, sym_eigenvalue
-
     if nmax is None:
         nmax = 2 * n_max_for(params, t) + 1
     theta, phi = np.broadcast_arrays(
@@ -286,11 +289,11 @@ def kernel_derivative(
 ) -> np.ndarray:
     """Time derivatives and lowering compositions of the kernel parts.
 
-    Series route (any orders): the composition acts mode-wise.  For the even
-    part the degree-n term picks up (-sqrt(lam_n))^m from time and
-    (lam_n - lam_0)^{floor(N/2)} from pairs of lowerings, with an odd leftover
-    lowering replacing the theta-factor by its first-order image.  The odd
-    (reflected) part works the same through the shifted family.
+    Series route (any orders): one mode_sum, the composition acting
+    mode-wise.  For the even part the degree-n term picks up (-sqrt(lam_n))^m
+    from time and (lam_n - lam_0)^{floor(N/2)} from pairs of lowerings, with
+    an odd leftover lowering replacing the theta-factor by its first-order
+    image.  The odd (reflected) part works the same through the shifted family.
 
     Integral route: implemented for m + n_delta <= 1 (first-order
     differentiation under the double average), used for cross-validation.
@@ -318,47 +321,16 @@ def kernel_derivative(
         return _dk_eval(params, t, theta, phi, names[m + 2 * n_delta])
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
-    shape = theta.shape
-    th, ph = theta.ravel(), phi.ravel()
     if nmax is None:
         nmax = n_max_for(params, t, extra_power=float(m + n_delta))
-    half_pairs, odd_left = divmod(n_delta, 2)
-
-    if parity == "even":
-        n = np.arange(nmax + 1)
-        lam = eigenvalue(params, n)
-        gap = lam - params.lam0
-        coeff = 0.5 * (-np.sqrt(lam)) ** m * np.exp(-t * np.sqrt(lam)) * gap**half_pairs
-        tab_ph = trig_poly_table(params, nmax, ph)
-        if odd_left == 0:
-            tab_th = trig_poly_table(params, nmax, th)
-            vals = np.einsum("n,nk,nk->k", coeff, tab_th, tab_ph)
-        else:
-            # delta Ptrig_n = -(1/2) sqrt(gap_n) sin(theta) Ptrig_{n-1}^{(+1,+1)}
-            shifted_tab = trig_poly_table(params.shifted(), nmax - 1, th)
-            factor = -0.5 * np.sqrt(gap[1:])
-            vals = np.einsum(
-                "n,nk,nk->k", coeff[1:] * factor, np.sin(th) * shifted_tab, tab_ph[1:]
-            )
-        return vals.reshape(shape)
-
-    # odd parity: modes are the odd symmetrized functions, eigenvalues lam_{n+1}
-    from .basis import phi_table
-
-    n = np.arange(nmax + 1)
-    lam = eigenvalue(params, n + 1)
-    gap = lam - params.lam0
-    coeff = (-np.sqrt(lam)) ** m * np.exp(-t * np.sqrt(lam)) * gap**half_pairs
-    odd_tab_ph = phi_table(params, 2 * nmax + 1, ph)[1::2]
-    if odd_left == 0:
-        odd_tab_th = phi_table(params, 2 * nmax + 1, th)[1::2]
-        vals = np.einsum("n,nk,nk->k", coeff, odd_tab_th, odd_tab_ph)
-    else:
-        # delta* Phi_{2n+1} = -(1/sqrt2) sqrt(gap) Ptrig_{n+1}
-        tab_th = trig_poly_table(params, nmax + 1, th)[1:]
-        factor = -np.sqrt(gap / 2.0)
-        vals = np.einsum("n,nk,nk->k", coeff * factor, tab_th, odd_tab_ph)
-    return vals.reshape(shape)
+    pairs, odd_left = divmod(n_delta, 2)
+    # one leftover lowering is the plain derivative on the even family and
+    # the adjoint lowering onto P_{n+1} on the odd family
+    th_op = ("low" if parity == "odd" else 1) if odd_left else 0
+    vals = mode_sum(
+        params, parity, t, theta.ravel(), phi.ravel(), th_op, 0, m, pairs, nmax + 1
+    )
+    return vals.reshape(theta.shape)
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:

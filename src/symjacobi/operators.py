@@ -20,14 +20,14 @@ spectrum; this is the pointwise limit of the defining integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
-from .basis import half_index, sym_eigenvalue
-from .core import JacobiParams, eigenvalue, trig_poly_table
+from .basis import mode_eigenvalues, mode_table
+from .core import JacobiParams
 from .kernels import L2TWeighted, SupOverT
 from .quadrature import composite_gauss
 
@@ -39,29 +39,6 @@ def _check_parity(parity: str, restricted: bool) -> None:
         raise ValueError(f"parity must be one of {_PARITIES}, got {parity!r}")
     if restricted and parity == "full":
         raise ValueError("the restricted factor applies to half-line parities only")
-
-
-def mode_eigenvalues(params: JacobiParams, n_modes: int, parity: str = "full") -> np.ndarray:
-    """Eigenvalue attached to each coefficient slot under the given convention."""
-    n = np.arange(n_modes)
-    if parity == "full":
-        return sym_eigenvalue(params, n)
-    if parity == "even":
-        return eigenvalue(params, n)
-    return eigenvalue(params, n + 1)
-
-
-def mode_table(params: JacobiParams, n_modes: int, theta, parity: str = "full") -> np.ndarray:
-    """Sampled mode functions, one row per coefficient slot."""
-    theta = np.asarray(theta, dtype=float)
-    if parity == "full":
-        from .basis import phi_table
-
-        return phi_table(params, n_modes - 1, theta)
-    if parity == "even":
-        return trig_poly_table(params, n_modes - 1, theta)
-    shifted = trig_poly_table(params.shifted(), n_modes - 1, theta)
-    return 0.5 * np.sin(theta) * shifted
 
 
 def reduce_symmetrized(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,8 @@
 
 Provides Gauss-Jacobi rules on [-1, 1] built by Golub-Welsch (symmetric
 tridiagonal eigenproblem), their transplant to (0, pi) against the measure
-dmu+, the normalized product-formula measures on [-1, 1] (absolutely
-continuous for parameter > -1/2, two atoms at the endpoint value -1/2), the
-composite Gauss-Legendre panel rule, and exact interval/ball measures through
-the regularized incomplete Beta function.
+dmu+, the composite Gauss-Legendre panel rule, and exact interval/ball
+measures through the regularized incomplete Beta function.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betainc, betaln, gammaln
+from scipy.special import betainc, betaln
 
 from .core import JacobiParams, total_mass
 
@@ -26,7 +24,6 @@ __all__ = [
     "composite_gauss",
     "mu_plus_rule",
     "mu_full_rule",
-    "pi_rule",
     "interval_measure",
     "ball_measure",
     "ball_comparable",
@@ -51,21 +48,6 @@ class QuadratureRule:
     def integrate(self, values) -> float:
         """Weighted sum of function values sampled on the nodes."""
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
-
-    def to_csv(self, path) -> None:
-        np.savetxt(
-            path,
-            np.column_stack([self.nodes, self.weights]),
-            delimiter=",",
-            header="node,weight",
-            comments="",
-            fmt="%.17e",
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "QuadratureRule":
-        data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-        return cls(nodes=data[:, 0].copy(), weights=data[:, 1].copy())
 
 
 def gauss_jacobi_rule(alpha: float, beta: float, n: int) -> QuadratureRule:
@@ -149,23 +131,6 @@ def mu_full_rule(params: JacobiParams, n: int) -> QuadratureRule:
     nodes = np.concatenate([-half.nodes[::-1], half.nodes])
     weights = np.concatenate([half.weights[::-1], half.weights])
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def pi_rule(alpha: float, n: int) -> QuadratureRule:
-    """Rule for the normalized measure with density proportional to
-    (1 - u^2)^{alpha - 1/2} on [-1, 1]; total mass one.
-
-    At alpha = -1/2 the measure degenerates to the two atoms (+-1, 1/2) and
-    the returned rule has exactly two nodes regardless of n.  The nodes are
-    the read-only nodes of the cached Gauss-Jacobi rule.
-    """
-    if alpha < -0.5:
-        raise ValueError(f"product-formula measure needs alpha >= -1/2, got {alpha}")
-    if alpha == -0.5:
-        return QuadratureRule(nodes=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.5]))
-    base = gauss_jacobi_rule(alpha - 0.5, alpha - 0.5, n)
-    norm = float(np.exp(gammaln(alpha + 1.0) - 0.5 * np.log(np.pi) - gammaln(alpha + 0.5)))
-    return QuadratureRule(nodes=base.nodes, weights=norm * base.weights)
 
 
 def interval_measure(params: JacobiParams, lo, hi) -> np.ndarray:

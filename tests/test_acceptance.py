@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from symjacobi.basis import d_apply_pointwise, d_apply_spectral, phi_table, synthesize
+from symjacobi.basis import (
+    d_apply_pointwise,
+    d_apply_spectral,
+    mode_eigenvalues,
+    phi_table,
+    synthesize,
+)
 from symjacobi.cli import AP_DIVERGENCE_FACTOR, main
 from symjacobi.core import (
     JacobiParams,
@@ -40,7 +46,6 @@ from symjacobi.operators import (
     fractional_atoms,
     gfun_bound,
     gfun_norm,
-    mode_eigenvalues,
     multiplier_apply,
     riesz_apply,
     semigroup_apply,
@@ -290,8 +295,8 @@ def test_ac09_ap_characterization():
 def test_ac10_verify_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--suite", "all", "--seed", "3"]
-    rc_a = main(argv + ["--report", str(a)])
-    rc_b = main(argv + ["--report", str(b)])
+    rc_a = main(argv + ["--out", str(a)])
+    rc_b = main(argv + ["--out", str(b)])
     identical = a.read_bytes() == b.read_bytes()
     ok = identical and rc_a == 0 and rc_b == 0
     report(

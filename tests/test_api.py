@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 
 import symjacobi
-from symjacobi import kernels, quadrature
+from symjacobi import basis, core, kernels, product, quadrature
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
-    for module in (symjacobi, kernels, quadrature):
+    for module in (symjacobi, basis, core, kernels, product, quadrature):
         names = module.__all__
         assert len(set(names)) == len(names), module.__name__
         missing = [n for n in names if not hasattr(module, n)]

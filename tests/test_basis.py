@@ -20,6 +20,7 @@ from symjacobi.basis import (
     eval_phi,
     half_index,
     lowering_compose,
+    mode_table,
     phi_table,
     sym_eigenvalue,
     sym_operator_apply,
@@ -232,3 +233,49 @@ class TestLoweringOperators:
     def test_bad_first(self):
         with pytest.raises(ValueError, match="delta"):
             lowering_compose(JacobiParams(0.0, 0.0), np.sin, 1.0, 2, "nope")
+
+
+class TestModeTable:
+    """The one builder of mode rows: derivative rows against central
+    differences of the rows one order lower, lowered rows against the
+    pointwise adjoint lowering of the odd modes."""
+
+    PARAMS = [(0.0, 0.0), (0.5, 2.0), (-0.5, 1.0)]
+    THETA = np.linspace(0.2, 2.9, 23)
+    N_MODES = 9
+
+    @pytest.mark.parametrize("a, b", PARAMS)
+    @pytest.mark.parametrize("parity, lowered", [("even", False), ("odd", False), ("odd", True)])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative_rows_match_central_differences(self, a, b, parity, lowered, order):
+        p = JacobiParams(a, b)
+        h = 1e-5
+
+        def lower(x):
+            return mode_table(p, self.N_MODES, x, parity, order - 1, lowered)
+
+        ref = (lower(self.THETA + h) - lower(self.THETA - h)) / (2.0 * h)
+        got = mode_table(p, self.N_MODES, self.THETA, parity, order, lowered)
+        assert got.shape == (self.N_MODES, self.THETA.size)
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-7 * np.maximum(scale, 1.0))
+
+    @pytest.mark.parametrize("a, b", PARAMS)
+    def test_lowered_rows_match_adjoint_lowering(self, a, b):
+        p = JacobiParams(a, b)
+        got = mode_table(p, self.N_MODES, self.THETA, "odd", lowered=True)
+        for n in range(self.N_MODES):
+            odd_mode = lambda x, n=n: mode_table(p, self.N_MODES, x, "odd")[n]
+            ref = delta_star_apply(p, odd_mode, self.THETA)
+            assert_allclose(got[n], ref, rtol=1e-7, atol=1e-7 * np.max(np.abs(ref)))
+
+    def test_full_parity_takes_no_derivatives(self):
+        p = JacobiParams(0.0, 0.0)
+        with pytest.raises(ValueError):
+            mode_table(p, 4, self.THETA, "full", order=1)
+        with pytest.raises(ValueError):
+            mode_table(p, 4, self.THETA, "full", lowered=True)
+        with pytest.raises(ValueError):
+            mode_table(p, 4, self.THETA, "even", lowered=True)
+        with pytest.raises(ValueError):
+            mode_table(p, 4, self.THETA, "odd", order=3)

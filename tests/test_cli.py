@@ -10,11 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from symjacobi import cli
+from symjacobi.basis import mode_eigenvalues
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
 from symjacobi.estimates import EstimateReport
 from symjacobi.kernels import AccuracyWarning, semigroup_mass
-from symjacobi.operators import mode_eigenvalues
 
 
 def read_table(path):
@@ -205,7 +205,7 @@ class TestVerifyReports:
     def test_fast_suites_pass_with_valid_schema(self, tmp_path):
         for suite in self.FAST_SUITES:
             path = tmp_path / f"{suite}.json"
-            rc = main(["verify", "--suite", suite, "--report", str(path)])
+            rc = main(["verify", "--suite", suite, "--out", str(path)])
             assert rc == 0, suite
             report = json.loads(path.read_text())
             assert report["schema_version"] == "1"
@@ -226,14 +226,14 @@ class TestVerifyReports:
         for suite in ("kernels", "ap"):
             a, b = tmp_path / "a.json", tmp_path / "b.json"
             argv = ["verify", "--suite", suite, "--seed", "11"]
-            assert main(argv + ["--report", str(a)]) == 0
-            assert main(argv + ["--report", str(b)]) == 0
+            assert main(argv + ["--out", str(a)]) == 0
+            assert main(argv + ["--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
 
     def test_stamp_isolated_in_header(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--suite", "basis", "--report", str(a)]) == 0
-        assert main(["verify", "--suite", "basis", "--stamp", "--report", str(b)]) == 0
+        assert main(["verify", "--suite", "basis", "--out", str(a)]) == 0
+        assert main(["verify", "--suite", "basis", "--stamp", "--out", str(b)]) == 0
         plain = json.loads(a.read_text())
         stamped = json.loads(b.read_text())
         assert "generated_at" not in plain
@@ -242,7 +242,7 @@ class TestVerifyReports:
 
     def test_ap_suite_flags_out_of_window_weight(self, tmp_path):
         path = tmp_path / "ap.json"
-        assert main(["verify", "--suite", "ap", "--report", str(path)]) == 0
+        assert main(["verify", "--suite", "ap", "--out", str(path)]) == 0
         report = json.loads(path.read_text())
         verdicts = {e["member"]: e["verdict"] for e in report["results"]}
         assert verdicts[True] == "stable"
@@ -254,13 +254,26 @@ class TestVerifyReports:
         the out-of-window probe sits at least 1/2 past it and diverges."""
         path = tmp_path / "ap.json"
         argv = ["verify", "--suite", "ap", "--alpha", str(alpha), "--beta", str(beta),
-                "--report", str(path)]
+                "--out", str(path)]
         assert main(argv) == 0
         report = json.loads(path.read_text())
         verdicts = {e["member"]: e["verdict"] for e in report["results"]}
         assert verdicts == {True: "stable", False: "diverging"}
         probe = next(e for e in report["results"] if not e["member"])
         assert probe["weight"][0] == pytest.approx(2.0 * alpha + 2.0 + 0.5)
+
+    @pytest.mark.parametrize("alpha, beta", [(6.0, 2.0), (2.0, 6.0)])
+    def test_split_identity_relative_to_kernel_size(self, tmp_path, alpha, beta):
+        """Here |HH| reaches 1e5-1e7, so rounding alone leaves absolute
+        split-identity gaps above 1e-10; the gap is judged relative to the
+        largest sampled |HH|."""
+        path = tmp_path / "kernels.json"
+        argv = ["verify", "--suite", "kernels", "--alpha", str(alpha), "--beta", str(beta),
+                "--out", str(path)]
+        assert main(argv) == 0
+        report = json.loads(path.read_text())
+        entry = next(e for e in report["results"] if e["estimate_id"] == "KernelSplitIdentity")
+        assert entry["verdict"] == "stable" and entry["levels"][0]["sup"] < 1e-13
 
     def test_module_error_exits_one(self, capsys, tmp_path, monkeypatch):
         """A suite that raises ends the run with exit 1, and the report keeps
@@ -271,7 +284,7 @@ class TestVerifyReports:
 
         monkeypatch.setitem(cli._SUITE_FUNCS, "kernels", broken)
         path = tmp_path / "r.json"
-        rc = main(["verify", "--suite", "all", "--report", str(path)])
+        rc = main(["verify", "--suite", "all", "--out", str(path)])
         assert rc == 1
         assert "RuntimeError: boom" in capsys.readouterr().err
         report = json.loads(path.read_text())
@@ -287,7 +300,7 @@ class TestVerifyReports:
         as skipped entries with a reason; the series-route checks still run."""
         path = tmp_path / f"{suite}.json"
         argv = ["verify", "--suite", suite, "--alpha", "-0.9", "--beta", "-0.9",
-                "--level", "1", "--report", str(path)]
+                "--level", "1", "--out", str(path)]
         assert main(argv) == 0
         report = json.loads(path.read_text())
         assert report["passed"] is True and "error" not in report

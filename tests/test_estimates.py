@@ -28,7 +28,6 @@ from symjacobi.estimates import (
     _FAMILY,
     _nested_samples,
     _reproduce_or_raise,
-    _tail_profile,
     _time_panels,
     ap_constant,
     ap_member,
@@ -39,6 +38,7 @@ from symjacobi.estimates import (
     pair_grid,
     run_standard_ladders,
 )
+from symjacobi.kernels import mode_sum
 from symjacobi.product import HeadKernels, corner_rule, nodes_for, pair_moments
 
 ATOMIC = JacobiParams(-0.5, -0.5)
@@ -209,7 +209,7 @@ class TestRouteAgreement:
             head = HeadKernels(params, th, ph, t)
             for name, (parity, th_op, ph_op, m_t) in checks:
                 hv = getattr(head, name)()
-                tv = _tail_profile(params, parity, th_op, ph_op, m_t, t, th, ph)[:, 0]
+                tv = mode_sum(params, parity, t, th, ph, th_op, ph_op, m_t)[:, 0]
                 assert_allclose(hv, tv, rtol=2e-7, atol=1e-12)
 
     def test_refine_reproduces(self):

@@ -23,7 +23,6 @@ from symjacobi.kernels import (
     poisson_kernel_dk,
     poisson_kernel_dk_auto,
     poisson_kernel_series,
-    psi,
     q_fn,
     q_theta,
     semigroup_mass,
@@ -62,29 +61,6 @@ class TestQFunction:
         u, v = rng.uniform(-1, 1, 2000), rng.uniform(-1, 1, 2000)
         ratio = np.abs(q_theta(th, ph, u, v)) / np.sqrt(np.maximum(q_fn(th, ph, u, v), 1e-300))
         assert np.max(ratio) < 2.0
-
-
-class TestPsi:
-    def test_small_time_profile(self):
-        """psi ~ (t/2) q^{-p} as t -> 0 at fixed q."""
-        p = JacobiParams(0.5, 2.0)
-        power = p.alpha + p.beta + 2.0
-        assert_allclose(psi(p, 1e-8, 0.5), (1e-8 / 2.0) * 0.5 ** (-power), rtol=1e-9)
-
-    def test_large_time_saturation(self):
-        """No overflow for t beyond the hyperbolic range; decays to zero when
-        alpha + beta + 1 > 0."""
-        p = JacobiParams(0.5, 2.0)
-        vals = psi(p, np.array([500.0, 1000.0, 2000.0, 5000.0]), 0.3)
-        assert np.all(np.isfinite(vals))
-        assert np.all(np.diff(vals) <= 0)
-        assert vals[-1] == 0.0
-
-    def test_positive(self):
-        rng = np.random.default_rng(1)
-        t = rng.uniform(0.01, 10.0, 200)
-        q = rng.uniform(0.0, 2.0, 200)
-        assert np.all(psi(JacobiParams(0.0, 0.0), t, q) > 0.0)
 
 
 class TestSeriesKernel:

@@ -9,6 +9,8 @@ from symjacobi.basis import (
     d_apply_spectral,
     delta_apply,
     delta_star_apply,
+    mode_eigenvalues,
+    mode_table,
     phi_table,
     sym_eigenvalue,
 )
@@ -24,8 +26,6 @@ from symjacobi.operators import (
     gfun_mode_factors,
     gfun_norm,
     maximal_apply,
-    mode_eigenvalues,
-    mode_table,
     multiplier_apply,
     reduce_symmetrized,
     riesz_apply,

@@ -12,14 +12,12 @@ from scipy.special import betaln
 from symjacobi import quadrature
 from symjacobi.core import JacobiParams, eval_trig_poly, total_mass
 from symjacobi.quadrature import (
-    QuadratureRule,
     ball_comparable,
     ball_measure,
     composite_gauss,
     gauss_jacobi_rule,
     interval_measure,
     mu_plus_rule,
-    pi_rule,
 )
 
 PARAM_PAIRS = [(-0.5, -0.5), (0.0, 0.0), (0.5, 2.0), (3.0, -0.5)]
@@ -63,7 +61,6 @@ class TestGaussJacobi:
             rule.nodes[0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
-        assert pi_rule(1.0, 12).nodes is gauss_jacobi_rule(0.5, 0.5, 12).nodes
 
     def test_critical_sum_params(self):
         """alpha + beta = -1 exercises the cancelled recurrence branches."""
@@ -96,27 +93,6 @@ class TestMuPlusRule:
         rule = mu_plus_rule(JacobiParams(3.0, -0.5), 16)
         assert np.all(np.diff(rule.nodes) > 0)
         assert rule.nodes[0] > 0.0 and rule.nodes[-1] < np.pi
-
-
-class TestPiRule:
-    def test_atoms_at_half(self):
-        rule = pi_rule(-0.5, 48)
-        assert_allclose(rule.nodes, [-1.0, 1.0], atol=0.0)
-        assert_allclose(rule.weights, [0.5, 0.5], atol=0.0)
-
-    def test_probability_mass(self):
-        for a in [0.0, 0.5, 1.5, 3.0]:
-            assert_allclose(pi_rule(a, 24).mass, 1.0, rtol=1e-13)
-
-    def test_second_moment(self):
-        """u^2 moment of the normalized measure is 1/(2 alpha + 2)."""
-        for a in [-0.5, 0.0, 0.75, 2.0]:
-            rule = pi_rule(a, 16)
-            assert_allclose(rule.integrate(rule.nodes**2), 1.0 / (2.0 * a + 2.0), rtol=1e-12)
-
-    def test_below_range_rejected(self):
-        with pytest.raises(ValueError, match="-1/2"):
-            pi_rule(-0.75, 8)
 
 
 class TestIntervalMeasure:
@@ -180,18 +156,6 @@ class TestBallMeasure:
                 assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
                 spreads.append(ratio.max() / ratio.min())
             assert spreads[1] < 8.0 * spreads[0], f"unstable spread at ({a},{b}): {spreads}"
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        rule = mu_plus_rule(JacobiParams(0.5, 2.0), 12)
-        path = tmp_path / "rule.csv"
-        rule.to_csv(path)
-        back = QuadratureRule.from_csv(path)
-        assert_allclose(back.nodes, rule.nodes, rtol=0, atol=0)
-        assert_allclose(back.weights, rule.weights, rtol=0, atol=0)
-        header = path.read_text().splitlines()[0]
-        assert header == "node,weight"
 
 
 class TestCompositeGauss:
