@@ -153,8 +153,9 @@ def cmd_kernel(args) -> int:
         header.append("rel_diff")
     rows, n_failed = [], 0
     for th in theta:
-        half = poisson_kernel_series(params, t, th, theta)
-        odd = tilde_kernel(params, t, th, theta)
+        if args.route != "dk":  # the dk table writes no series row
+            half = poisson_kernel_series(params, t, th, theta)
+            odd = tilde_kernel(params, t, th, theta)
         for j, ph in enumerate(theta):
             row = [_fmt(t), _fmt(th), _fmt(ph)]
             try:
@@ -164,7 +165,7 @@ def cmd_kernel(args) -> int:
                     h, o, full = half[j], odd[j], half[j] + odd[j]
                 row += [_fmt(h), _fmt(o), _fmt(full), _fmt(mass[th])]
                 if args.route == "both":
-                    h_dk, _, _ = _kernel_triple_dk(params, t, th, ph)
+                    h_dk = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
                     row.append(_fmt(abs(h - h_dk) / max(abs(h), 1e-300)))
             except ConvergenceError as exc:
                 n_failed += 1

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import JacobiParams
 from .kernels import mode_sum, q_fn, q_theta
-from .product import HeadKernels, pair_moments
+from .product import HeadKernels, mesh_signature, pair_moments
 from .quadrature import ball_measure, composite_gauss
 
 ESTIMATE_IDS = (
@@ -312,6 +312,10 @@ class FamilyBatch:
             )
             head = None if head_name is None else np.empty((self.t_head.size, pairs.shape[0]))
             out[(kid, slot)] = (head, tail)
+        # a plan reading both the plain and the reflected family takes both
+        # from one shared moment pass per pair
+        reflected = [name.startswith("Ht") for _, _, name, _ in plan if name is not None]
+        both = any(reflected) and not all(reflected)
         # the moments are symmetric in the pair, so visit the pairs sorted by
         # (min, max): both orders of a pair, and repeats, arrive back to back
         # and share the moments of the first one
@@ -321,7 +325,7 @@ class FamilyBatch:
             key = (lo[i], hi[i])
             hk = HeadKernels(
                 self.params, pairs[i, 0], pairs[i, 1], self.t_head, refine,
-                twin=prev if key == prev_key else None,
+                twin=prev if key == prev_key else None, both=both,
             )
             for kid, slot, head_name, combo in plan:
                 if head_name is not None:
@@ -451,10 +455,13 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), pref
     b = params.beta + shift[1]
     power = params.alpha + params.beta + power_extra
     zero = np.zeros(1)
-    out = np.array([
-        pair_moments(a, b, th, ph, zero, power, n_j=1, refine=refine)[0, 0, 0]
-        for th, ph in pairs
-    ])
+    # visit the pairs grouped by mesh, so each corner rule is built once per
+    # pass; every value still lands in its own slot
+    keys = [mesh_signature(a, b, th, ph, zero, refine) for th, ph in pairs]
+    out = np.empty(pairs.shape[0])
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        th, ph = pairs[i]
+        out[i] = pair_moments(a, b, th, ph, zero, power, n_j=1, refine=refine)[0, 0, 0]
     d, mb = _ball_factors(params, pairs)
     ratios = out * mb * d**dist_power
     if prefac is not None:

@@ -19,11 +19,25 @@ use Gauss-Jacobi with the exact endpoint singularity, the others Gauss-
 Legendre, and at a = -1/2 the measure is the two atoms (+-1, 1/2).
 
 The mesh depends on the pair only through A, B and the floor, all symmetric
-in theta and phi, so a pair and its swap get bitwise equal moments.
+in theta and phi, so a pair and its swap get bitwise equal moments.  It is
+cached in three layers: the cell structure per mesh signature, the nodes
+and weights of each axis per (a, halvings, nodes), and the assembled rule
+for the most recent meshes, which is a few gathers from the first two.
+
+The kernels H and Ht need the plain family (a, b) and the shifted family
+(a + 1, b + 1).  For a > -1/2, dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2)
+dPi_a(u), so the shifted moments of (s + q)^-(p + 2 + j) are the plain
+rule's weights times the two ratios and (1 - u^2)(1 - v^2), at powers the
+plain chain reaches two steps on: pair_moments(..., shifted=True) computes
+both from one rule (with the larger family's nodes) and one power chain.
+At an atomic axis a = -1/2 the factor 1 - u^2 vanishes on the atoms and
+the ratio is infinite, so there, and within SHARED_GAP of it where the
+ratio amplifies rounding, the two families take separate passes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,15 +47,19 @@ from .core import JacobiParams, total_mass
 from .quadrature import composite_gauss, gauss_jacobi_rule
 
 __all__ = [
-    "cosh_half_minus_one", "nodes_for", "corner_rule", "pair_moments", "PairHead",
-    "HeadKernels",
+    "cosh_half_minus_one", "nodes_for", "mesh_signature", "corner_rule", "pair_moments",
+    "PairHead", "HeadKernels",
 ]
 
-# Gauss nodes per cell side (two more above a + b = 4, where the exponent
-# makes the corner layer steeper), and the grading floor as a fraction of
-# the smallest value of the shifted q
+# Gauss nodes per cell side (two more above a + b = 4 and again above 10,
+# where the exponent makes the corner layer steeper), and the grading floor
+# as a fraction of the smallest value of the shifted q
 NODES_PER_PANEL = 6
 PANEL_FLOOR_FRAC = 1.0 / 4.0
+# the shared plain/shifted pass reweights by (a + 1)/(a + 1/2), which
+# amplifies the rounding of the plain rule as a -> -1/2; closer than this to
+# an atomic axis the two families take separate passes
+SHARED_GAP = 1e-6
 
 
 def cosh_half_minus_one(t) -> np.ndarray:
@@ -51,7 +69,8 @@ def cosh_half_minus_one(t) -> np.ndarray:
 
 def nodes_for(a: float, b: float, refine: int = 1) -> int:
     """Default Gauss nodes per cell side; each refine step adds two."""
-    return NODES_PER_PANEL + (2 if a + b > 4.0 else 0) + 2 * (refine - 1)
+    steep = (2 if a + b > 4.0 else 0) + (2 if a + b > 10.0 else 0)
+    return NODES_PER_PANEL + steep + 2 * (refine - 1)
 
 
 def _axis_cells(k: int) -> list:
@@ -86,52 +105,106 @@ def _levels(c: float, floor: float) -> int:
     return max(0, int(np.ceil(np.log2(c / floor)))) if c > floor else 0
 
 
+def _scales(theta, phi):
+    """A, B and q_floor of a point pair, all symmetric in theta and phi."""
+    A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
+    B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
+    q_floor = 2.0 * np.sin(abs(theta - phi) / 4.0) ** 2
+    return A, B, q_floor
+
+
+def _grading_floor(q_floor, shifts, refine):
+    return max((q_floor + shifts.min()) * PANEL_FLOOR_FRAC / 4.0 ** (refine - 1), 1e-15)
+
+
+def _signature(a, b, A, B, floor):
+    """The mesh of a rule as (ku, kv, d): the halvings of each axis and the
+    clamped floor(log2(A / B))."""
+    ku = 0 if a == -0.5 else _levels(A, floor)
+    kv = 0 if b == -0.5 else _levels(B, floor)
+    if a == -0.5 or b == -0.5:
+        return ku, kv, 0
+    # the mesh compares xi- and eta-edges A 2^-i and B 2^-j, so it depends on
+    # A / B only through floor(log2(A / B)), clamped to where it matters
+    if A == 0.0 or B == 0.0:
+        return ku, kv, (-kv - 3 if A == 0.0 else ku + 3)
+    return ku, kv, int(min(max(np.floor(np.log2(A) - np.log2(B)), -kv - 3), ku + 3))
+
+
+def mesh_signature(a, b, theta, phi, shifts, refine=1):
+    """The mesh pair_moments builds for this pair, as a hashable key: pairs
+    with equal keys (at equal a, b and nodes) share one corner rule."""
+    A, B, q_floor = _scales(theta, phi)
+    floor = _grading_floor(q_floor, np.asarray(shifts, dtype=float), refine)
+    return _signature(a, b, A, B, floor)
+
+
 def corner_rule(a: float, b: float, A: float, B: float, floor: float, nodes: int):
     """Corner-graded rule for dPi_a(u) dPi_b(v) at the scales A, B, graded
     down to the floor.  Returns (1 - u, 1 - v, weights times the monomials
     1, u, v, u^2, uv, v^2 as an (N, 6) array); the arrays are cached by the
     mesh signature and read-only."""
-    ku = 0 if a == -0.5 else _levels(A, floor)
-    kv = 0 if b == -0.5 else _levels(B, floor)
-    d = 0
-    if a != -0.5 and b != -0.5:
-        # the mesh compares xi- and eta-edges A 2^-i and B 2^-j, so it depends
-        # on A / B only through floor(log2(A / B)), clamped to where it matters
-        with np.errstate(divide="ignore"):
-            d = int(np.clip(np.floor(np.log2(A) - np.log2(B)), -kv - 3, ku + 3))
-    return _corner_rule(float(a), float(b), ku, kv, d, nodes)
+    return _corner_rule(float(a), float(b), *_signature(a, b, A, B, floor), nodes)
+
+
+def _axis_segments(k: int) -> list:
+    """Segments of one axis with k halvings: its cells, then the strips
+    [0, x1] that merge the cells up to each near-half cell's end x1 > 2^-k."""
+    xs = _axis_cells(k)
+    return xs + [(0.0, x1) for _, x1 in xs[1:-1]]
+
+
+@lru_cache(maxsize=4096)
+def _cells(atomic_u: bool, atomic_v: bool, ku: int, kv: int, d: int):
+    """Cell structure of one mesh: per cell, the row of its u-segment and of
+    its v-segment in the axis tables of _axis_rule."""
+    if atomic_u or atomic_v:
+        # an atomic axis is one cell holding both atoms, and nothing merges
+        n_v = 1 if atomic_v else kv + 2
+        cells = divmod(np.arange((1 if atomic_u else ku + 2) * n_v), n_v)
+    else:
+        xs, ys = _axis_cells(ku), _axis_cells(kv)
+        ratio = 2.0 ** (d + 0.5)  # stands for A / B in the edge comparisons
+        # column i absorbs the near-half eta-cells with y1_j <= ratio x0_i, row
+        # j the near-half xi-cells with ratio x1_i < y0_j; both are prefixes.
+        # The strip over an axis's first r cells is its segment 0 for r = 1,
+        # else segment (cells on that axis) + r - 2 of _axis_segments
+        y1s = [y1 for _, y1 in ys[:-1]]
+        rx1s = [ratio * x1 for _, x1 in xs[:-1]]
+        col = [bisect_right(y1s, ratio * x0) for x0, _ in xs]
+        row = [bisect_left(rx1s, y0) for y0, _ in ys]
+        cells = [(i, 0 if c == 1 else len(ys) + c - 2) for i, c in enumerate(col) if c]
+        cells += [(0 if r == 1 else len(xs) + r - 2, j) for j, r in enumerate(row) if r]
+        cells += [
+            (i, j)
+            for i in range(len(xs))
+            for j in range(len(ys))
+            if j >= col[i] and i >= row[j]
+        ]
+        cells = np.array(cells).T
+    iu, iv = cells
+    iu.flags.writeable = iv.flags.writeable = False
+    return iu, iv
+
+
+@lru_cache(maxsize=1024)
+def _axis_rule(a: float, k: int, n: int):
+    """Nodes x = 1 - u and weights of dPi_a on each segment of an axis with
+    k halvings, one row per segment (the two atoms at a = -1/2)."""
+    segments = [(0.0, 2.0)] if a == -0.5 else _axis_segments(k)
+    nodes, weights = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in segments)))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # a rule holds 10^2 to 10^4 nodes with eight values each, so only recent meshes
 # are kept: the sorted pair sweeps revisit a mesh soon after first building it
 @lru_cache(maxsize=32)
 def _corner_rule(a: float, b: float, ku: int, kv: int, d: int, n: int):
-    xs, ys = _axis_cells(ku), _axis_cells(kv)
-    if a == -0.5 or b == -0.5:
-        # an atomic axis is one cell holding both atoms, and nothing merges
-        xs = [(0.0, 2.0)] if a == -0.5 else xs
-        ys = [(0.0, 2.0)] if b == -0.5 else ys
-        cells = [(x, y) for x in xs for y in ys]
-    else:
-        ratio = 2.0 ** (d + 0.5)  # stands for A / B in the edge comparisons
-        # column i absorbs the near-half eta-cells with y1_j <= ratio x0_i, row
-        # j the near-half xi-cells with ratio x1_i < y0_j; both are prefixes
-        col = [sum(y1 <= ratio * x0 for _, y1 in ys[:-1]) for x0, _ in xs]
-        row = [sum(ratio * x1 < y0 for _, x1 in xs[:-1]) for y0, _ in ys]
-        cells = [(xs[i], (0.0, ys[col[i] - 1][1])) for i in range(len(xs)) if col[i]]
-        cells += [((0.0, xs[row[j] - 1][1]), ys[j]) for j in range(len(ys)) if row[j]]
-        cells += [
-            (xs[i], ys[j])
-            for i in range(len(xs))
-            for j in range(len(ys))
-            if j >= col[i] and i >= row[j]
-        ]
-    su, sv = sorted({c[0] for c in cells}), sorted({c[1] for c in cells})
-    nu, wu = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in su)))
-    nv, wv = (np.array(z) for z in zip(*(_segment(b, y0, y1, n) for y0, y1 in sv)))
-    iu = [su.index(c[0]) for c in cells]
-    iv = [sv.index(c[1]) for c in cells]
-    shape = (len(cells), nu.shape[1], nv.shape[1])
+    iu, iv = _cells(a == -0.5, b == -0.5, ku, kv, d)
+    nu, wu = _axis_rule(a, ku, n)
+    nv, wv = _axis_rule(b, kv, n)
+    shape = (iu.size, nu.shape[1], nv.shape[1])
     xu = np.broadcast_to(nu[iu][:, :, None], shape).ravel()
     xv = np.broadcast_to(nv[iv][:, None, :], shape).ravel()
     w = (wu[iu][:, :, None] * wv[iv][:, None, :]).ravel()
@@ -142,31 +215,53 @@ def _corner_rule(a: float, b: float, ku: int, kv: int, d: int, n: int):
     return xu, xv, fams
 
 
-def pair_moments(a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1):
+def pair_moments(
+    a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1, shifted=False
+):
     """Moments of (shift + q)^(-power-j), j < n_j, against the six monomial
     families for one point pair, all time shifts at once: (n_j, n_t, 6).
 
     power defaults to a + b + 2.  The mesh is graded down to a fraction of
     the smallest shifted q, q_floor + min(shifts), which each refine step
-    divides by four while adding two nodes per cell side."""
-    A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
-    B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
-    q_floor = 2.0 * np.sin(abs(theta - phi) / 4.0) ** 2
+    divides by four while adding two nodes per cell side.
+
+    shifted=True returns (plain, shifted): the second the same moments for
+    the parameters (a + 1, b + 1) at power + 2.  For a, b > -1/2 both come
+    from one rule, with the nodes of the larger family, and one power chain;
+    at an atomic axis, or within SHARED_GAP of one, they are two passes."""
+    if shifted and min(a, b) + 0.5 <= SHARED_GAP:
+        shifted_power = None if power is None else power + 2.0
+        return (
+            pair_moments(a, b, theta, phi, shifts, power, n_j, nodes, refine),
+            pair_moments(a + 1.0, b + 1.0, theta, phi, shifts, shifted_power, n_j, nodes, refine),
+        )
+    A, B, q_floor = _scales(theta, phi)
     shifts = np.asarray(shifts, dtype=float)
-    floor = max((q_floor + shifts.min()) * PANEL_FLOOR_FRAC / 4.0 ** (refine - 1), 1e-15)
-    if nodes is None:
-        nodes = nodes_for(a, b, refine)
+    floor = _grading_floor(q_floor, shifts, refine)
+    if nodes is None:  # with shifted=True, the shifted family's (the larger) count
+        nodes = nodes_for(a + 1.0, b + 1.0, refine) if shifted else nodes_for(a, b, refine)
     xu, xv, fams = corner_rule(a, b, A, B, floor, nodes)
     p = a + b + 2.0 if power is None else power
     sq = shifts[:, None] + (q_floor + A * xu + B * xv)[None, :]
     base = sq ** (-p)
-    inv = 1.0 / sq
+    inv = np.divide(1.0, sq, out=sq)  # in place: the chain keeps two (n_t, N) arrays
     out = np.empty((n_j, shifts.size, fams.shape[1]))
-    for j in range(n_j):
-        out[j] = base @ fams
-        if j + 1 < n_j:
-            base = base * inv
-    return out
+    if shifted:
+        # dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2) dPi_a(u), and 1 - u^2 =
+        # x (2 - x), so the shifted moments reweight the plain rule; their
+        # power p + 2 + j is the plain chain two steps on
+        g = (a + 1.0) / (a + 0.5) * (b + 1.0) / (b + 0.5) * (xu * (2.0 - xu)) * (xv * (2.0 - xv))
+        sfams = fams * g[:, None]
+        sout = np.empty_like(out)
+    steps = n_j + 2 if shifted else n_j
+    for j in range(steps):
+        if j < n_j:
+            out[j] = base @ fams
+        if shifted and j >= 2:
+            sout[j - 2] = base @ sfams
+        if j + 1 < steps:
+            base *= inv
+    return (out, sout) if shifted else out
 
 
 class PairHead:
@@ -253,18 +348,33 @@ class HeadKernels:
     parameter sets, built lazily.  The estimate harness takes them for its
     time head and the kernels module for its integral route.
 
-    A twin is the same unordered pair with the same times and refinement;
-    its plain and shifted moments are reused instead of recomputed."""
+    A caller that reads both families passes both=True, and their moments
+    come from one shared pass of pair_moments; otherwise each family that is
+    read makes its own pass.  A twin is the same unordered pair with the same
+    times, refinement and sharing; its moments are reused instead of
+    recomputed."""
 
-    def __init__(self, params: JacobiParams, theta, phi, t, refine=1, twin=None, nodes=None):
+    def __init__(
+        self, params: JacobiParams, theta, phi, t, refine=1, twin=None, nodes=None, both=False
+    ):
         self.params = params
         self.theta, self.phi = theta, phi
         self._t, self._refine, self._nodes = t, refine, nodes
         self._twin = twin
+        self._both = both
+
+    @cached_property
+    def _shared(self):
+        return pair_moments(
+            self.params.alpha, self.params.beta, self.theta, self.phi,
+            cosh_half_minus_one(self._t), nodes=self._nodes, refine=self._refine, shifted=True,
+        )
 
     def _head(self, params_eff, which):
         if self._twin is not None:
             m = getattr(self._twin, which).m
+        elif self._both:
+            m = self._shared[which == "shift"]
         else:
             m = pair_moments(
                 params_eff.alpha, params_eff.beta, self.theta, self.phi,

@@ -127,6 +127,36 @@ class TestKernelTable:
         for j in range(3, dk.shape[1]):
             assert np.max(np.abs(dk[:, j] - series[:, j]) / scale) < 1e-6
 
+    @pytest.mark.parametrize("route", ["series", "dk", "both"])
+    def test_route_computes_only_written_columns(self, tmp_path, monkeypatch, route):
+        """Per table of n x n points: the series route makes one series row of
+        H and H_tilde per theta; the dk route makes none and one dk H and
+        H_tilde per point; `both` adds one dk H per point and no dk H_tilde.
+        The mass column takes one series call per theta on every route."""
+        calls = {}
+        for name in ("poisson_kernel_series", "tilde_kernel", "poisson_kernel_dk_auto"):
+            inner = getattr(cli, name)
+
+            def counted(*args, _name=name, _inner=inner, **kw):
+                key = (_name, kw.get("route", "series")) if _name == "tilde_kernel" else _name
+                calls[key] = calls.get(key, 0) + 1
+                return _inner(*args, **kw)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "kernel.csv"
+        argv = ["kernel", "--route", route, "--t", "0.8", "--level", "1", "--out", str(out)]
+        assert main(argv) == 0
+        _, _, data = read_table(out)
+        n = int(round(np.sqrt(len(data))))
+        series_rows = 0 if route == "dk" else n
+        want = {
+            "poisson_kernel_series": n + series_rows,
+            ("tilde_kernel", "series"): series_rows,
+            ("tilde_kernel", "dk"): n * n if route == "dk" else 0,
+            "poisson_kernel_dk_auto": 0 if route == "series" else n * n,
+        }
+        assert {k: calls.get(k, 0) for k in want} == want
+
 
 class TestOperatorTable:
     def test_semigroup_on_input_file(self, tmp_path):

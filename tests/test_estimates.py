@@ -164,7 +164,7 @@ class TestSwapReuse:
 
     def test_block_equals_single_pairs(self, monkeypatch):
         """Both orders and a repeat in one block: bitwise the one-pair
-        results, from one moment call per unordered pair and parameter set."""
+        results, from one shared plain/shifted moment call per unordered pair."""
         batch = FamilyBatch(SKEWED, KERNEL_IDS)
         pairs = np.array(
             [[0.9, 1.7], [1.7, 0.9], [2.4, 3.0], [0.9, 1.7], [0.001, 0.002], [0.002, 0.001]]
@@ -173,7 +173,7 @@ class TestSwapReuse:
         singles = [batch.profiles(pairs[i : i + 1], slots) for i in range(len(pairs))]
         calls = self._count_moments(monkeypatch)
         prof = batch.profiles(pairs, slots)
-        assert len(calls) == 2 * 3  # plain and shifted sets, three unordered pairs
+        assert len(calls) == 3  # three unordered pairs, both sets in one pass
         for i, one in enumerate(singles):
             for key, (head, tail) in prof.items():
                 if head is not None:
@@ -182,12 +182,13 @@ class TestSwapReuse:
 
     def test_moved_pairs_share_one_call(self, monkeypatch):
         """The theta-move of (theta, phi) is the swap of the phi-move of
-        (phi, theta), so a pair and its swap need two unordered moved pairs."""
+        (phi, theta), so a pair and its swap need two unordered moved pairs;
+        each unordered pair takes one shared plain/shifted moment call."""
         batch = FamilyBatch(SKEWED, ("poisson", "poisson_reflected"))
         pairs = np.array([[0.9, 1.7], [1.7, 0.9]])
         calls = self._count_moments(monkeypatch)
         _eval_pair_block(batch, pairs, {}, ["a", "b"])
-        assert len(calls) == 2 * (1 + 2)
+        assert len(calls) == 1 + 2
 
 
 class TestRouteAgreement:

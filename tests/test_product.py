@@ -14,15 +14,19 @@ u = 1 far below the engine's floor.  It shares no code with the engine.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import gammaln, hyp2f1, roots_jacobi
 
 from symjacobi.core import JacobiParams
-from symjacobi.product import pair_moments
+from symjacobi.product import HeadKernels, pair_moments
 
 BASE_SETS = [JacobiParams(0.0, 0.0), JacobiParams(0.5, 2.0), JacobiParams(6.0, 2.0),
              JacobiParams(-0.5, 1.0)]
 PARAM_SETS = BASE_SETS + [p.shifted() for p in BASE_SETS]
+# the sets the shared plain/shifted pass serves: alpha, beta > -1/2
+SHARED_SETS = [p for p in PARAM_SETS if p.alpha > -0.5 and p.beta > -0.5]
 PAIRS = [(0.001, 0.002), (3.14, 3.1405), (1.5, 1.6), (0.3, 3.0)]
 # the head time grid's ends and two interior times
 SHIFTS = 2.0 * np.sinh(np.array([1e-8, 1e-3, 0.1, 0.5]) / 4.0) ** 2
@@ -92,3 +96,63 @@ def test_oracle_inner_forms_at_atomic_limit():
     want = oracle_moments(a, b, theta, phi, SHIFTS[1:2])
     got = pair_moments(a, b, theta, phi, SHIFTS[1:2])
     assert_allclose(got, want, rtol=1e-9)
+
+
+def _rel_err(got, want):
+    """Error relative to the constant-family moment, which bounds every
+    family since |u|, |v| <= 1."""
+    return np.max(np.abs(got - want) / want[:, :, :1])
+
+
+@pytest.mark.parametrize("params", SHARED_SETS, ids=lambda p: f"{p.alpha:g},{p.beta:g}")
+def test_shared_pass_matches_hypergeometric_oracle(params):
+    """The shared pass's shifted moments are those of (a + 1, b + 1) at the
+    power a + b + 4; both halves against the oracle within 1e-6."""
+    a, b = params.alpha, params.beta
+    for theta, phi in PAIRS:
+        plain, shifted = pair_moments(a, b, theta, phi, SHIFTS, shifted=True)
+        assert _rel_err(plain, oracle_moments(a, b, theta, phi, SHIFTS)) < 1e-6
+        err = _rel_err(shifted, oracle_moments(a + 1.0, b + 1.0, theta, phi, SHIFTS))
+        assert err < 1e-6, (theta, phi, err)
+
+
+_ab = st.floats(min_value=-0.5, max_value=8.0, exclude_min=True)
+_theta = st.floats(min_value=1e-3, max_value=np.pi - 1e-3)
+_gap = st.floats(min_value=-3.0, max_value=0.5)  # log10 |theta - phi|
+
+
+def _pair(theta, gap):
+    phi = theta + 10.0**gap
+    return (theta, phi) if phi < np.pi else (theta, theta - 10.0**gap)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=_ab, b=_ab, theta=_theta, gap=_gap)
+@example(a=6.0, b=2.0, theta=3.08514, gap=-3.0)  # a + b > 4: more nodes per side
+@example(a=8.0, b=7.5, theta=0.3, gap=-1.0)  # a + b > 10: two more
+@example(a=-0.5 + 1e-9, b=1.0, theta=1.5, gap=-2.0)  # next to the atomic axis
+def test_shared_pass_agrees_with_two_passes(a, b, theta, gap):
+    """Over (-1/2, 8]^2: the shared pass's shifted moments match the
+    separate shifted pass, and its plain moments the separate plain pass
+    (which may take fewer nodes), within 1e-6 of the constant family."""
+    theta, phi = _pair(theta, gap)
+    plain, shifted = pair_moments(a, b, theta, phi, SHIFTS, shifted=True)
+    assert _rel_err(shifted, pair_moments(a + 1.0, b + 1.0, theta, phi, SHIFTS)) < 1e-6
+    assert _rel_err(plain, pair_moments(a, b, theta, phi, SHIFTS)) < 1e-6
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(b=st.floats(min_value=-0.5, max_value=8.0), theta=_theta, gap=_gap, swap=st.booleans())
+def test_atomic_axis_takes_two_passes(b, theta, gap, swap):
+    """At alpha = -1/2 (or beta) the identity degenerates: shifted=True gives
+    the two separate passes bit for bit, and so does the head kernel."""
+    theta, phi = _pair(theta, gap)
+    a, b = (b, -0.5) if swap else (-0.5, b)
+    plain, shifted = pair_moments(a, b, theta, phi, SHIFTS, shifted=True)
+    assert np.array_equal(plain, pair_moments(a, b, theta, phi, SHIFTS))
+    assert np.array_equal(shifted, pair_moments(a + 1.0, b + 1.0, theta, phi, SHIFTS))
+    params, t = JacobiParams(a, b), np.array([1e-3, 0.3])
+    one = HeadKernels(params, theta, phi, t, both=True)
+    two = HeadKernels(params, theta, phi, t)
+    for name in ("H", "H_dt_dth", "Ht", "Ht_low_dth"):
+        assert np.array_equal(getattr(one, name)(), getattr(two, name)())
