@@ -41,7 +41,6 @@ from .estimates import (
     run_standard_ladders,
 )
 from .kernels import (
-    ConvergenceError,
     poisson_kernel_dk_auto,
     poisson_kernel_series,
     semigroup_mass,
@@ -126,57 +125,33 @@ def cmd_basis(args) -> int:
     return 0
 
 
-def _kernel_triple_dk(params, t, th, ph):
-    """DK-route values of (H, Ht, HH) at one signed point; H is even in each
-    variable and Ht odd, so the integral representation on (0, pi) extends by
-    symmetry."""
-    half = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
-    odd = np.sign(th) * np.sign(ph) * tilde_kernel(
-        params, t, abs(th), abs(ph), route="dk"
-    )
-    return half, odd, half + odd
-
-
 def cmd_kernel(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
     t = args.t
     theta = _sym_grid(args.level, size_exp=2)
     mass_rule = mu_plus_rule(params, max(args.nodes, 400))
-    mass = {
-        th: mass_rule.integrate(
-            poisson_kernel_series(params, t, abs(th), mass_rule.nodes)
-        )
+    mass = [
+        mass_rule.integrate(poisson_kernel_series(params, t, abs(th), mass_rule.nodes))
         for th in theta
-    }
+    ]
+    th, ph = np.meshgrid(theta, theta, indexing="ij")
+    if args.route == "dk":
+        # H is even in each variable and Ht odd, so the integral route on
+        # (0, pi) extends to the signed grid by symmetry
+        half = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
+        odd = np.sign(th) * np.sign(ph) * tilde_kernel(params, t, abs(th), abs(ph), route="dk")
+    else:  # one series row per theta
+        half = np.array([poisson_kernel_series(params, t, x, theta) for x in theta])
+        odd = np.array([tilde_kernel(params, t, x, theta) for x in theta])
+    cols = [th, ph, half, odd, half + odd, np.repeat(mass, theta.size).reshape(th.shape)]
     header = ["t", "theta", "phi", "H", "H_tilde", "H_full", "mass"]
     if args.route == "both":
         header.append("rel_diff")
-    rows, n_failed = [], 0
-    for th in theta:
-        if args.route != "dk":  # the dk table writes no series row
-            half = poisson_kernel_series(params, t, th, theta)
-            odd = tilde_kernel(params, t, th, theta)
-        for j, ph in enumerate(theta):
-            row = [_fmt(t), _fmt(th), _fmt(ph)]
-            try:
-                if args.route == "dk":
-                    h, o, full = _kernel_triple_dk(params, t, th, ph)
-                else:
-                    h, o, full = half[j], odd[j], half[j] + odd[j]
-                row += [_fmt(h), _fmt(o), _fmt(full), _fmt(mass[th])]
-                if args.route == "both":
-                    h_dk = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
-                    row.append(_fmt(abs(h - h_dk) / max(abs(h), 1e-300)))
-            except ConvergenceError as exc:
-                n_failed += 1
-                print(f"warning: ({th:.6g}, {ph:.6g}): {exc}", file=sys.stderr)
-                row += ["nan"] * (len(header) - len(row))
-            rows.append(row)
+        h_dk = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
+        cols.append(np.abs(half - h_dk) / np.maximum(np.abs(half), 1e-300))
+    rows = [[_fmt(t)] + [_fmt(c) for c in vals] for vals in zip(*(c.ravel() for c in cols))]
     echo = _echo_line(args, "kernel", t=_fmt(t), route=args.route)
     _write_csv(args.out, echo, header, rows)
-    if n_failed:
-        print(f"error: {n_failed} grid points failed to converge", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -616,8 +591,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=float, default=0.0, help="Jacobi parameter alpha > -1")
     common.add_argument("--beta", type=float, default=0.0, help="Jacobi parameter beta > -1")
     common.add_argument("--nmax", type=_nonnegative_int, default=16, help="largest basis index")
-    common.add_argument("--nodes", type=int, default=256, help="quadrature resolution")
-    common.add_argument("--level", type=int, default=2, help="grid refinement level")
+    common.add_argument("--nodes", type=_nonnegative_int, default=256, help="quadrature resolution")
+    common.add_argument("--level", type=_nonnegative_int, default=2, help="grid refinement level")
     common.add_argument("--seed", type=int, default=0, help="seed for sampling suites")
     common.add_argument("--out", default=None, help="output path (default stdout)")
 

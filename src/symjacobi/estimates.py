@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import JacobiParams
 from .kernels import mode_sum, q_fn, q_theta
-from .product import HeadKernels, mesh_signature, pair_moments
+from .product import HeadKernels, block_moments
 from .quadrature import ball_measure, composite_gauss
 
 ESTIMATE_IDS = (
@@ -302,6 +302,11 @@ class FamilyBatch:
             for slot in slots:
                 if slot in spec:
                     plan.append((kid, slot, spec[slot][0], spec[slot][1]))
+        # a plan reading both the plain and the reflected family takes both
+        # from one shared moment pass
+        reflected = [name.startswith("Ht") for _, _, name, _ in plan if name is not None]
+        both = any(reflected) and not all(reflected)
+        hk = HeadKernels(self.params, pairs[:, 0], pairs[:, 1], self.t_head, refine, both=both)
         out = {}
         for kid, slot, head_name, combo in plan:
             t_tail, _ = self._tail_grid_for(kid)
@@ -310,27 +315,8 @@ class FamilyBatch:
             tail = mode_sum(
                 self.params, combo[0], t_tail, pairs[:, 0], pairs[:, 1], *combo[1:]
             )
-            head = None if head_name is None else np.empty((self.t_head.size, pairs.shape[0]))
+            head = None if head_name is None else getattr(hk, head_name)()
             out[(kid, slot)] = (head, tail)
-        # a plan reading both the plain and the reflected family takes both
-        # from one shared moment pass per pair
-        reflected = [name.startswith("Ht") for _, _, name, _ in plan if name is not None]
-        both = any(reflected) and not all(reflected)
-        # the moments are symmetric in the pair, so visit the pairs sorted by
-        # (min, max): both orders of a pair, and repeats, arrive back to back
-        # and share the moments of the first one
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        prev, prev_key = None, None
-        for i in np.lexsort((hi, lo)):
-            key = (lo[i], hi[i])
-            hk = HeadKernels(
-                self.params, pairs[i, 0], pairs[i, 1], self.t_head, refine,
-                twin=prev if key == prev_key else None, both=both,
-            )
-            for kid, slot, head_name, combo in plan:
-                if head_name is not None:
-                    out[(kid, slot)][0][:, i] = getattr(hk, head_name)()
-            prev, prev_key = hk, key
         return out
 
     # -- reductions -------------------------------------------------------
@@ -454,14 +440,8 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), pref
     a = params.alpha + shift[0]
     b = params.beta + shift[1]
     power = params.alpha + params.beta + power_extra
-    zero = np.zeros(1)
-    # visit the pairs grouped by mesh, so each corner rule is built once per
-    # pass; every value still lands in its own slot
-    keys = [mesh_signature(a, b, th, ph, zero, refine) for th, ph in pairs]
-    out = np.empty(pairs.shape[0])
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        th, ph = pairs[i]
-        out[i] = pair_moments(a, b, th, ph, zero, power, n_j=1, refine=refine)[0, 0, 0]
+    out = block_moments(a, b, pairs[:, 0], pairs[:, 1], np.zeros(1), power, n_j=1, refine=refine)
+    out = out[0, 0, :, 0]
     d, mb = _ball_factors(params, pairs)
     ratios = out * mb * d**dist_power
     if prefac is not None:
@@ -545,38 +525,37 @@ def lemma_samplers(
     raise ValueError(f"unknown lemma sampler {which!r}")
 
 
-def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = None):
-    """The two quotients with constant exactly one.
+def _exact_quotients(th, ph, tht):
+    """The two exact lemma quotients, elementwise: (a) |theta - phi| phi
+    (pi - phi) and (b) theta~ phi (pi - theta~)(pi - phi), each over
+    (theta + phi)^2 (2 pi - theta - phi)^2."""
+    denom = (th + ph) ** 2 * (2.0 * np.pi - th - ph) ** 2
+    qa = np.abs(th - ph) * ph * (np.pi - ph) / denom
+    qb = tht * ph * (np.pi - tht) * (np.pi - ph) / denom
+    return qa, qb
 
-    (a) |theta - phi| phi (pi - phi) over the squared sums;
-    (b) theta~ phi (pi - theta~)(pi - phi) over the same denominator,
-    requiring 2 |theta - theta~| <= |theta - phi|.
-    """
+
+def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = None):
+    """The two quotients of _exact_quotients, with constant exactly one;
+    (b) requires 2 |theta - theta~| <= |theta - phi|."""
     if not (0.0 < theta < np.pi and 0.0 < phi < np.pi):
         raise ValueError("theta and phi must lie in (0, pi)")
     if theta_tilde is None:
         theta_tilde = theta
     if 2.0 * abs(theta - theta_tilde) > abs(theta - phi):
         raise ValueError("theta~ violates 2|theta - theta~| <= |theta - phi|")
-    denom = (theta + phi) ** 2 * (2.0 * np.pi - theta - phi) ** 2
-    qa = abs(theta - phi) * phi * (np.pi - phi) / denom
-    qb = theta_tilde * phi * (np.pi - theta_tilde) * (np.pi - phi) / denom
-    return qa, qb
+    return _exact_quotients(theta, phi, theta_tilde)
 
 
-def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0, swap: bool = False):
+def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0):
     """Vectorized sweep of both exact quotients over random admissible
     samples; returns the two reports."""
     rng = np.random.default_rng(seed)
     th = rng.uniform(0.0, np.pi, n_samples)
     ph = rng.uniform(0.0, np.pi, n_samples)
-    if swap:
-        th, ph = ph, th
     tht = th + rng.uniform(-0.5, 0.5, n_samples) * np.abs(th - ph)
     tht = np.clip(tht, 1e-12, np.pi - 1e-12)
-    denom = (th + ph) ** 2 * (2.0 * np.pi - th - ph) ** 2
-    qa = np.abs(th - ph) * ph * (np.pi - ph) / denom
-    qb = tht * ph * (np.pi - tht) * (np.pi - ph) / denom
+    qa, qb = _exact_quotients(th, ph, tht)
     ka, kb = int(np.argmax(qa)), int(np.argmax(qb))
     rep_a = EstimateReport("EstimatesA", 1, float(qa[ka]), n_samples, (th[ka], ph[ka]))
     rep_b = EstimateReport("EstimatesB", 1, float(qb[kb]), n_samples, (th[kb], ph[kb]))

@@ -22,7 +22,7 @@ double average runs on the corner-graded rule of symjacobi.product, graded
 toward u = v = 1 down to a fraction of the smallest cosh(t/2) - 1 + q, so
 small t near the diagonal is resolved by more cells, not by a finer tensor
 grid; poisson_kernel_dk_auto raises the Gauss nodes per cell until two
-counts agree.
+counts agree at each point.
 
 Also here: mode_sum, the one damped half-line mode sum behind the series
 route, the estimate tails and the derivative kernels (time derivatives and
@@ -188,11 +188,8 @@ def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
     times = np.array([float(t)])
-    vals = [
-        getattr(HeadKernels(params, th, ph, times, nodes=nodes or DK_NODES), name)()[0]
-        for th, ph in zip(theta.ravel(), phi.ravel())
-    ]
-    return np.array(vals).reshape(theta.shape)
+    head = HeadKernels(params, theta.ravel(), phi.ravel(), times, nodes=nodes or DK_NODES)
+    return getattr(head, name)()[0].reshape(theta.shape)
 
 
 def poisson_kernel_dk(params: JacobiParams, t: float, theta, phi, nodes: int | None = None):
@@ -211,25 +208,31 @@ def poisson_kernel_dk_auto(
     max_nodes: int = 32,
 ) -> np.ndarray:
     """Integral-route kernel with the Gauss nodes per cell side raised by four,
-    from four below DK_NODES, until two consecutive counts agree to rel_tol
-    elementwise.  Hitting max_nodes unconverged leaves an AccuracyWarning
-    standing."""
+    from four below DK_NODES, until two consecutive counts agree to rel_tol.
+    Convergence is per point: each point keeps the value at its own first
+    agreeing count, so it does not depend on the other points of the call.
+    Points still apart at max_nodes keep that count's value, and the call
+    leaves one AccuracyWarning standing."""
+    theta, phi = np.broadcast_arrays(
+        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    )
     n = DK_NODES - 4
-    prev = poisson_kernel_dk(params, t, theta, phi, n)
-    while True:
+    vals = poisson_kernel_dk(params, t, theta, phi, n)
+    todo = np.ones(theta.shape, dtype=bool)
+    while todo.any():
         n = min(n + 4, max_nodes)
-        vals = poisson_kernel_dk(params, t, theta, phi, n)
-        gap = np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300))
-        if gap <= rel_tol:
-            return vals
-        if n >= max_nodes:
+        new = poisson_kernel_dk(params, t, theta[todo], phi[todo], n)
+        gap = np.abs(new - vals[todo]) / np.maximum(np.abs(new), 1e-300)
+        vals[todo] = new
+        todo[todo] = ~(gap <= rel_tol)
+        if todo.any() and n >= max_nodes:
             warnings.warn(
-                f"integral route not converged to {rel_tol:.1e} at {n} nodes per cell; "
-                "avoid t -> 0 near the diagonal",
+                f"integral route not converged to {rel_tol:.1e} at {n} nodes per cell "
+                f"at {int(todo.sum())} points; avoid t -> 0 near the diagonal",
                 AccuracyWarning,
             )
-            return vals
-        prev = vals
+            break
+    return vals
 
 
 def tilde_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series", **kw):

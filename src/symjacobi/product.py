@@ -33,6 +33,12 @@ both from one rule (with the larger family's nodes) and one power chain.
 At an atomic axis a = -1/2 the factor 1 - u^2 vanishes on the atoms and
 the ratio is infinite, so there, and within SHARED_GAP of it where the
 ratio amplifies rounding, the two families take separate passes.
+
+Callers work on blocks of pairs.  block_moments is the one loop over pairs:
+it reduces a block to its unordered pairs, computes each once, in mesh order
+so that consecutive pairs share a cached rule, and expands the result back
+to the block.  PairHead and HeadKernels assemble the kernel profiles of a
+whole block from those moments, as (times, pairs) arrays.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .core import JacobiParams, total_mass
 from .quadrature import composite_gauss, gauss_jacobi_rule
 
 __all__ = [
-    "cosh_half_minus_one", "nodes_for", "mesh_signature", "corner_rule", "pair_moments",
+    "cosh_half_minus_one", "nodes_for", "corner_rule", "pair_moments", "block_moments",
     "PairHead", "HeadKernels",
 ]
 
@@ -129,14 +135,6 @@ def _signature(a, b, A, B, floor):
     if A == 0.0 or B == 0.0:
         return ku, kv, (-kv - 3 if A == 0.0 else ku + 3)
     return ku, kv, int(min(max(np.floor(np.log2(A) - np.log2(B)), -kv - 3), ku + 3))
-
-
-def mesh_signature(a, b, theta, phi, shifts, refine=1):
-    """The mesh pair_moments builds for this pair, as a hashable key: pairs
-    with equal keys (at equal a, b and nodes) share one corner rule."""
-    A, B, q_floor = _scales(theta, phi)
-    floor = _grading_floor(q_floor, np.asarray(shifts, dtype=float), refine)
-    return _signature(a, b, A, B, floor)
 
 
 def corner_rule(a: float, b: float, A: float, B: float, floor: float, nodes: int):
@@ -264,19 +262,47 @@ def pair_moments(
     return (out, sout) if shifted else out
 
 
+def block_moments(
+    a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1, shifted=False
+):
+    """pair_moments for a block of P pairs (theta[i], phi[i]), given as two
+    arrays of length P (a scalar counts as one pair): (n_j, n_t, P, 6), or
+    (plain, shifted) with shifted=True.
+
+    Each unordered pair is computed once, whatever its order or repeats in
+    the block, and the pairs are visited in mesh order, so the rules of
+    consecutive pairs come from the cache.  Pair i's slice is bitwise the
+    result of pair_moments at (theta[i], phi[i])."""
+    pairs, inverse = np.unique(
+        np.column_stack([np.minimum(theta, phi), np.maximum(theta, phi)]),
+        axis=0, return_inverse=True,
+    )
+    shifts = np.asarray(shifts, dtype=float)
+    meshes = []
+    for lo, hi in pairs:
+        A, B, q_floor = _scales(lo, hi)
+        meshes.append(_signature(a, b, A, B, _grading_floor(q_floor, shifts, refine)))
+    outs = [np.empty((n_j, shifts.size, len(pairs), 6)) for _ in range(1 + shifted)]
+    for i in sorted(range(len(pairs)), key=meshes.__getitem__):
+        m = pair_moments(a, b, *pairs[i], shifts, power, n_j, nodes, refine, shifted)
+        for out, mi in zip(outs, m if shifted else (m,)):
+            out[:, :, i] = mi
+    outs = tuple(out.take(inverse.ravel(), axis=2) for out in outs)
+    return outs if shifted else outs[0]
+
+
 class PairHead:
     """The product-formula kernel c sinh(t/2) int int (cosh(t/2) - 1 + q)^-p
-    and its time and theta/phi derivatives for one point pair, all times at
-    once, assembled from the pair's moments m.
-
-    The moments are symmetric in theta and phi, so the swapped pair can pass
-    its own in as m; only cs and sc depend on the order of the pair."""
+    and its time and theta/phi derivatives for a block of point pairs, all
+    times at once: each profile is a (times, pairs) array, assembled from the
+    block's moments m of block_moments.  Only cs and sc depend on the order
+    of a pair; the moments do not."""
 
     def __init__(self, params_eff: JacobiParams, theta, phi, t, m):
         self.p = params_eff.alpha + params_eff.beta + 2.0
         self.C = 2.0 ** (-self.p) / total_mass(params_eff)
-        self.sh = np.sinh(t / 2.0)
-        self.ch = np.cosh(t / 2.0)
+        self.sh = np.sinh(t / 2.0)[:, None]
+        self.ch = np.cosh(t / 2.0)[:, None]
         self.m = m
         self.cs = np.cos(theta / 2.0) * np.sin(phi / 2.0)
         self.sc = np.sin(theta / 2.0) * np.cos(phi / 2.0)
@@ -284,10 +310,10 @@ class PairHead:
         self.cc = np.cos(theta / 2.0) * np.cos(phi / 2.0)
 
     def value(self):
-        return self.C * self.sh * self.m[0][:, 0]
+        return self.C * self.sh * self.m[0][..., 0]
 
     def _lin(self, j, first, second):
-        return (first / 2.0) * self.m[j][:, 1] - (second / 2.0) * self.m[j][:, 2]
+        return (first / 2.0) * self.m[j][..., 1] - (second / 2.0) * self.m[j][..., 2]
 
     def _d_t_lin(self, first, second):
         return self.C * self.p * (
@@ -303,7 +329,7 @@ class PairHead:
 
     def d_t(self):
         return self.C * (
-            self.ch / 2.0 * self.m[0][:, 0] - self.p * self.sh**2 / 2.0 * self.m[1][:, 0]
+            self.ch / 2.0 * self.m[0][..., 0] - self.p * self.sh**2 / 2.0 * self.m[1][..., 0]
         )
 
     def d_t_theta(self):
@@ -314,18 +340,18 @@ class PairHead:
 
     def d_theta2(self):
         quad = (
-            self.cs**2 / 4.0 * self.m[2][:, 3]
-            - self.cs * self.sc / 2.0 * self.m[2][:, 4]
-            + self.sc**2 / 4.0 * self.m[2][:, 5]
+            self.cs**2 / 4.0 * self.m[2][..., 3]
+            - self.cs * self.sc / 2.0 * self.m[2][..., 4]
+            + self.sc**2 / 4.0 * self.m[2][..., 5]
         )
-        curv = self.ss / 4.0 * self.m[1][:, 1] + self.cc / 4.0 * self.m[1][:, 2]
+        curv = self.ss / 4.0 * self.m[1][..., 1] + self.cc / 4.0 * self.m[1][..., 2]
         return self.C * self.sh * self.p * ((self.p + 1.0) * quad - curv)
 
     def d_theta_phi(self):
-        quad = self.cs * self.sc / 4.0 * (self.m[2][:, 3] + self.m[2][:, 5]) - (
+        quad = self.cs * self.sc / 4.0 * (self.m[2][..., 3] + self.m[2][..., 5]) - (
             self.cs**2 + self.sc**2
-        ) / 4.0 * self.m[2][:, 4]
-        mixed = -self.cc / 4.0 * self.m[1][:, 1] - self.ss / 4.0 * self.m[1][:, 2]
+        ) / 4.0 * self.m[2][..., 4]
+        mixed = -self.cc / 4.0 * self.m[1][..., 1] - self.ss / 4.0 * self.m[1][..., 2]
         return self.C * self.sh * self.p * ((self.p + 1.0) * quad - mixed)
 
 
@@ -342,44 +368,36 @@ def _cstar_prime(params: JacobiParams, theta: float) -> float:
 
 
 class HeadKernels:
-    """Per-pair product-formula profiles of every kernel family's integrand
-    (H, the reflected Ht = (1/4) sin(theta) sin(phi) H^(alpha+1, beta+1), their
-    derivatives and adjoint lowerings), composed from the plain and shifted
-    parameter sets, built lazily.  The estimate harness takes them for its
-    time head and the kernels module for its integral route.
+    """Product-formula profiles of every kernel family's integrand (H, the
+    reflected Ht = (1/4) sin(theta) sin(phi) H^(alpha+1, beta+1), their
+    derivatives and adjoint lowerings) for a block of pairs (theta[i], phi[i]),
+    each a (times, pairs) array, composed from the plain and shifted parameter
+    sets, built lazily.  The estimate harness takes them for its time head and
+    the kernels module for its integral route.
 
     A caller that reads both families passes both=True, and their moments
-    come from one shared pass of pair_moments; otherwise each family that is
-    read makes its own pass.  A twin is the same unordered pair with the same
-    times, refinement and sharing; its moments are reused instead of
-    recomputed."""
+    come from one shared block_moments pass; otherwise each family that is
+    read makes its own pass.  Either way each unordered pair of the block is
+    computed once."""
 
-    def __init__(
-        self, params: JacobiParams, theta, phi, t, refine=1, twin=None, nodes=None, both=False
-    ):
+    def __init__(self, params: JacobiParams, theta, phi, t, refine=1, nodes=None, both=False):
         self.params = params
         self.theta, self.phi = theta, phi
         self._t, self._refine, self._nodes = t, refine, nodes
-        self._twin = twin
         self._both = both
+
+    def _moments(self, params_eff, shifted=False):
+        return block_moments(
+            params_eff.alpha, params_eff.beta, self.theta, self.phi, cosh_half_minus_one(self._t),
+            nodes=self._nodes, refine=self._refine, shifted=shifted,
+        )
 
     @cached_property
     def _shared(self):
-        return pair_moments(
-            self.params.alpha, self.params.beta, self.theta, self.phi,
-            cosh_half_minus_one(self._t), nodes=self._nodes, refine=self._refine, shifted=True,
-        )
+        return self._moments(self.params, shifted=True)
 
     def _head(self, params_eff, which):
-        if self._twin is not None:
-            m = getattr(self._twin, which).m
-        elif self._both:
-            m = self._shared[which == "shift"]
-        else:
-            m = pair_moments(
-                params_eff.alpha, params_eff.beta, self.theta, self.phi,
-                cosh_half_minus_one(self._t), nodes=self._nodes, refine=self._refine,
-            )
+        m = self._shared[which == "shift"] if self._both else self._moments(params_eff)
         return PairHead(params_eff, self.theta, self.phi, self._t, m)
 
     @cached_property

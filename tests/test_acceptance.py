@@ -6,7 +6,9 @@ captured output).  Criteria with stated runtime budgets measure wall time and
 include it in the line.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +57,9 @@ from symjacobi.quadrature import mu_full_rule
 BASIS_PAIRS = [(-0.5, -0.5), (0.0, 0.0), (0.5, 2.0), (3.0, -0.5)]
 KERNEL_PAIRS = [(-0.5, -0.5), (0.0, 0.0), (0.5, 2.0)]
 MN_SET = [(1, 0), (0, 1), (1, 1), (2, 1)]
+# the report of `verify --suite all --level 2 --seed 3`; a change that moves a
+# field updates this file and says why
+GOLDEN_REPORT = Path(__file__).parent / "data" / "golden_verify.json"
 
 
 def report(tag, ok, detail):
@@ -298,8 +303,10 @@ def test_ac10_verify_determinism(tmp_path):
     rc_a = main(argv + ["--out", str(a)])
     rc_b = main(argv + ["--out", str(b)])
     identical = a.read_bytes() == b.read_bytes()
-    ok = identical and rc_a == 0 and rc_b == 0
+    golden = json.loads(a.read_text()) == json.loads(GOLDEN_REPORT.read_text())
+    ok = identical and golden and rc_a == 0 and rc_b == 0
     report(
-        "AC10 verification reports byte-identical across consecutive runs",
-        ok, f"identical={identical}, exit codes {rc_a},{rc_b}, {a.stat().st_size} bytes",
+        "AC10 verification reports byte-identical across consecutive runs, equal to the golden one",
+        ok, f"identical={identical}, golden={golden}, exit codes {rc_a},{rc_b}, "
+        f"{a.stat().st_size} bytes",
     )

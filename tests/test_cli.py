@@ -42,9 +42,14 @@ class TestParsing:
             main(["transmogrify"])
         assert exc.value.code == 2
 
-    def test_negative_nmax_is_usage_error(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [["basis", "--nmax", "-1"], ["kernel", "--level", "-3"], ["verify", "--nodes", "-5"]],
+        ids=["nmax", "level", "nodes"],
+    )
+    def test_negative_count_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["basis", "--nmax", "-1"])
+            main(argv)
         assert exc.value.code == 2
 
 
@@ -130,9 +135,10 @@ class TestKernelTable:
     @pytest.mark.parametrize("route", ["series", "dk", "both"])
     def test_route_computes_only_written_columns(self, tmp_path, monkeypatch, route):
         """Per table of n x n points: the series route makes one series row of
-        H and H_tilde per theta; the dk route makes none and one dk H and
-        H_tilde per point; `both` adds one dk H per point and no dk H_tilde.
-        The mass column takes one series call per theta on every route."""
+        H and H_tilde per theta; the dk route makes none and one dk H and one
+        dk H_tilde call for the whole grid; `both` adds one dk H call for the
+        whole grid and no dk H_tilde.  The mass column takes one series call
+        per theta on every route."""
         calls = {}
         for name in ("poisson_kernel_series", "tilde_kernel", "poisson_kernel_dk_auto"):
             inner = getattr(cli, name)
@@ -152,8 +158,8 @@ class TestKernelTable:
         want = {
             "poisson_kernel_series": n + series_rows,
             ("tilde_kernel", "series"): series_rows,
-            ("tilde_kernel", "dk"): n * n if route == "dk" else 0,
-            "poisson_kernel_dk_auto": 0 if route == "series" else n * n,
+            ("tilde_kernel", "dk"): 1 if route == "dk" else 0,
+            "poisson_kernel_dk_auto": 0 if route == "series" else 1,
         }
         assert {k: calls.get(k, 0) for k in want} == want
 

@@ -209,7 +209,7 @@ class TestRouteAgreement:
         for th, ph in ((0.9, 1.7), (2.4, 3.0)):
             head = HeadKernels(params, th, ph, t)
             for name, (parity, th_op, ph_op, m_t) in checks:
-                hv = getattr(head, name)()
+                hv = getattr(head, name)()[:, 0]
                 tv = mode_sum(params, parity, t, th, ph, th_op, ph_op, m_t)[:, 0]
                 assert_allclose(hv, tv, rtol=2e-7, atol=1e-12)
 

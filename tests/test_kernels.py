@@ -169,6 +169,17 @@ class TestDKRoute:
         with pytest.warns(AccuracyWarning, match="not converged"):
             poisson_kernel_dk_auto(p, t, th, ph, rel_tol=1e-17, max_nodes=12)
 
+    def test_auto_value_does_not_depend_on_batch(self):
+        """Each point keeps the value at its own first agreeing node count:
+        a slow near-diagonal point does not drag a fast one to more nodes."""
+        p, t = JacobiParams(8.0, 7.5), 0.005
+        th, ph = np.array([1.0, 0.05]), np.array([1.001, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            block = poisson_kernel_dk_auto(p, t, th, ph)
+            single = [poisson_kernel_dk_auto(p, t, x, y) for x, y in zip(th, ph)]
+        assert np.array_equal(block, np.array(single))
+
 
 class TestSymmetrizedKernel:
     def test_decomposition(self):

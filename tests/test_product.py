@@ -20,7 +20,8 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln, hyp2f1, roots_jacobi
 
 from symjacobi.core import JacobiParams
-from symjacobi.product import HeadKernels, pair_moments
+from symjacobi import product
+from symjacobi.product import HeadKernels, block_moments, pair_moments
 
 BASE_SETS = [JacobiParams(0.0, 0.0), JacobiParams(0.5, 2.0), JacobiParams(6.0, 2.0),
              JacobiParams(-0.5, 1.0)]
@@ -156,3 +157,48 @@ def test_atomic_axis_takes_two_passes(b, theta, gap, swap):
     two = HeadKernels(params, theta, phi, t)
     for name in ("H", "H_dt_dth", "Ht", "Ht_low_dth"):
         assert np.array_equal(getattr(one, name)(), getattr(two, name)())
+
+
+# a parameter drawn on the atomic axis -1/2 or anywhere above it
+_ab_atomic = st.one_of(st.just(-0.5), st.floats(min_value=-0.5, max_value=6.0))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    a=_ab_atomic,
+    b=_ab_atomic,
+    base=st.lists(st.tuples(_theta, _gap), min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=6),
+    shifted=st.booleans(),
+    n_j=st.integers(1, 3),
+    refine=st.integers(1, 2),
+)
+def test_block_moments_equal_single_pairs(a, b, base, picks, shifted, n_j, refine):
+    """A block with swaps and repeats: pair i's slice is bitwise the single
+    pair_moments result at (theta[i], phi[i]), from one top-level
+    pair_moments call per unordered pair of the block."""
+    pairs = [_pair(*base[k % len(base)]) for k, _ in picks]
+    pairs = [(ph, th) if swap else (th, ph) for (th, ph), (_, swap) in zip(pairs, picks)]
+    theta, phi = np.array(pairs).T
+    kw = dict(n_j=n_j, refine=refine, shifted=shifted)
+    want = [pair_moments(a, b, th, ph, SHIFTS, **kw) for th, ph in pairs]
+    inner, calls, depth = product.pair_moments, [], [0]
+
+    def counted(*args, **kwargs):
+        if not depth[0]:  # the atomic-axis fallback calls pair_moments again
+            calls.append(tuple(args[2:4]))
+        depth[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    product.pair_moments = counted
+    try:
+        got = block_moments(a, b, theta, phi, SHIFTS, **kw)
+    finally:
+        product.pair_moments = inner
+    unordered = {(min(p), max(p)) for p in pairs}
+    assert sorted(calls) == sorted(unordered)
+    for g, w in zip(got if shifted else (got,), zip(*want) if shifted else (want,)):
+        assert np.array_equal(g, np.stack(w, axis=2))
