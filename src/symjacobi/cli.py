@@ -129,20 +129,19 @@ def cmd_kernel(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
     t = args.t
     theta = _sym_grid(args.level, size_exp=2)
+    # each series column is one call over an outer grid: mode rows per input, not per point
     mass_rule = mu_plus_rule(params, max(args.nodes, 400))
-    mass = [
-        mass_rule.integrate(poisson_kernel_series(params, t, abs(th), mass_rule.nodes))
-        for th in theta
-    ]
+    kern = poisson_kernel_series(params, t, np.abs(theta)[:, None], mass_rule.nodes[None, :])
+    mass = [mass_rule.integrate(row) for row in kern]
     th, ph = np.meshgrid(theta, theta, indexing="ij")
     if args.route == "dk":
         # H is even in each variable and Ht odd, so the integral route on
         # (0, pi) extends to the signed grid by symmetry
         half = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
         odd = np.sign(th) * np.sign(ph) * tilde_kernel(params, t, abs(th), abs(ph), route="dk")
-    else:  # one series row per theta
-        half = np.array([poisson_kernel_series(params, t, x, theta) for x in theta])
-        odd = np.array([tilde_kernel(params, t, x, theta) for x in theta])
+    else:
+        half = poisson_kernel_series(params, t, theta[:, None], theta[None, :])
+        odd = tilde_kernel(params, t, theta[:, None], theta[None, :])
     cols = [th, ph, half, odd, half + odd, np.repeat(mass, theta.size).reshape(th.shape)]
     header = ["t", "theta", "phi", "H", "H_tilde", "H_full", "mass"]
     if args.route == "both":
@@ -591,7 +590,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha", type=float, default=0.0, help="Jacobi parameter alpha > -1")
     common.add_argument("--beta", type=float, default=0.0, help="Jacobi parameter beta > -1")
     common.add_argument("--nmax", type=_nonnegative_int, default=16, help="largest basis index")
-    common.add_argument("--nodes", type=_nonnegative_int, default=256, help="quadrature resolution")
+    nodes_help = "quadrature resolution (silently >= 400 for kernel masses, >= 2*nmax+32 for basis)"
+    common.add_argument("--nodes", type=_nonnegative_int, default=256, help=nodes_help)
     common.add_argument("--level", type=_nonnegative_int, default=2, help="grid refinement level")
     common.add_argument("--seed", type=int, default=0, help="seed for sampling suites")
     common.add_argument("--out", default=None, help="output path (default stdout)")

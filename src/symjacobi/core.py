@@ -133,14 +133,16 @@ def jacobi_table(nmax: int, alpha: float, beta: float, x) -> np.ndarray:
     if nmax == 0:
         return out
     out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, nmax + 1):
-        a1, a2, a3, a4 = _recurrence_coeffs(k, alpha, beta)
+    # float64 array arithmetic rounds as scalar arithmetic does: eval_jacobi bitwise
+    coeffs = _recurrence_coeffs(np.arange(2, nmax + 1.0), alpha, beta)
+    for k, (a1, a2, a3, a4) in enumerate(zip(*(c.tolist() for c in coeffs)), start=2):
         out[k] = ((a2 + a3 * x) * out[k - 1] - a4 * out[k - 2]) / a1
     return out
 
 
-def _recurrence_coeffs(k: int, alpha: float, beta: float):
-    """Coefficients of a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} for k >= 2."""
+def _recurrence_coeffs(k, alpha: float, beta: float):
+    """Coefficients of a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} for k >= 2
+    (a degree or an array of degrees)."""
     s = 2.0 * k + alpha + beta
     a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
     a2 = (s - 1.0) * (alpha * alpha - beta * beta)

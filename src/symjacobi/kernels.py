@@ -132,17 +132,20 @@ def n_max_for(
 def mode_sum(
     params: JacobiParams, parity: str, t, theta, phi, th_op=0, ph_op=0, m=0, pairs=0, n_modes=None
 ) -> np.ndarray:
-    """Damped half-line mode sum, shape (len(t), len(theta)):
+    """Damped half-line mode sum, shape (len(t),) + the broadcast shape of
+    theta and phi (scalars count as one point):
 
         (1/2) sum_n (-sqrt(lam_n))^m (lam_n - lam_0)^pairs e^{-t sqrt(lam_n)}
               A_n(theta) B_n(phi)
 
-    over the "even" or "odd" family, with theta and phi paired elementwise.
-    The rows A and B come from basis.mode_table: th_op and ph_op are a
-    derivative order (0, 1 or 2), or "low" / "low1" for the odd family's
-    adjoint lowering and its first derivative.  Each pair of lowerings
-    contributes one gap factor, which `pairs` supplies.  By default the mode
-    count meets the tail bound with four extra powers at the smallest t.
+    over the "even" or "odd" family, with theta broadcast against phi.  The
+    rows A and B come from basis.mode_table, each on its own input's shape:
+    an outer grid theta[:, None], phi[None, :] costs I + J rows and no I x J
+    operand is built.  th_op and ph_op are a derivative order (0, 1 or 2),
+    or "low" / "low1" for the odd family's adjoint lowering and its first
+    derivative.  Each pair of lowerings contributes one gap factor, which
+    `pairs` supplies.  By default the mode count meets the tail bound with
+    four extra powers at the smallest t.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -161,20 +164,19 @@ def mode_sum(
         order = {"low": 0, "low1": 1}.get(op, op)
         return mode_table(params, n_modes, x, parity, order, lowered=op in ("low", "low1"))
 
-    return 0.5 * np.einsum("tn,np,np->tp", decay, rows(th_op, theta), rows(ph_op, phi))
+    return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, theta), rows(ph_op, phi))
 
 
 def poisson_kernel_series(
     params: JacobiParams, t: float, theta, phi, nmax: int | None = None
 ) -> np.ndarray:
-    """Half-kernel H_t(theta, phi) by the mode sum (series route)."""
+    """Half-kernel H_t(theta, phi) by the mode sum (series route), on the
+    broadcast shape of theta and phi; one mode_sum call, so an outer grid
+    theta[:, None], phi[None, :] builds I + J mode rows."""
     if nmax is None:
         nmax = n_max_for(params, t)
-    theta, phi = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
-    vals = mode_sum(params, "even", t, theta.ravel(), phi.ravel(), n_modes=nmax + 1)
-    return vals.reshape(theta.shape)
+    vals = mode_sum(params, "even", t, theta, phi, n_modes=nmax + 1)
+    return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
@@ -267,16 +269,11 @@ def symmetrized_kernel_mode_sum(
     the decomposition check): sum_n e^{-t sqrt(lam_{<n>})} Phi_n(theta) Phi_n(phi)."""
     if nmax is None:
         nmax = 2 * n_max_for(params, t) + 1
-    theta, phi = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
-    shape = theta.shape
     n = np.arange(nmax + 1)
     damp = np.exp(-t * np.sqrt(sym_eigenvalue(params, n)))
-    tab_th = phi_table(params, nmax, theta.ravel())
-    tab_ph = phi_table(params, nmax, phi.ravel())
-    vals = np.einsum("n,nk,nk->k", damp, tab_th, tab_ph)
-    return vals.reshape(shape)
+    tab_th = phi_table(params, nmax, theta)
+    tab_ph = phi_table(params, nmax, phi)
+    return np.einsum("n,n...,n...->...", damp, tab_th, tab_ph)
 
 
 def kernel_derivative(
@@ -314,9 +311,6 @@ def kernel_derivative(
         raise ValueError("derivative orders must be nonnegative")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    theta, phi = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
     if route == "dk":
         if m + n_delta > 1:
             raise NotImplementedError("integral route carries first-order derivatives only")
@@ -330,10 +324,8 @@ def kernel_derivative(
     # one leftover lowering is the plain derivative on the even family and
     # the adjoint lowering onto P_{n+1} on the odd family
     th_op = ("low" if parity == "odd" else 1) if odd_left else 0
-    vals = mode_sum(
-        params, parity, t, theta.ravel(), phi.ravel(), th_op, 0, m, pairs, nmax + 1
-    )
-    return vals.reshape(theta.shape)
+    vals = mode_sum(params, parity, t, theta, phi, th_op, 0, m, pairs, nmax + 1)
+    return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:

@@ -4,6 +4,7 @@ byte-level determinism of the verification reports."""
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
 from symjacobi.estimates import EstimateReport
 from symjacobi.kernels import AccuracyWarning, semigroup_mass
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_table(path):
@@ -134,11 +137,11 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("route", ["series", "dk", "both"])
     def test_route_computes_only_written_columns(self, tmp_path, monkeypatch, route):
-        """Per table of n x n points: the series route makes one series row of
-        H and H_tilde per theta; the dk route makes none and one dk H and one
-        dk H_tilde call for the whole grid; `both` adds one dk H call for the
-        whole grid and no dk H_tilde.  The mass column takes one series call
-        per theta on every route."""
+        """Per table, every column is one call over the whole grid: the series
+        route makes one series H and one series H_tilde call; the dk route
+        makes none and one dk H and one dk H_tilde call; `both` adds one dk H
+        call and no dk H_tilde.  The mass column takes one series call on
+        every route."""
         calls = {}
         for name in ("poisson_kernel_series", "tilde_kernel", "poisson_kernel_dk_auto"):
             inner = getattr(cli, name)
@@ -152,16 +155,32 @@ class TestKernelTable:
         out = tmp_path / "kernel.csv"
         argv = ["kernel", "--route", route, "--t", "0.8", "--level", "1", "--out", str(out)]
         assert main(argv) == 0
-        _, _, data = read_table(out)
-        n = int(round(np.sqrt(len(data))))
-        series_rows = 0 if route == "dk" else n
+        read_table(out)
+        series = 0 if route == "dk" else 1
         want = {
-            "poisson_kernel_series": n + series_rows,
-            ("tilde_kernel", "series"): series_rows,
+            "poisson_kernel_series": 1 + series,
+            ("tilde_kernel", "series"): series,
             ("tilde_kernel", "dk"): 1 if route == "dk" else 0,
             "poisson_kernel_dk_auto": 0 if route == "series" else 1,
         }
         assert {k: calls.get(k, 0) for k in want} == want
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("kernel_a0.5_b2_t0.2_both.csv",
+             ["--alpha", "0.5", "--beta", "2", "--t", "0.2", "--route", "both"]),
+            ("kernel_a-0.5_b-0.5_t0.5_series.csv",
+             ["--alpha", "-0.5", "--beta", "-0.5", "--t", "0.5", "--route", "series"]),
+            ("kernel_t2.0_dk.csv", ["--t", "2.0", "--route", "dk"]),
+        ],
+    )
+    def test_golden_tables(self, tmp_path, name, argv):
+        """A level-1 table of each route is byte-identical to the committed
+        reference table."""
+        out = tmp_path / name
+        assert main(["kernel", "--level", "1"] + argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
 
 
 class TestOperatorTable:

@@ -5,12 +5,16 @@ Chebyshev-case closed form and the mass identities are classical and serve as
 independent oracles.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from symjacobi.basis import mode_eigenvalues, mode_table
 from symjacobi.core import JacobiParams
 from symjacobi.kernels import (
     AccuracyWarning,
@@ -19,6 +23,7 @@ from symjacobi.kernels import (
     SupOverT,
     bnorm,
     kernel_derivative,
+    mode_sum,
     n_max_for,
     poisson_kernel_dk,
     poisson_kernel_dk_auto,
@@ -274,6 +279,118 @@ class TestKernelDerivative:
     def test_higher_dk_unimplemented(self):
         with pytest.raises(NotImplementedError):
             kernel_derivative(JacobiParams(0.0, 0.0), 1.0, 1.0, 2.0, m=1, n_delta=1, route="dk")
+
+
+def _paired_mode_sum(params, parity, t, theta, phi, th_op, ph_op, m, pairs):
+    """Reference mode sum: theta and phi broadcast and raveled to paired
+    points, mode rows built per point and contracted by one
+    "tn,np,np->tp" einsum, then shaped back."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
+    lam = mode_eigenvalues(params, n_modes, parity)
+    root = np.sqrt(lam)
+    decay = np.exp(-np.outer(t, root))
+    if m:
+        decay = decay * (-root) ** m
+    if pairs:
+        decay = decay * (lam - params.lam0) ** pairs
+
+    def rows(op, x):
+        order = {"low": 0, "low1": 1}.get(op, op)
+        low = op in ("low", "low1")
+        return mode_table(params, n_modes, x.ravel(), parity, order, lowered=low)
+
+    vals = 0.5 * np.einsum("tn,np,np->tp", decay, rows(th_op, theta), rows(ph_op, phi))
+    return vals.reshape(t.shape + theta.shape)
+
+
+def _grid(theta, phi, layout):
+    """theta and phi as an outer grid, or one of them as a scalar."""
+    theta, phi = np.array(theta), np.array(phi)
+    if layout == "outer":
+        return theta[:, None], phi[None, :]
+    if layout == "scalar_theta":
+        return float(theta[0]), phi
+    return theta, float(phi[0])
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# alpha, beta on the atomic value -1/2 or anywhere in (-0.9, 4.5), so that
+# a + b > 4 is drawn as well
+_ab_any = st.one_of(st.just(-0.5), st.floats(min_value=-0.9, max_value=4.5))
+_angles = st.lists(st.floats(min_value=-3.1, max_value=3.1), min_size=1, max_size=5)
+_layout = st.sampled_from(["outer", "scalar_theta", "scalar_phi"])
+_OPS = {"even": [0, 1, 2], "odd": [0, 1, 2, "low", "low1"]}
+_parity_ops = st.sampled_from(["even", "odd"]).flatmap(
+    lambda par: st.tuples(st.just(par), st.sampled_from(_OPS[par]), st.sampled_from(_OPS[par]))
+)
+
+
+class TestBroadcasting:
+    """The series entry points broadcast theta against phi and build mode rows
+    per input, bitwise equal to the paired call on the raveled grid."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        a=_ab_any, b=_ab_any, t=st.lists(st.floats(0.3, 2.0), min_size=1, max_size=2),
+        theta=_angles, phi=_angles, layout=_layout, ops=_parity_ops,
+        m=st.integers(0, 1), pairs=st.integers(0, 1),
+    )
+    @example(a=3.0, b=2.5, t=[0.3], theta=[0.2, 3.0], phi=[1.0, -2.9, 0.4],
+             layout="outer", ops=("odd", "low1", 2), m=1, pairs=1)
+    @example(a=-0.5, b=-0.5, t=[0.5, 2.0], theta=[1.1, -0.3], phi=[2.0],
+             layout="scalar_theta", ops=("even", 2, 1), m=0, pairs=1)
+    def test_mode_sum_equals_paired_call(self, a, b, t, theta, phi, layout, ops, m, pairs):
+        p = JacobiParams(a, b)
+        parity, th_op, ph_op = ops
+        th, ph = _grid(theta, phi, layout)
+        got = mode_sum(p, parity, t, th, ph, th_op, ph_op, m, pairs)
+        assert _same_bits(got, _paired_mode_sum(p, parity, t, th, ph, th_op, ph_op, m, pairs))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        a=_ab_any, b=_ab_any, t=st.floats(0.3, 2.0), theta=_angles, phi=_angles,
+        layout=_layout, m=st.integers(0, 1), n_delta=st.integers(0, 3),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    @example(a=3.0, b=2.5, t=0.3, theta=[0.2, 3.0], phi=[1.0, -2.9, 0.4],
+             layout="outer", m=1, n_delta=3, parity="odd")
+    def test_series_entry_points_equal_paired_call(
+        self, a, b, t, theta, phi, layout, m, n_delta, parity
+    ):
+        p = JacobiParams(a, b)
+        th, ph = _grid(theta, phi, layout)
+        shape = np.broadcast_shapes(np.shape(th), np.shape(ph))
+        flat = [x.ravel() for x in np.broadcast_arrays(th, ph)]
+        for f in (
+            lambda x, y: poisson_kernel_series(p, t, x, y),
+            lambda x, y: tilde_kernel(p, t, x, y),
+            lambda x, y: kernel_derivative(p, t, x, y, m=m, n_delta=n_delta, parity=parity),
+            lambda x, y: symmetrized_kernel_mode_sum(p, t, x, y),
+        ):
+            assert _same_bits(f(th, ph), f(*flat).reshape(shape))
+
+    def test_outer_grid_builds_no_grid_sized_rows(self):
+        """The mass column of `symjacobi kernel` (7 thetas x 400 nodes) peaks
+        below three (n_modes, 400) float64 tables: rows are built per theta
+        and per node, not per grid point."""
+        p, t = JacobiParams(0.5, 2.0), 0.2
+        nodes = mu_plus_rule(p, 400).nodes
+        th = np.linspace(0.1, 3.0, 7)
+        table_bytes = (n_max_for(p, t) + 1) * nodes.size * 8
+        poisson_kernel_series(p, t, th[:, None], nodes[None, :])
+        tracemalloc.start()
+        try:
+            poisson_kernel_series(p, t, th[:, None], nodes[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table_bytes
 
 
 class TestBNorm:
