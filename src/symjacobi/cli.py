@@ -453,7 +453,9 @@ def _suite_estimates(args):
     return entries, failures
 
 
-def _ap_ladder(weight, params, depths, stability=STABILITY_THRESHOLD):
+def _ap_ladder(weight, params, level, stability=STABILITY_THRESHOLD):
+    """A_p constants at dyadic depths 3, 4, ...: level + 2 depths, at least four."""
+    depths = range(3, 3 + max(level + 2, 4))
     sups = [ap_constant(weight, params, weight.p, n) for n in depths]
     verdict = ladder_verdict(sups, stability, AP_DIVERGENCE_FACTOR)
     levels = [_level_dict(n, s, []) for n, s in zip(depths, sups)]
@@ -470,9 +472,8 @@ def _suite_ap(args):
         (WeightSpec(da / 2.0, -db / 2.0, p), "stable"),
         (WeightSpec(da * (p - 1.0) + max(da / 4.0, 0.5), 0.0, p), "diverging"),
     ]
-    depths = range(3, 3 + max(args.level + 2, 4))
     for weight, expected in probes:
-        levels, verdict = _ap_ladder(weight, params, depths)
+        levels, verdict = _ap_ladder(weight, params, args.level)
         eid = "Muckenhoupt"
         if verdict != expected:
             failures.append(
@@ -548,8 +549,7 @@ def cmd_ap_check(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
     weight = WeightSpec(args.r, args.s, args.p)
     member = ap_member(weight, params)
-    depths = range(3, 3 + max(args.level + 2, 4))
-    levels, verdict = _ap_ladder(weight, params, depths)
+    levels, verdict = _ap_ladder(weight, params, args.level)
     print(
         f"A_p ladder for |sin(theta/2)|^{args.r:g} cos(theta/2)^{args.s:g}, "
         f"p={args.p:g}, alpha={args.alpha:g}, beta={args.beta:g}"

@@ -195,7 +195,8 @@ def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     tab = jacobi_table(nmax, params.alpha, params.beta, np.cos(theta))
     c = np.asarray(norm_const(params, np.arange(nmax + 1)))
-    return tab * c.reshape((nmax + 1,) + (1,) * theta.ndim)
+    tab *= c.reshape((nmax + 1,) + (1,) * theta.ndim)
+    return tab
 
 
 def eval_trig_poly_deriv(params: JacobiParams, n: int, theta) -> np.ndarray:

@@ -258,7 +258,9 @@ STOCK_ATOMS = (np.array([0.4, 1.1, 2.7]), np.array([0.6, -0.3, 0.4]))
 class FamilyBatch:
     """Shared evaluator: computes the needed profiles for several kernel
     families in one pass per point pair, so the expensive product-rule
-    moments are built once and reused by every assembly."""
+    moments are built once and reused by every assembly.  values() reduces
+    them to every per-pair quantity the ladders read, at the working or at a
+    doubled quadrature resolution."""
 
     def __init__(
         self,
@@ -319,11 +321,9 @@ class FamilyBatch:
             out[(kid, slot)] = (head, tail)
         return out
 
-    # -- reductions -------------------------------------------------------
-
-    def _reduce(self, kid, head, tail, signed=False):
-        """Profile pair -> per-pair norm (or signed integral for scalars).
-        For sup kernels also returns the argmax times."""
+    def _reduce(self, kid, head, tail):
+        """Profile pair -> per-pair B-norm (the absolute integral for scalar
+        kernels).  For sup kernels also returns the argmax times."""
         spec = _FAMILY[kid]
         kind = spec["kind"]
         if kind == "sup":
@@ -341,44 +341,60 @@ class FamilyBatch:
             vals = (self.w_head * self.t_head**pw) @ head + (
                 self.w_tail * self.t_tail**pw
             ) @ tail
-            return (vals if signed else np.abs(vals)), None
+            return np.abs(vals), None
         if kind == "mult":
             ph = self.profile.fn
             vals = -((self.w_head * ph(self.t_head)) @ head) - (
                 (self.w_mult * ph(self.t_mult)) @ tail
             )
-            return (vals if signed else np.abs(vals)), None
+            return np.abs(vals), None
         if kind == "atoms":
-            vals = self.atoms[1] @ tail
-            return (vals if signed else np.abs(vals)), None
+            return np.abs(self.atoms[1] @ tail), None
         raise RuntimeError(f"unknown kind {kind!r}")
 
-    def norms(self, pairs: np.ndarray, refine: int = 1) -> dict:
-        """kernel_id -> (per-pair B-norm, argmax times or None)."""
-        prof = self.profiles(pairs, ("F",), refine)
-        return {kid: self._reduce(kid, *prof[(kid, "F")]) for kid in self.kernel_ids}
-
-    def gradients(self, pairs: np.ndarray, refine: int = 1) -> dict:
-        """kernel_id -> per-pair |d_theta K| + |d_phi K| (scalar kernels)."""
-        ids = [k for k in self.kernel_ids if "Gth" in _FAMILY[k]]
-        prof = self.profiles(pairs, ("Gth", "Gph"), refine)
-        out = {}
-        for kid in ids:
-            gth, _ = self._reduce(kid, *prof[(kid, "Gth")])
-            gph, _ = self._reduce(kid, *prof[(kid, "Gph")])
-            out[kid] = gth + gph
-        return out
-
-    def diff_norms(self, prof1: dict, prof2: dict) -> dict:
-        """kernel_id -> B-norm of the profile difference (vector kernels)."""
+    def values(self, pairs: np.ndarray, refine: int = 1) -> dict:
+        """Every per-pair quantity of the ladders, (quantity, kernel_id) ->
+        array over the pairs: "norm" is the B-norm (signless), "tstar" its
+        argmax time (sup kernels only), "grad" |d_theta K| + |d_phi K|
+        (scalar kernels), and "smth" / "smph" the B-norm of K(theta, phi)
+        minus K at the theta- or phi-moved point of _smoothness_pairs
+        (vector kernels; nan where the moved point leaves (0, pi))."""
+        pairs = np.atleast_2d(pairs)
+        sca_ids = [k for k in self.kernel_ids if "Gth" in _FAMILY[k]]
+        vec_ids = [k for k in self.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
+        prof = self.profiles(pairs, ("F", "Gth", "Gph") if sca_ids else ("F",), refine)
         out = {}
         for kid in self.kernel_ids:
-            if _FAMILY[kid]["kind"] not in ("sup", "l2"):
-                continue
-            h1, t1 = prof1[(kid, "F")]
-            h2, t2 = prof2[(kid, "F")]
-            norms, _ = self._reduce(kid, h1 - h2, t1 - t2)
-            out[kid] = norms
+            out[("norm", kid)], tstar = self._reduce(kid, *prof[(kid, "F")])
+            if tstar is not None:
+                out[("tstar", kid)] = tstar
+        for kid in sca_ids:
+            gth, _ = self._reduce(kid, *prof[(kid, "Gth")])
+            gph, _ = self._reduce(kid, *prof[(kid, "Gph")])
+            out[("grad", kid)] = gth + gph
+        if not vec_ids:
+            return out
+        # the theta-move of (theta, phi) is the swap of the phi-move of
+        # (phi, theta), so both moved sets go through one profiles call
+        th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
+        moved = np.vstack([
+            np.column_stack([th_moved[ok_th], pairs[ok_th, 1]]),
+            np.column_stack([pairs[ok_ph, 0], ph_moved[ok_ph]]),
+        ])
+        alt = self.profiles(moved, ("F",), refine) if moved.shape[0] else None
+        n_th = int(ok_th.sum())
+        for tag, ok, cols in (
+            ("smth", ok_th, slice(0, n_th)), ("smph", ok_ph, slice(n_th, None))
+        ):
+            for kid in vec_ids:
+                diff = np.full(pairs.shape[0], np.nan)
+                if ok.any():
+                    h1, t1 = prof[(kid, "F")]
+                    h2, t2 = alt[(kid, "F")]
+                    diff[ok], _ = self._reduce(
+                        kid, h1[:, ok] - h2[:, cols], t1[:, ok] - t2[:, cols]
+                    )
+                out[(tag, kid)] = diff
         return out
 
 
@@ -708,59 +724,6 @@ def _assert_monotone(sups, label):
             )
 
 
-def _eval_pair_block(batch, pairs, cache, keys):
-    """Evaluate all per-pair quantities for new grid points and store them.
-
-    Per kernel: the B-norm (with argmax time for sup norms), the gradient
-    sum for scalar kernels, and the moved-point difference norms for vector
-    kernels (nan when the moved point leaves (0, pi))."""
-    sca_ids = [k for k in batch.kernel_ids if "Gth" in _FAMILY[k]]
-    vec_ids = [k for k in batch.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
-    slots = ("F", "Gth", "Gph") if sca_ids else ("F",)
-    prof = batch.profiles(pairs, slots)
-    vals = {}
-    for kid in batch.kernel_ids:
-        vals[("norm", kid)], tmax = batch._reduce(kid, *prof[(kid, "F")])
-        vals[("tstar", kid)] = tmax
-    for kid in sca_ids:
-        gth, _ = batch._reduce(kid, *prof[(kid, "Gth")])
-        gph, _ = batch._reduce(kid, *prof[(kid, "Gph")])
-        vals[("grad", kid)] = gth + gph
-    if vec_ids:
-        # the theta-move of (theta, phi) is the swap of the phi-move of
-        # (phi, theta), so both moved sets go through one profiles call
-        th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
-        alt = np.vstack([
-            np.column_stack([th_moved[ok_th], pairs[ok_th, 1]]),
-            np.column_stack([pairs[ok_ph, 0], ph_moved[ok_ph]]),
-        ])
-        alt_prof = batch.profiles(alt, ("F",)) if alt.shape[0] else None
-        n_th = int(ok_th.sum())
-        for tag, ok, cols in (
-            ("smth", ok_th, slice(0, n_th)), ("smph", ok_ph, slice(n_th, None))
-        ):
-            for kid in vec_ids:
-                vals[(tag, kid)] = np.full(pairs.shape[0], np.nan)
-            if not ok.any():
-                continue
-            base_sub = {
-                key: (h[:, ok] if h is not None else None, t[:, ok])
-                for key, (h, t) in prof.items()
-                if key[1] == "F"
-            }
-            alt_sub = {
-                key: (h[:, cols] if h is not None else None, t[:, cols])
-                for key, (h, t) in alt_prof.items()
-            }
-            diffs = batch.diff_norms(base_sub, alt_sub)
-            for kid in vec_ids:
-                vals[(tag, kid)][ok] = diffs[kid]
-    for i, key in enumerate(keys):
-        cache[key] = {
-            q: (v[i] if v is not None else None) for q, v in vals.items()
-        }
-
-
 def run_standard_ladders(
     params: JacobiParams,
     kernel_ids=KERNEL_IDS,
@@ -774,105 +737,70 @@ def run_standard_ladders(
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
     The level grids are nested with bitwise-identical coordinates, so each
-    pair is evaluated once and reused by every level containing it.  One
-    level gives the single-level check:
+    level evaluates only its new pairs with FamilyBatch.values and appends
+    them to per-quantity arrays; a level's reports read those arrays through
+    one index array.  Each argmax value must reproduce at doubled quadrature
+    resolution: per kernel and level, the argmax pairs not refined before go
+    through one FamilyBatch.values(..., refine=2) call of a single-kernel
+    batch.  One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
     batch = FamilyBatch(params, kernel_ids, profile=profile, atoms=atoms)
     ones = {
         kid: FamilyBatch(params, (kid,), profile=profile, atoms=atoms)
         for kid in batch.kernel_ids
     }
-    vec_ids = [k for k in batch.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
-    cache, checked, collected = {}, set(), {}
-
-    def fetch(q, kid, keys):
-        out = np.empty(len(keys))
-        for i, key in enumerate(keys):
-            v = cache[key][(q, kid)]
-            out[i] = np.nan if v is None else v
-        return out
-
-    def reproduce(kind, kid, pair, value, compute):
-        mark = (kind, kid, pair.tobytes())
-        if mark in checked:
-            return
-        _reproduce_or_raise(value, compute(), REPRODUCE_TOL, f"{kind}[{kid}]")
-        checked.add(mark)
+    # pairs as complex keys theta + i phi, in the order of the stored values
+    known, store = np.empty(0, complex), {}
+    refined = {kid: {} for kid in batch.kernel_ids}
+    collected = {}
 
     for level in levels:
         pairs = pair_grid(level)
-        keys = [row.tobytes() for row in pairs]
-        new = [i for i, key in enumerate(keys) if key not in cache]
-        if new:
-            _eval_pair_block(batch, pairs[new], cache, [keys[i] for i in new])
+        keys = pairs[:, 0] + 1j * pairs[:, 1]
+        new = ~np.isin(keys, known)
+        if new.any():
+            fresh = batch.values(pairs[new])
+            store = {q: np.concatenate([store.get(q, ()), v]) for q, v in fresh.items()}
+            known = np.concatenate([known, keys[new]])
+        order = np.argsort(known)
+        at = order[np.searchsorted(known, keys, sorter=order)]
+        vals = {q: v[at] for q, v in store.items()}
         d, mb = _ball_factors(params, pairs)
+        th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
+        n = pairs.shape[0]
 
         for kid in batch.kernel_ids:
-            one = ones[kid]
-            norms = fetch("norm", kid, keys)
-            ratios = norms * mb
-            k = int(np.argmax(ratios))
-            reproduce(
-                "growth", kid, pairs[k], norms[k],
-                lambda: one.norms(pairs[k : k + 1], refine=2)[kid][0][0],
-            )
-            tstar = cache[keys[k]][("tstar", kid)]
-            arg = (
-                (pairs[k, 0], pairs[k, 1])
-                if tstar is None
-                else (pairs[k, 0], pairs[k, 1], tstar)
-            )
-            collected.setdefault((kid, "Growth"), []).append(
-                EstimateReport("Growth", level, float(ratios[k]), pairs.shape[0], arg)
-            )
-            if "Gth" in _FAMILY[kid]:
-                grads = fetch("grad", kid, keys)
-                ratios = grads * d * mb
-                k = int(np.argmax(ratios))
-                reproduce(
-                    "gradient", kid, pairs[k], grads[k],
-                    lambda: one.gradients(pairs[k : k + 1], refine=2)[kid][0],
-                )
-                collected.setdefault((kid, "Gradient"), []).append(
-                    EstimateReport(
-                        "Gradient", level, float(ratios[k]), pairs.shape[0],
-                        (pairs[k, 0], pairs[k, 1]),
-                    )
-                )
-
-        if vec_ids:
-            th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
-            for tag, eid, moved, ok in (
-                ("smth", "SmoothTheta", th_moved, ok_th),
-                ("smph", "SmoothPhi", ph_moved, ok_ph),
-            ):
-                sep = np.abs(
-                    (moved - pairs[:, 0]) if tag == "smth" else (moved - pairs[:, 1])
-                )
-                for kid in vec_ids:
-                    diffs = fetch(tag, kid, keys)
+            # (estimate_id, quantity, ratios, sample count) per ladder
+            ladders = [("Growth", "norm", vals[("norm", kid)] * mb, n)]
+            if ("grad", kid) in vals:
+                ladders.append(("Gradient", "grad", vals[("grad", kid)] * d * mb, n))
+            if ("smth", kid) in vals:
+                for eid, q, moved, ok, col in (
+                    ("SmoothTheta", "smth", th_moved, ok_th, 0),
+                    ("SmoothPhi", "smph", ph_moved, ok_ph, 1),
+                ):
+                    sep = np.abs(moved - pairs[:, col])
                     with np.errstate(invalid="ignore"):
-                        ratios = np.where(ok, diffs * d * mb / sep, -np.inf)
-                    k = int(np.argmax(ratios))
-                    alt = (
-                        np.array([[moved[k], pairs[k, 1]]])
-                        if tag == "smth"
-                        else np.array([[pairs[k, 0], moved[k]]])
-                    )
-                    one = ones[kid]
+                        ratios = np.where(ok, vals[(q, kid)] * d * mb / sep, -np.inf)
+                    ladders.append((eid, q, ratios, int(ok.sum())))
+            argmax = [int(np.argmax(ratios)) for _, _, ratios, _ in ladders]
 
-                    def _ref(one=one, kid=kid, k=k, alt=alt):
-                        p1 = one.profiles(pairs[k : k + 1], ("F",), refine=2)
-                        p2 = one.profiles(alt, ("F",), refine=2)
-                        return one.diff_norms(p1, p2)[kid][0]
-
-                    reproduce(f"smooth-{tag}", kid, pairs[k], diffs[k], _ref)
-                    collected.setdefault((kid, eid), []).append(
-                        EstimateReport(
-                            eid, level, float(ratios[k]), int(ok.sum()),
-                            (pairs[k, 0], pairs[k, 1]),
-                        )
-                    )
+            memo = refined[kid]
+            todo = [k for k in dict.fromkeys(argmax) if keys[k] not in memo]
+            if todo:
+                ref = ones[kid].values(pairs[todo], refine=2)
+                for j, k in enumerate(todo):
+                    memo[keys[k]] = {q: v[j] for q, v in ref.items()}
+            for (eid, q, ratios, count), k in zip(ladders, argmax):
+                _reproduce_or_raise(
+                    vals[(q, kid)][k], memo[keys[k]][(q, kid)], REPRODUCE_TOL, f"{eid}[{kid}]"
+                )
+                arg = (pairs[k, 0], pairs[k, 1])
+                if eid == "Growth" and ("tstar", kid) in vals:
+                    arg += (vals[("tstar", kid)][k],)
+                collected.setdefault((kid, eid), []).append(
+                    EstimateReport(eid, level, float(ratios[k]), count, arg)
+                )
 
     out = {}
     for key, reports in collected.items():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symjacobi import product
+from symjacobi import estimates, product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -24,7 +24,6 @@ from symjacobi.estimates import (
     WeightSpec,
     _assert_monotone,
     _dyadic_log,
-    _eval_pair_block,
     _FAMILY,
     _nested_samples,
     _reproduce_or_raise,
@@ -187,7 +186,7 @@ class TestSwapReuse:
         batch = FamilyBatch(SKEWED, ("poisson", "poisson_reflected"))
         pairs = np.array([[0.9, 1.7], [1.7, 0.9]])
         calls = self._count_moments(monkeypatch)
-        _eval_pair_block(batch, pairs, {}, ["a", "b"])
+        batch.values(pairs)
         assert len(calls) == 1 + 2
 
 
@@ -217,8 +216,8 @@ class TestRouteAgreement:
         batch = FamilyBatch(SKEWED, ("poisson", "riesz_odd"))
         pairs = np.array([[1.1, 1.9], [2.9, 3.05]])
         for kid in ("poisson", "riesz_odd"):
-            n1, _ = batch.norms(pairs)[kid]
-            n2, _ = batch.norms(pairs, refine=2)[kid]
+            n1 = batch.values(pairs)[("norm", kid)]
+            n2 = batch.values(pairs, refine=2)[("norm", kid)]
             assert_allclose(n1, n2, rtol=1e-6)
 
 
@@ -314,8 +313,8 @@ class TestChecksSmoke:
         pairs = np.array([[1.0, 2.1]])
         b1 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_SIGN)
         b2 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_ONE)
-        n1, _ = b1.norms(pairs)["multiplier_laplace"]
-        n2, _ = b2.norms(pairs)["multiplier_laplace"]
+        n1 = b1.values(pairs)[("norm", "multiplier_laplace")]
+        n2 = b2.values(pairs)[("norm", "multiplier_laplace")]
         assert abs(n1[0] - n2[0]) > 1e-12
         # the constant profile telescopes to H(t_lo) - H(t_hi); at the
         # critical parameters the bottom eigenvalue is zero, so what remains
@@ -328,6 +327,43 @@ class TestChecksSmoke:
         assert rep.empirical_sup > 0.0
         stock = single_level("multiplier_laplace", ATOMIC, 1)["Growth"]
         assert rep.empirical_sup != stock.empirical_sup
+
+
+class TestLadderStore:
+    """The ladders keep per-pair values across levels and refine the argmax
+    pairs of each kernel in one batch per level."""
+
+    def test_level_reports_independent_of_earlier_levels(self):
+        """The value store reuses pairs of earlier levels, so a level's
+        reports must be bitwise those of a run at that level alone."""
+        both = run_standard_ladders(ATOMIC, levels=(1, 2))
+        alone = run_standard_ladders(ATOMIC, levels=(2,))
+        assert both.keys() == alone.keys()
+        for key, lad in both.items():
+            assert lad.reports[1] == alone[key].reports[0]
+
+    def test_refined_checks_raise_on_drift(self, monkeypatch):
+        monkeypatch.setattr(estimates, "REPRODUCE_TOL", -1.0)
+        with pytest.raises(EstimateAccuracyError):
+            run_standard_ladders(ATOMIC, ("poisson",), levels=(1,))
+
+    def test_refined_checks_batched_per_kernel_and_level(self, monkeypatch):
+        """At most two refine-2 profiles calls (the pairs and their moved
+        points) per kernel per level, each on a single-kernel batch."""
+        calls = []
+        inner = FamilyBatch.profiles
+
+        def counted(self, pairs, slots=("F",), refine=1):
+            if refine == 2:
+                calls.append(self.kernel_ids)
+            return inner(self, pairs, slots, refine)
+
+        monkeypatch.setattr(FamilyBatch, "profiles", counted)
+        kids, levels = ("poisson", "riesz_odd"), (1, 2)
+        run_standard_ladders(ATOMIC, kids, levels=levels)
+        assert calls and set(calls) <= {(kid,) for kid in kids}
+        for kid in kids:
+            assert 0 < calls.count((kid,)) <= 2 * len(levels)
 
 
 class TestLemmaSamplers:
