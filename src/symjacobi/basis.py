@@ -124,33 +124,57 @@ def mode_table(
         if order or lowered:
             raise ValueError("derivative and lowered rows need a half-line parity")
         return phi_table(params, n_modes - 1, theta)
-    if order not in (0, 1, 2):
-        raise ValueError(f"unsupported derivative order {order}")
-    if lowered:
-        if parity != "odd":
-            raise ValueError("lowered rows are defined for the odd family only")
-        fac = -np.sqrt(mode_eigenvalues(params, n_modes, "odd") - params.lam0)
-        rows = mode_table(params, n_modes + 1, theta, "even", order)[1:]
-        return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
-    if parity == "even":
+    return ModeRows(theta)(params, n_modes, parity, order, lowered)
+
+
+class ModeRows:
+    """The half-line rows of mode_table at one coordinate array.  Every table
+    comes from the normalized polynomial tables (the even rows of order 0),
+    and those are built once per parameter set and kept: row n does not
+    depend on how many rows are built, so a request for fewer modes reads
+    the leading rows of a longer table, and each is built `headroom` modes
+    longer than its first request, for the one or two more modes that a
+    lowering asks of it.  The other tables are a few products of these and
+    are built per request, so the store holds only polynomial tables."""
+
+    def __init__(self, theta, headroom: int = 0):
+        self.theta = np.asarray(theta, dtype=float)
+        self.headroom = headroom
+        self._polys = {}
+
+    def __call__(self, params: JacobiParams, n_modes: int, parity: str, order=0, lowered=False):
+        theta = self.theta
+        if order not in (0, 1, 2):
+            raise ValueError(f"unsupported derivative order {order}")
+        if lowered:
+            if parity != "odd":
+                raise ValueError("lowered rows are defined for the odd family only")
+            fac = -np.sqrt(mode_eigenvalues(params, n_modes, "odd") - params.lam0)
+            rows = self(params, n_modes + 1, "even", order)[1:]
+            return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
+        if parity == "even":
+            if order == 0:
+                table = self._polys.get(params)
+                if table is None or table.shape[0] < n_modes:
+                    table = trig_poly_table(params, n_modes + self.headroom - 1, theta)
+                    self._polys[params] = table
+                return table[:n_modes]
+            n = np.arange(n_modes)
+            fac = -0.5 * np.sqrt(n * (n + params.alpha + params.beta + 1.0))
+            rows = np.zeros((n_modes,) + theta.shape)
+            if n_modes > 1:
+                rows[1:] = 2.0 * self(params, n_modes - 1, "odd", order - 1)
+            return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
+        # odd family (1/2) sin(theta) P^{+1}_n, differentiated by the product rule
+        base = self(params.shifted(), n_modes, "even")
+        sin, cos = np.sin(theta), np.cos(theta)
         if order == 0:
-            return trig_poly_table(params, n_modes - 1, theta)
-        n = np.arange(n_modes)
-        fac = -0.5 * np.sqrt(n * (n + params.alpha + params.beta + 1.0))
-        rows = np.zeros((n_modes,) + theta.shape)
-        if n_modes > 1:
-            rows[1:] = 2.0 * mode_table(params, n_modes - 1, theta, "odd", order - 1)
-        return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
-    # odd family (1/2) sin(theta) P^{+1}_n, differentiated by the product rule
-    base = trig_poly_table(params.shifted(), n_modes - 1, theta)
-    sin, cos = np.sin(theta), np.cos(theta)
-    if order == 0:
-        return 0.5 * sin * base
-    dbase = mode_table(params.shifted(), n_modes, theta, "even", 1)
-    if order == 1:
-        return 0.5 * (cos * base + sin * dbase)
-    d2base = mode_table(params.shifted(), n_modes, theta, "even", 2)
-    return 0.5 * (-sin * base + 2.0 * cos * dbase + sin * d2base)
+            return 0.5 * sin * base
+        dbase = self(params.shifted(), n_modes, "even", 1)
+        if order == 1:
+            return 0.5 * (cos * base + sin * dbase)
+        d2base = self(params.shifted(), n_modes, "even", 2)
+        return 0.5 * (-sin * base + 2.0 * cos * dbase + sin * d2base)
 
 
 def analyze(params: JacobiParams, f, nmax: int, nodes: int | None = None) -> np.ndarray:

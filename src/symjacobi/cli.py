@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -37,7 +38,7 @@ from .estimates import (
     ap_member,
     exact_lemma_report,
     ladder_verdict,
-    lemma_samplers,
+    lemma_levels,
     run_standard_ladders,
 )
 from .kernels import (
@@ -438,7 +439,7 @@ def _suite_estimates(args):
         if which in PRODUCT_LEMMA_IDS and not params.kernel_valid:
             entries.append(_skipped_entry(which))
             continue
-        reports = [lemma_samplers(params, which, lv) for lv in levels]
+        reports = lemma_levels(params, which, levels)
         verdict = ladder_verdict([r.empirical_sup for r in reports])
         entries.append(_ladder_entry(which, reports, verdict, failures, **thresholds))
 
@@ -585,7 +586,10 @@ def _nonnegative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, default=0.0, help="Jacobi parameter alpha > -1")
     common.add_argument("--beta", type=float, default=0.0, help="Jacobi parameter beta > -1")

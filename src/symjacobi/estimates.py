@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiParams
-from .kernels import mode_sum, q_fn, q_theta
+from .basis import ModeRows
+from .kernels import mode_sum_rows, q_fn, q_theta
 from .product import HeadKernels, block_moments
 from .quadrature import ball_measure, composite_gauss
 
@@ -65,6 +66,11 @@ NODES_PER_TIME_PANEL = 4
 STABILITY_THRESHOLD = 0.05
 DIVERGENCE_FACTOR = 2.0
 REPRODUCE_TOL = 1e-6
+# samples per chunk of the exact-lemma sweep
+EXACT_CHUNK = 1 << 16
+# extra modes of the polynomial tables the tails share: a lowering reads one
+# mode more than its sum, a second derivative two fewer
+ROW_HEADROOM = 3
 
 
 class EstimateAccuracyError(RuntimeError):
@@ -258,9 +264,10 @@ STOCK_ATOMS = (np.array([0.4, 1.1, 2.7]), np.array([0.6, -0.3, 0.4]))
 class FamilyBatch:
     """Shared evaluator: computes the needed profiles for several kernel
     families in one pass per point pair, so the expensive product-rule
-    moments are built once and reused by every assembly.  values() reduces
-    them to every per-pair quantity the ladders read, at the working or at a
-    doubled quadrature resolution."""
+    moments are built once and reused by every assembly, and the mode-sum
+    tails of a pass share their mode-row tables (basis.ModeRows), each built
+    once.  values() reduces them to every per-pair quantity the ladders read,
+    at the working or at a doubled quadrature resolution."""
 
     def __init__(
         self,
@@ -297,26 +304,27 @@ class FamilyBatch:
     def profiles(self, pairs: np.ndarray, slots=("F",), refine: int = 1) -> dict:
         """dict (kernel_id, slot) -> (head (nt1, P), tail (nt2, P)); atomic
         entries hold (None, values at the atom times)."""
-        pairs = np.atleast_2d(pairs)
+        return self._profiles(np.atleast_2d(pairs), self.kernel_ids, slots, refine)
+
+    def _profiles(self, pairs, kernel_ids, slots, refine):
         plan = []
-        for kid in self.kernel_ids:
+        for kid in kernel_ids:
             spec = _FAMILY[kid]
             for slot in slots:
                 if slot in spec:
-                    plan.append((kid, slot, spec[slot][0], spec[slot][1]))
+                    t = self.atoms[0] if spec["kind"] == "atoms" else self._tail_grid_for(kid)[0]
+                    plan.append((kid, slot, spec[slot][0], spec[slot][1], t))
         # a plan reading both the plain and the reflected family takes both
         # from one shared moment pass
-        reflected = [name.startswith("Ht") for _, _, name, _ in plan if name is not None]
+        reflected = [name.startswith("Ht") for _, _, name, _, _ in plan if name is not None]
         both = any(reflected) and not all(reflected)
         hk = HeadKernels(self.params, pairs[:, 0], pairs[:, 1], self.t_head, refine, both=both)
+        # the tails share their row tables; the longest sums (earliest tail
+        # time) go first, so the shorter ones read leading rows
+        th_rows, ph_rows = (ModeRows(pairs[:, i], headroom=ROW_HEADROOM) for i in (0, 1))
         out = {}
-        for kid, slot, head_name, combo in plan:
-            t_tail, _ = self._tail_grid_for(kid)
-            if _FAMILY[kid]["kind"] == "atoms":
-                t_tail = self.atoms[0]
-            tail = mode_sum(
-                self.params, combo[0], t_tail, pairs[:, 0], pairs[:, 1], *combo[1:]
-            )
+        for kid, slot, head_name, combo, t_tail in sorted(plan, key=lambda e: e[4].min()):
+            tail = mode_sum_rows(self.params, combo[0], t_tail, th_rows, ph_rows, *combo[1:])
             head = None if head_name is None else getattr(hk, head_name)()
             out[(kid, slot)] = (head, tail)
         return out
@@ -358,7 +366,8 @@ class FamilyBatch:
         argmax time (sup kernels only), "grad" |d_theta K| + |d_phi K|
         (scalar kernels), and "smth" / "smph" the B-norm of K(theta, phi)
         minus K at the theta- or phi-moved point of _smoothness_pairs
-        (vector kernels; nan where the moved point leaves (0, pi))."""
+        (vector kernels; nan where the moved point leaves (0, pi)), whose
+        moved pairs get the vector kernels' profiles only."""
         pairs = np.atleast_2d(pairs)
         sca_ids = [k for k in self.kernel_ids if "Gth" in _FAMILY[k]]
         vec_ids = [k for k in self.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
@@ -381,7 +390,7 @@ class FamilyBatch:
             np.column_stack([th_moved[ok_th], pairs[ok_th, 1]]),
             np.column_stack([pairs[ok_ph, 0], ph_moved[ok_ph]]),
         ])
-        alt = self.profiles(moved, ("F",), refine) if moved.shape[0] else None
+        alt = self._profiles(moved, vec_ids, ("F",), refine) if moved.shape[0] else None
         n_th = int(ok_th.sum())
         for tag, ok, cols in (
             ("smth", ok_th, slice(0, n_th)), ("smph", ok_ph, slice(n_th, None))
@@ -430,6 +439,11 @@ def _smoothness_pairs(pairs):
 # lemma samplers
 
 
+def _nested_count(level: int, base: int = 100_000) -> int:
+    """Samples of _nested_samples at a level: the leading rows of any deeper level."""
+    return base * 2 ** (level - 1)
+
+
 def _nested_samples(seed: int, level: int, base: int = 100_000) -> np.ndarray:
     """Random (theta, phi, u, v) tuples, nested across levels: level l
     extends level l-1 by a freshly seeded block, so sample sets only grow."""
@@ -465,6 +479,26 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), pref
     return out, ratios
 
 
+def _bridge_args(which, l43_exponents):
+    """_bridge_ratio's keywords for Bridge1, Bridge2 or L43Star."""
+    if which != "L43Star":
+        power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
+        return dict(power_extra=power_extra, dist_power=dist_power)
+    g1, g2, kappa, k1, k2 = l43_exponents
+
+    def prefac(prs):
+        s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
+        c = np.cos(prs[:, 0] / 2.0) + np.cos(prs[:, 1] / 2.0)
+        return s ** (2.0 * g1) * c ** (2.0 * g2)
+
+    return dict(
+        power_extra=1.5 + g1 + g2 + kappa,
+        dist_power=0.0,
+        shift=(g1 + kappa + k1, g2 + kappa + k2),
+        prefac=prefac,
+    )
+
+
 def lemma_samplers(
     params: JacobiParams,
     which: str,
@@ -478,67 +512,75 @@ def lemma_samplers(
     sqrt(q)), Comp (stability of q under moving theta a quarter distance)
     and Asympt (the hyperbolic-prefactor bound).
     """
+    return lemma_levels(params, which, (grid_level,), l43_exponents)[0]
+
+
+def lemma_levels(
+    params: JacobiParams, which: str, levels, l43_exponents=(1.0, 1.0, 0.0, 0.0, 0.0)
+) -> tuple:
+    """lemma_samplers at each of the levels, one report per level, each
+    bitwise the single-level report.  The pair grids and the random sample
+    sets are nested, so the quotients are evaluated once, on the union of the
+    pair grids or on the deepest sample set, and each level reads its own
+    subset in its own order (a sup's first argmax included)."""
+    levels = tuple(levels)
     if which in ("Bridge1", "Bridge2", "L43Star"):
-        if which == "L43Star":
-            g1, g2, kappa, k1, k2 = l43_exponents
-
-            def prefac(prs):
-                s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
-                c = np.cos(prs[:, 0] / 2.0) + np.cos(prs[:, 1] / 2.0)
-                return s ** (2.0 * g1) * c ** (2.0 * g2)
-
-            args = dict(
-                power_extra=1.5 + g1 + g2 + kappa,
-                dist_power=0.0,
-                shift=(g1 + kappa + k1, g2 + kappa + k2),
-                prefac=prefac,
+        args = _bridge_args(which, l43_exponents)
+        grids = [pair_grid(level) for level in levels]
+        union = np.unique(np.vstack(grids), axis=0)
+        keys = union[:, 0] + 1j * union[:, 1]  # sorted, as the rows are
+        _, ratios = _bridge_ratio(params, union, **args)
+        refined, reports = {}, []
+        for level, pairs in zip(levels, grids):
+            level_ratios = ratios[np.searchsorted(keys, pairs[:, 0] + 1j * pairs[:, 1])]
+            k = int(np.argmax(level_ratios))
+            key = (pairs[k, 0], pairs[k, 1])
+            if key not in refined:
+                refined[key] = _bridge_ratio(params, pairs[k : k + 1], refine=2, **args)[1][0]
+            _reproduce_or_raise(level_ratios[k], refined[key], REPRODUCE_TOL, which)
+            reports.append(
+                EstimateReport(which, level, float(level_ratios[k]), pairs.shape[0], key)
             )
+        return tuple(reports)
+
+    if which in ("Trig", "Comp"):
+        th, ph, u, v = _nested_samples(20 if which == "Trig" else 21, max(levels)).T
+        counts = [_nested_count(level) for level in levels]
+        if which == "Trig":
+            q = q_fn(th, ph, u, v)
+            qth = q_theta(th, ph, u, v)
+            ratio = np.abs(qth) / np.sqrt(np.maximum(q, 1e-300))
         else:
-            power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
-            args = dict(power_extra=power_extra, dist_power=dist_power)
-        pairs = pair_grid(grid_level)
-        _, ratios = _bridge_ratio(params, pairs, **args)
-        k = int(np.argmax(ratios))
-        _, refined = _bridge_ratio(params, pairs[k : k + 1], refine=2, **args)
-        _reproduce_or_raise(ratios[k], refined[0], REPRODUCE_TOL, which)
-        return EstimateReport(
-            which, grid_level, float(ratios[k]), pairs.shape[0], (pairs[k, 0], pairs[k, 1])
-        )
-
-    if which == "Trig":
-        th, ph, u, v = _nested_samples(20, grid_level).T
-        q = q_fn(th, ph, u, v)
-        qth = q_theta(th, ph, u, v)
-        ratio = np.abs(qth) / np.sqrt(np.maximum(q, 1e-300))
-        k = int(np.argmax(ratio))
-        return EstimateReport("Trig", grid_level, float(ratio[k]), th.size, (th[k], ph[k]))
-
-    if which == "Comp":
-        th, ph, u, v = _nested_samples(21, grid_level).T
-        keep = np.abs(th - ph) > 1e-12
-        th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
-        tht = th + (ph - th) / 4.0  # |theta - theta~| = |theta - phi| / 4
-        q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
-        q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
-        ratio = np.maximum(q1 / q2, q2 / q1)
-        k = int(np.argmax(ratio))
-        return EstimateReport("Comp", grid_level, float(ratio[k]), th.size, (th[k], ph[k]))
+            keep = np.abs(th - ph) > 1e-12
+            counts = [int(np.count_nonzero(keep[:n])) for n in counts]
+            th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
+            tht = th + (ph - th) / 4.0  # |theta - theta~| = |theta - phi| / 4
+            q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
+            q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
+            ratio = np.maximum(q1 / q2, q2 / q1)
+        reports = []
+        for level, n in zip(levels, counts):
+            k = int(np.argmax(ratio[:n]))
+            reports.append(EstimateReport(which, level, float(ratio[k]), n, (th[k], ph[k])))
+        return tuple(reports)
 
     if which == "Asympt":
-        n = 64 * 2 ** (grid_level - 1)
-        t = np.exp(np.linspace(np.log(1e-6), np.log(100.0), n + 1))
-        q = np.exp(np.linspace(np.log(1e-6), np.log(2.0), n + 1))
-        power = params.alpha + params.beta + 4.5
-        lhs = np.sinh(t[:, None] / 2.0) / (
-            2.0 * np.sinh(t[:, None] / 4.0) ** 2 + q[None, :]
-        ) ** power
-        ratio = lhs * q[None, :] ** (power - 0.5)
-        k = np.unravel_index(np.argmax(ratio), ratio.shape)
-        return EstimateReport(
-            "Asympt", grid_level, float(ratio[k]), t.size * q.size, (t[k[0]], q[k[1]])
-        )
+        return tuple(_asympt_report(params, level) for level in levels)
 
     raise ValueError(f"unknown lemma sampler {which!r}")
+
+
+def _asympt_report(params, grid_level):
+    n = 64 * 2 ** (grid_level - 1)
+    t = np.exp(np.linspace(np.log(1e-6), np.log(100.0), n + 1))
+    q = np.exp(np.linspace(np.log(1e-6), np.log(2.0), n + 1))
+    power = params.alpha + params.beta + 4.5
+    lhs = np.sinh(t[:, None] / 2.0) / (2.0 * np.sinh(t[:, None] / 4.0) ** 2 + q[None, :]) ** power
+    ratio = lhs * q[None, :] ** (power - 0.5)
+    k = np.unravel_index(np.argmax(ratio), ratio.shape)
+    return EstimateReport(
+        "Asympt", grid_level, float(ratio[k]), t.size * q.size, (t[k[0]], q[k[1]])
+    )
 
 
 def _exact_quotients(th, ph, tht):
@@ -564,18 +606,29 @@ def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = 
 
 
 def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0):
-    """Vectorized sweep of both exact quotients over random admissible
-    samples; returns the two reports."""
-    rng = np.random.default_rng(seed)
-    th = rng.uniform(0.0, np.pi, n_samples)
-    ph = rng.uniform(0.0, np.pi, n_samples)
-    tht = th + rng.uniform(-0.5, 0.5, n_samples) * np.abs(th - ph)
-    tht = np.clip(tht, 1e-12, np.pi - 1e-12)
-    qa, qb = _exact_quotients(th, ph, tht)
-    ka, kb = int(np.argmax(qa)), int(np.argmax(qb))
-    rep_a = EstimateReport("EstimatesA", 1, float(qa[ka]), n_samples, (th[ka], ph[ka]))
-    rep_b = EstimateReport("EstimatesB", 1, float(qb[kb]), n_samples, (th[kb], ph[kb]))
-    return rep_a, rep_b
+    """Sweep of both exact quotients over random admissible samples, in
+    chunks of EXACT_CHUNK; returns the two reports.  theta, phi and the
+    relative offset of theta~ are the first, second and third n_samples
+    uniform draws of default_rng(seed), taken chunk by chunk from three
+    PCG64(seed) streams advanced by 0, n_samples and 2 n_samples."""
+    streams = [
+        np.random.Generator(np.random.PCG64(seed).advance(i * n_samples)) for i in range(3)
+    ]
+    best = [(-np.inf, None), (-np.inf, None)]
+    for start in range(0, n_samples, EXACT_CHUNK):
+        n = min(EXACT_CHUNK, n_samples - start)
+        th = streams[0].uniform(0.0, np.pi, n)
+        ph = streams[1].uniform(0.0, np.pi, n)
+        tht = th + streams[2].uniform(-0.5, 0.5, n) * np.abs(th - ph)
+        tht = np.clip(tht, 1e-12, np.pi - 1e-12)
+        for i, quot in enumerate(_exact_quotients(th, ph, tht)):
+            k = int(np.argmax(quot))
+            if quot[k] > best[i][0]:  # a tie keeps the earlier chunk's argmax
+                best[i] = (quot[k], (th[k], ph[k]))
+    return tuple(
+        EstimateReport(eid, 1, float(sup), n_samples, arg)
+        for eid, (sup, arg) in zip(("EstimatesA", "EstimatesB"), best)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -147,9 +147,26 @@ def mode_sum(
     `pairs` supplies.  By default the mode count meets the tail bound with
     four extra powers at the smallest t.
     """
+    return mode_sum_rows(
+        params, parity, t, _table_rows(theta), _table_rows(phi), th_op, ph_op, m, pairs, n_modes
+    )
+
+
+def _table_rows(x):
+    """mode_table's rows at x, called like a basis.ModeRows: a table built for
+    one sum keeps none of the tables it was built from."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return lambda params, n_modes, parity, order, lowered: mode_table(
+        params, n_modes, x, parity, order, lowered
+    )
+
+
+def mode_sum_rows(
+    params, parity, t, th_rows, ph_rows, th_op=0, ph_op=0, m=0, pairs=0, n_modes=None
+):
+    """mode_sum with the theta and phi rows read from two basis.ModeRows, so
+    that the sums of one evaluation pass share their row tables."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if n_modes is None:
         n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
     lam = mode_eigenvalues(params, n_modes, parity)
@@ -160,11 +177,11 @@ def mode_sum(
     if pairs:
         decay = decay * (lam - params.lam0) ** pairs
 
-    def rows(op, x):
+    def rows(op, table):
         order = {"low": 0, "low1": 1}.get(op, op)
-        return mode_table(params, n_modes, x, parity, order, lowered=op in ("low", "low1"))
+        return table(params, n_modes, parity, order, lowered=op in ("low", "low1"))
 
-    return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, theta), rows(ph_op, phi))
+    return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, th_rows), rows(ph_op, ph_rows))
 
 
 def poisson_kernel_series(

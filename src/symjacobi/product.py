@@ -22,7 +22,8 @@ The mesh depends on the pair only through A, B and the floor, all symmetric
 in theta and phi, so a pair and its swap get bitwise equal moments.  It is
 cached in three layers: the cell structure per mesh signature, the nodes
 and weights of each axis per (a, halvings, nodes), and the assembled rule
-for the most recent meshes, which is a few gathers from the first two.
+for the most recent meshes, which is a few gathers from the first two (with
+the shifted families of the next paragraph beside it).
 
 The kernels H and Ht need the plain family (a, b) and the shifted family
 (a + 1, b + 1).  For a > -1/2, dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2)
@@ -33,6 +34,25 @@ both from one rule (with the larger family's nodes) and one power chain.
 At an atomic axis a = -1/2 the factor 1 - u^2 vanishes on the atoms and
 the ratio is infinite, so there, and within SHARED_GAP of it where the
 ratio amplifies rounding, the two families take separate passes.
+
+Most time shifts of the estimate head are tiny next to q_floor: the head's
+times reach 1e-8, where s = cosh(t/2) - 1 is about t^2/8, and pairs are as
+close as 1e-3, so q_floor >= 1.25e-7.  The leading shifts with
+s < CONT_EPS q_floor (CONT_EPS = 1e-2) come from one chain continued past
+s = 0, by
+
+    (s + q)^-r = sum_k binom(-r, k) s^k q^(-r-k),
+
+with each term at most (r + k)/(k + 1) CONT_EPS times the one before.  The
+series keeps K terms, the fewest for which the first dropped one is below
+1e-16 relative at the largest exponent r of the call.  All its rows share one
+N-vector chain, scaled by q_floor against overflow: row n is
+q^-p (q_floor / q)^n, which never exceeds q^-p, and the coefficients are
+binom(-r, k) (s / q_floor)^k q_floor^-(r - p); unscaled, q^-(p + n) would
+reach about 1e238 at (a, b) = (8, 7.5) and the closest pairs.  The chain
+costs a few products per node where each direct row costs a power, so it
+replaces the small rows when their count makes up for its fixed cost; one
+shift alone always takes the direct chain.
 
 Callers work on blocks of pairs.  block_moments is the one loop over pairs:
 it reduces a block to its unordered pairs, computes each once, in mesh order
@@ -66,6 +86,17 @@ PANEL_FLOOR_FRAC = 1.0 / 4.0
 # amplifies the rounding of the plain rule as a -> -1/2; closer than this to
 # an atomic axis the two families take separate passes
 SHARED_GAP = 1e-6
+# shifts below CONT_EPS q_floor continue the s = 0 power chain by a binomial
+# series, cut where its first dropped term falls below CONT_TOL relative.  The
+# series replaces those rows when it is cheaper, in node-products measured on
+# one core: a direct row costs one power (about POW_COST products) and a
+# product per chain step at each node, the series chain about two products
+# per row at each node (its rows carry both families' columns) plus
+# CHAIN_OVERHEAD of fixed cost
+CONT_EPS = 1e-2
+CONT_TOL = 1e-16
+POW_COST = 4.0
+CHAIN_OVERHEAD = 5.0e4
 
 
 def cosh_half_minus_one(t) -> np.ndarray:
@@ -187,30 +218,57 @@ def _cells(atomic_u: bool, atomic_v: bool, ku: int, kv: int, d: int):
 
 @lru_cache(maxsize=1024)
 def _axis_rule(a: float, k: int, n: int):
-    """Nodes x = 1 - u and weights of dPi_a on each segment of an axis with
-    k halvings, one row per segment (the two atoms at a = -1/2)."""
+    """Per segment of an axis with k halvings, one row each (the two atoms
+    at a = -1/2): the nodes x = 1 - u, 1 - x, the weights of dPi_a and
+    x (2 - x), as one (4, segments, nodes) table."""
     segments = [(0.0, 2.0)] if a == -0.5 else _axis_segments(k)
-    nodes, weights = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in segments)))
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    x, w = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in segments)))
+    table = np.stack([x, 1.0 - x, w, x * (2.0 - x)])
+    table.flags.writeable = False
+    return table
+
+
+def _cell_grids(a, b, ku, kv, d, n, rows):
+    """The given rows of the two axis tables gathered to the cells of a mesh,
+    laid out in the order of the rule's nodes (u outer, v inner): two
+    (len(rows), cells, nodes per cell) arrays."""
+    iu, iv = _cells(a == -0.5, b == -0.5, ku, kv, d)
+    tu, tv = _axis_rule(a, ku, n)[rows][:, iu], _axis_rule(b, kv, n)[rows][:, iv]
+    return np.repeat(tu, tv.shape[2], axis=2), np.tile(tv, (1, 1, tu.shape[2]))
 
 
 # a rule holds 10^2 to 10^4 nodes with eight values each, so only recent meshes
 # are kept: the sorted pair sweeps revisit a mesh soon after first building it
 @lru_cache(maxsize=32)
 def _corner_rule(a: float, b: float, ku: int, kv: int, d: int, n: int):
-    iu, iv = _cells(a == -0.5, b == -0.5, ku, kv, d)
-    nu, wu = _axis_rule(a, ku, n)
-    nv, wv = _axis_rule(b, kv, n)
-    shape = (iu.size, nu.shape[1], nv.shape[1])
-    xu = np.broadcast_to(nu[iu][:, :, None], shape).ravel()
-    xv = np.broadcast_to(nv[iv][:, None, :], shape).ravel()
-    w = (wu[iu][:, :, None] * wv[iv][:, None, :]).ravel()
-    u, v = 1.0 - xu, 1.0 - xv
-    fams = np.stack([w, w * u, w * v, w * u * u, w * u * v, w * v * v], axis=1)
+    gu, gv = _cell_grids(a, b, ku, kv, d, n, slice(0, 3))
+    (xu, u, wu), (xv, v, wv) = gu.reshape(3, -1), gv.reshape(3, -1)
+    xu, xv = xu.copy(), xv.copy()  # the cached rule keeps these, not the grids
+    # columns w, wu, wv, (wu) u, (wu) v, (wv) v, filled in place
+    fams = np.empty((xu.size, 6))
+    np.multiply(wu, wv, out=fams[:, 0])
+    for col, (src, by) in enumerate(((0, u), (0, v), (1, u), (1, v), (2, v)), start=1):
+        np.multiply(fams[:, src], by, out=fams[:, col])
     for arr in (xu, xv, fams):
         arr.flags.writeable = False
     return xu, xv, fams
+
+
+# a pair sweep reads the shifted families right after building the rule, so
+# fewer of them are kept
+@lru_cache(maxsize=8)
+def _both_families(a: float, b: float, ku: int, kv: int, d: int, n: int):
+    """The families of _corner_rule (columns 0-5) beside those of the shifted
+    measures (columns 6-11): dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2)
+    dPi_a(u), and 1 - u^2 = x (2 - x); cached beside the rule, read-only."""
+    fams = _corner_rule(a, b, ku, kv, d, n)[2]
+    gu, gv = _cell_grids(a, b, ku, kv, d, n, slice(3, 4))
+    g = (a + 1.0) / (a + 0.5) * (b + 1.0) / (b + 0.5) * gu.ravel() * gv.ravel()
+    both = np.empty((fams.shape[0], 12))
+    both[:, :6] = fams
+    np.multiply(fams, g[:, None], out=both[:, 6:])
+    both.flags.writeable = False
+    return both
 
 
 def pair_moments(
@@ -226,7 +284,11 @@ def pair_moments(
     shifted=True returns (plain, shifted): the second the same moments for
     the parameters (a + 1, b + 1) at power + 2.  For a, b > -1/2 both come
     from one rule, with the nodes of the larger family, and one power chain;
-    at an atomic axis, or within SHARED_GAP of one, they are two passes."""
+    at an atomic axis, or within SHARED_GAP of one, they are two passes.
+
+    The leading shifts below CONT_EPS q_floor may come from the binomial
+    series of the module docstring, the others from the direct chain of
+    powers (s + q)^-p times 1 / (s + q) per step."""
     if shifted and min(a, b) + 0.5 <= SHARED_GAP:
         shifted_power = None if power is None else power + 2.0
         return (
@@ -238,28 +300,100 @@ def pair_moments(
     floor = _grading_floor(q_floor, shifts, refine)
     if nodes is None:  # with shifted=True, the shifted family's (the larger) count
         nodes = nodes_for(a + 1.0, b + 1.0, refine) if shifted else nodes_for(a, b, refine)
-    xu, xv, fams = corner_rule(a, b, A, B, floor, nodes)
+    mesh = (float(a), float(b), *_signature(a, b, A, B, floor), nodes)
+    xu, xv, fams = _corner_rule(*mesh)
     p = a + b + 2.0 if power is None else power
-    sq = shifts[:, None] + (q_floor + A * xu + B * xv)[None, :]
-    base = sq ** (-p)
-    inv = np.divide(1.0, sq, out=sq)  # in place: the chain keeps two (n_t, N) arrays
-    out = np.empty((n_j, shifts.size, fams.shape[1]))
-    if shifted:
-        # dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2) dPi_a(u), and 1 - u^2 =
-        # x (2 - x), so the shifted moments reweight the plain rule; their
-        # power p + 2 + j is the plain chain two steps on
-        g = (a + 1.0) / (a + 0.5) * (b + 1.0) / (b + 0.5) * (xu * (2.0 - xu)) * (xv * (2.0 - xv))
-        sfams = fams * g[:, None]
-        sout = np.empty_like(out)
+    q = q_floor + A * xu + B * xv
+    outs = [np.empty((n_j, shifts.size, 6)) for _ in range(1 + shifted)]
+    if shifted:  # their power p + 2 + j is the plain chain two steps on
+        wide = _both_families(*mesh)
+        cols = [wide[:, :6], wide[:, 6:]]
+    else:
+        wide, cols = fams, [fams]
     steps = n_j + 2 if shifted else n_j
-    for j in range(steps):
-        if j < n_j:
-            out[j] = base @ fams
-        if shifted and j >= 2:
-            sout[j - 2] = base @ sfams
-        if j + 1 < steps:
-            base *= inv
-    return (out, sout) if shifted else out
+    # the leading shifts below CONT_EPS q_floor (all of them on an ascending
+    # grid) may come from the series; the rest take the direct chain
+    n_small = 0
+    if shifts.size > 1:
+        small = shifts < CONT_EPS * q_floor
+        n_small = shifts.size if small.all() else int(np.argmin(small))
+    terms = _series_terms(p + steps - 1)
+    if n_small > 1 and n_small * (POW_COST + steps) * q.size > (
+        (POW_COST + 2.0 * (steps + terms)) * q.size + CHAIN_OVERHEAD
+    ):
+        m = _continuation(q, q_floor, shifts[:n_small] / q_floor, p, wide, steps, terms)
+        for i, o in enumerate(outs):  # family i's moment j is row 2 i + j
+            o[:, :n_small] = m[2 * i : 2 * i + n_j, :, 6 * i : 6 * i + 6]
+    else:
+        n_small = 0
+    if n_small < shifts.size:
+        sq = shifts[n_small:, None] + q[None, :]
+        base = sq ** (-p)
+        if steps > 1:  # in place: the chain keeps two (n_t, N) arrays
+            inv = np.divide(1.0, sq, out=sq)
+        for j in range(steps):
+            for i, (o, c) in enumerate(zip(outs, cols)):
+                if 0 <= j - 2 * i < n_j:
+                    np.matmul(base, c, out=o[j - 2 * i, n_small:])
+            if j + 1 < steps:
+                base *= inv
+    return tuple(outs) if shifted else outs[0]
+
+
+@lru_cache(maxsize=64)
+def _series_terms(r: float) -> int:
+    """Terms K of the binomial series of (s + q)^-r kept at s < CONT_EPS q:
+    the first dropped one, |binom(-r, K)| CONT_EPS^K, is below CONT_TOL.
+    Exponents up to r need no more, since |binom(-r, k)| grows with r."""
+    k, term = 0, 1.0
+    while term >= CONT_TOL:
+        term *= (r + k) / (k + 1) * CONT_EPS
+        k += 1
+    return k
+
+
+@lru_cache(maxsize=64)
+def _binomial_band(p: float, steps: int, terms: int):
+    """Row m of the series coefficients as an (steps, steps + terms - 1)
+    band: binom(-(p + m), k) at column m + k for k < terms, zero elsewhere;
+    with the power k of s / q_floor each column takes, clipped to the band."""
+    m = np.arange(steps)[:, None]
+    k = np.arange(terms - 1)
+    # binom(-r, k + 1) = binom(-r, k) (-(r + k) / (k + 1))
+    factors = np.hstack([np.ones((steps, 1)), -(p + m + k) / (k + 1.0)])
+    power = np.arange(steps + terms - 1) - m
+    inside = (power >= 0) & (power < terms)
+    band = np.zeros(power.shape)
+    band[inside] = np.cumprod(factors, axis=1).ravel()
+    power = np.clip(power, 0, terms - 1)
+    for arr in (band, power):
+        arr.flags.writeable = False
+    return band, power
+
+
+def _continuation(q, q_floor, x, p, fams, steps, terms):
+    """Moments of (s + q)^-(p + m), m < steps, against the columns of fams at
+    the small shifts s = x q_floor: (steps, x.size, columns), from
+
+        (s + q)^-(p + m) = sum_k binom(-(p + m), k) (s / q_floor)^k
+                           q_floor^-m  q^-p (q_floor / q)^(m + k).
+
+    The chain rows q^-p (q_floor / q)^n stay below q^-p, so no row
+    overflows where the unscaled powers q^-(p + n) would."""
+    n_rows = steps + terms - 1
+    chain = np.empty((n_rows, q.size))
+    chain[0] = q ** (-p)
+    ratio, n = q_floor / q, 1
+    while n < n_rows:  # rows n.. from rows 0.. by doubling
+        k = min(n, n_rows - n)
+        np.multiply(chain[:k], ratio, out=chain[n : n + k])
+        n += k
+        if n < n_rows:
+            ratio = ratio * ratio
+    band, power = _binomial_band(p, steps, terms)
+    band = band * q_floor ** -np.arange(steps)[:, None]
+    coef = band[:, None, :] * (x[:, None] ** np.arange(terms))[:, power].transpose(1, 0, 2)
+    return (coef.reshape(-1, n_rows) @ (chain @ fams)).reshape(steps, x.size, -1)
 
 
 def block_moments(

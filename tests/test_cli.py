@@ -55,6 +55,23 @@ class TestParsing:
             main(argv)
         assert exc.value.code == 2
 
+    def test_parser_built_once_and_calls_independent(self, tmp_path):
+        """The parser is built once per process; consecutive calls with other
+        flags, other subcommands and a usage error in between each parse
+        from the defaults, with nothing carried over."""
+        assert cli._build_parser() is cli._build_parser()
+        first, second, third = (tmp_path / f"{k}.csv" for k in "abc")
+        assert main(["basis", "--alpha", "0.5", "--nmax", "2", "--level", "1",
+                     "--out", str(first)]) == 0
+        with pytest.raises(SystemExit):
+            main(["kernel", "--level", "-3"])
+        assert main(["basis", "--level", "1", "--out", str(second)]) == 0
+        assert main(["kernel", "--level", "0", "--t", "2.0", "--out", str(third)]) == 0
+        echoes = [read_table(p)[0] for p in (first, second, third)]
+        assert "alpha=0.5" in echoes[0] and "nmax=2" in echoes[0]
+        assert "alpha=0.0" in echoes[1] and "nmax=16" in echoes[1]
+        assert "alpha=0.0" in echoes[2] and "route=series" in echoes[2]
+
 
 class TestBasisTable:
     def test_layout_and_parity(self, tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symjacobi import estimates, product
+from symjacobi import basis, estimates, product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -32,7 +32,9 @@ from symjacobi.estimates import (
     ap_member,
     exact_lemma_report,
     ladder_verdict,
+    VECTOR_KERNELS,
     lemma_estimates_exact,
+    lemma_levels,
     lemma_samplers,
     pair_grid,
     run_standard_ladders,
@@ -188,6 +190,62 @@ class TestSwapReuse:
         calls = self._count_moments(monkeypatch)
         batch.values(pairs)
         assert len(calls) == 1 + 2
+
+    @staticmethod
+    def _row_keys(kernel_ids, slots):
+        """Distinct (parity, op) row tables of a pass at theta and at phi."""
+        combos = [_FAMILY[k][s][1] for k in kernel_ids for s in slots if s in _FAMILY[k]]
+        return len({(c[0], c[1]) for c in combos}) + len({(c[0], c[2]) for c in combos})
+
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED, ATOMIC])
+    def test_values_builds_each_row_table_once(self, params, monkeypatch):
+        """One values call builds at most one polynomial table per distinct
+        mode-row table of its two passes (all slots of every kernel, then the
+        vector kernels' F slot at the moved pairs): the tails share them."""
+        calls = []
+        inner = basis.trig_poly_table
+
+        def counted(*args):
+            calls.append(args[1])
+            return inner(*args)
+
+        monkeypatch.setattr(basis, "trig_poly_table", counted)
+        FamilyBatch(params).values(pair_grid(1)[::9])
+        tables = self._row_keys(KERNEL_IDS, ("F", "Gth", "Gph"))
+        tables += self._row_keys(VECTOR_KERNELS, ("F",))
+        assert 0 < len(calls) <= tables
+
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED])
+    def test_shared_rows_give_the_standalone_tails(self, params):
+        """Each tail of a profiles pass is bitwise the standalone mode_sum,
+        though its rows are leading rows of tables another kernel built."""
+        batch = FamilyBatch(params)
+        pairs = pair_grid(1)[::11]
+        for (kid, slot), (_, tail) in batch.profiles(pairs, ("F", "Gth", "Gph")).items():
+            parity, th_op, ph_op, m = _FAMILY[kid][slot][1]
+            t = batch.atoms[0] if _FAMILY[kid]["kind"] == "atoms" else batch._tail_grid_for(kid)[0]
+            want = mode_sum(params, parity, t, pairs[:, 0], pairs[:, 1], th_op, ph_op, m)
+            assert np.array_equal(tail, want), (kid, slot)
+
+    def test_moved_pass_reads_vector_kernels_only(self, monkeypatch):
+        """The smoothness quantities exist for the vector kernels only, so the
+        moved pairs get only their profiles; the values are unchanged."""
+        batch = FamilyBatch(SKEWED)
+        pairs = pair_grid(1)[::17]
+        passes = []
+        inner = FamilyBatch._profiles
+
+        def spied(self, prs, kernel_ids, slots, refine):
+            out = inner(self, prs, kernel_ids, slots, refine)
+            passes.append(sorted({kid for kid, _ in out}))
+            return out
+
+        monkeypatch.setattr(FamilyBatch, "_profiles", spied)
+        vals = batch.values(pairs)
+        assert passes == [sorted(KERNEL_IDS), sorted(VECTOR_KERNELS)]
+        vec = FamilyBatch(SKEWED, VECTOR_KERNELS).values(pairs)
+        for key, v in vec.items():
+            assert np.array_equal(vals[key], v, equal_nan=True), key
 
 
 class TestRouteAgreement:
@@ -404,6 +462,33 @@ class TestLemmaSamplers:
         b = lemma_samplers(SKEWED, "Trig", 2)
         assert a == b
 
+    @pytest.mark.parametrize("which", ["Bridge1", "Bridge2", "L43Star", "Trig", "Comp", "Asympt"])
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED])
+    def test_nested_levels_equal_single_levels(self, params, which):
+        """Evaluated once on the deepest samples, each level's report is
+        bitwise the single-level sampler's: sup, argmax and sample count."""
+        levels = lemma_levels(params, which, (1, 2))
+        assert [r.grid_level for r in levels] == [1, 2]
+        for rep in levels:
+            alone = lemma_samplers(params, which, rep.grid_level)
+            assert rep == alone and repr(rep) == repr(alone)
+
+    def test_nested_levels_evaluate_the_union_once(self, monkeypatch):
+        """The Bridge samplers take one moment sweep over the finest grid and
+        one refine-2 call per distinct argmax, not a sweep per level."""
+        calls = []
+        inner = estimates._bridge_ratio
+
+        def counted(params, pairs, **kw):
+            calls.append((pairs.shape[0], kw.get("refine", 1)))
+            return inner(params, pairs, **kw)
+
+        monkeypatch.setattr(estimates, "_bridge_ratio", counted)
+        lemma_levels(SQUARE, "Bridge1", (1, 2))
+        sweeps = [n for n, refine in calls if refine == 1]
+        assert sweeps == [pair_grid(2).shape[0]]
+        assert 1 <= len(calls) - 1 <= 2
+
 
 class TestExactLemmas:
     def test_spot_values(self):
@@ -431,6 +516,22 @@ class TestExactLemmas:
         a = exact_lemma_report(n_samples=50_000, seed=11)
         b = exact_lemma_report(n_samples=50_000, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("n_samples", [1, estimates.EXACT_CHUNK, 200_003])
+    def test_chunked_sweep_equals_one_draw(self, n_samples):
+        """The chunked sweep is bitwise the sweep of one default_rng(seed)
+        drawing theta, phi and the offset of theta~ n_samples at a time,
+        first argmax included."""
+        rng = np.random.default_rng(7)
+        th = rng.uniform(0.0, np.pi, n_samples)
+        ph = rng.uniform(0.0, np.pi, n_samples)
+        tht = th + rng.uniform(-0.5, 0.5, n_samples) * np.abs(th - ph)
+        tht = np.clip(tht, 1e-12, np.pi - 1e-12)
+        got = exact_lemma_report(n_samples=n_samples, seed=7)
+        for rep, quot in zip(got, estimates._exact_quotients(th, ph, tht)):
+            k = int(np.argmax(quot))
+            assert rep.empirical_sup == quot[k] and rep.sample_count == n_samples
+            assert rep.argmax_point == (th[k], ph[k])
 
 
 class TestMuckenhoupt:

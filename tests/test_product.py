@@ -21,6 +21,7 @@ from scipy.special import gammaln, hyp2f1, roots_jacobi
 
 from symjacobi.core import JacobiParams
 from symjacobi import product
+from symjacobi.estimates import MIN_DISTANCE, FamilyBatch
 from symjacobi.product import HeadKernels, block_moments, pair_moments
 
 BASE_SETS = [JacobiParams(0.0, 0.0), JacobiParams(0.5, 2.0), JacobiParams(6.0, 2.0),
@@ -202,3 +203,108 @@ def test_block_moments_equal_single_pairs(a, b, base, picks, shifted, n_j, refin
     assert sorted(calls) == sorted(unordered)
     for g, w in zip(got if shifted else (got,), zip(*want) if shifted else (want,)):
         assert np.array_equal(g, np.stack(w, axis=2))
+
+
+# the estimate head's time grid, whose small shifts take the series
+HEAD_SHIFTS = product.cosh_half_minus_one(
+    FamilyBatch(JacobiParams(0.0, 0.0), ("poisson",)).t_head
+)
+
+
+def _direct_chain(a, b, theta, phi, shifts, n_j=3, shifted=False):
+    """Every shift by the direct power chain (s + q)^-p, times 1/(s + q) per
+    step, on pair_moments' rule and nodes: the same arithmetic, term by
+    term, as pair_moments without the series."""
+    if shifted and min(a, b) + 0.5 <= product.SHARED_GAP:  # two passes
+        return tuple(_direct_chain(a + k, b + k, theta, phi, shifts, n_j) for k in (0.0, 1.0))
+    A, B, q_floor = product._scales(theta, phi)
+    shifts = np.asarray(shifts, dtype=float)
+    floor = product._grading_floor(q_floor, shifts, 1)
+    nodes = product.nodes_for(a + 1.0, b + 1.0) if shifted else product.nodes_for(a, b)
+    xu, xv, fams = product.corner_rule(a, b, A, B, floor, nodes)
+    cols = [fams]
+    if shifted:
+        g = (a + 1.0) / (a + 0.5) * (b + 1.0) / (b + 0.5) * (xu * (2.0 - xu)) * (xv * (2.0 - xv))
+        cols.append(fams * g[:, None])
+    sq = shifts[:, None] + (q_floor + A * xu + B * xv)[None, :]
+    base = sq ** -(a + b + 2.0)
+    inv = 1.0 / sq
+    outs = [np.empty((n_j, shifts.size, 6)) for _ in cols]
+    for j in range(n_j + 2 * (len(cols) - 1)):
+        for i, (o, c) in enumerate(zip(outs, cols)):
+            if 0 <= j - 2 * i < n_j:
+                o[j - 2 * i] = base @ c
+        base = base * inv
+    return tuple(outs) if shifted else outs[0]
+
+
+def _count_series(monkeypatch):
+    calls = []
+    inner = product._continuation
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return inner(*args)
+
+    monkeypatch.setattr(product, "_continuation", counted)
+    return calls
+
+
+# log10 |theta - phi| up to pi / 2, so that _pair stays in (0, pi)
+_gap_to_min = st.floats(min_value=np.log10(MIN_DISTANCE), max_value=0.19)
+# (-1/2, 8] without the one float above -1/2 whose a - 1/2 rounds to -1,
+# where the rule's Gauss-Jacobi weight is not a measure and the rule raises
+_ab_rule = st.floats(min_value=float(np.nextafter(-0.5, 0.0)), max_value=8.0, exclude_min=True)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(a=_ab_rule, b=_ab_rule, theta=_theta, gap=_gap_to_min, shifted=st.booleans())
+@example(a=8.0, b=7.5, theta=1.0, gap=-3.0, shifted=True)  # the largest exponent
+@example(a=0.0, b=0.0, theta=1.0, gap=-3.0, shifted=False)
+@example(a=0.0, b=-0.4999999999999999, theta=1.0, gap=0.0, shifted=True)  # two passes
+def test_series_matches_direct_chain(a, b, theta, gap, shifted):
+    """Over (-1/2, 8]^2 and pairs down to MIN_DISTANCE apart, on the head's
+    time grid, with and without the shifted family: pair_moments, whose
+    small shifts may come from the series, against the direct chain on the
+    same nodes, within 1e-13 of the constant-family moment."""
+    theta, phi = _pair(theta, gap)
+    got = pair_moments(a, b, theta, phi, HEAD_SHIFTS, shifted=shifted)
+    want = _direct_chain(a, b, theta, phi, HEAD_SHIFTS, shifted=shifted)
+    for g, w in zip(got if shifted else (got,), want if shifted else (want,)):
+        assert np.all(np.isfinite(g))
+        assert _rel_err(g, w) <= 1e-13
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_series_taken_on_close_pairs(monkeypatch, shifted):
+    """A close pair takes its small shifts (the leading head times) from the
+    series; a far pair, whose rule is small, keeps the direct chain."""
+    calls = _count_series(monkeypatch)
+    pair_moments(0.0, 0.0, 1.0, 1.0 + MIN_DISTANCE, HEAD_SHIFTS, shifted=shifted)
+    assert len(calls) == 1 and 1 < calls[0] < HEAD_SHIFTS.size
+    pair_moments(0.0, 0.0, 0.2, 2.9, HEAD_SHIFTS, shifted=shifted)
+    assert len(calls) == 1
+
+
+def test_series_finite_at_largest_exponent():
+    """At (8, 7.5) the unscaled chain would reach about 1e238 at the closest
+    pairs; the scaled one keeps every moment finite, and so does the shifted
+    family's, at the power a + b + 6."""
+    for theta, phi in [(1.0, 1.0 + MIN_DISTANCE), (MIN_DISTANCE, 2 * MIN_DISTANCE),
+                       (np.pi - 2 * MIN_DISTANCE, np.pi - MIN_DISTANCE)]:
+        for m in pair_moments(8.0, 7.5, theta, phi, HEAD_SHIFTS, shifted=True):
+            assert np.all(np.isfinite(m)) and np.all(m[:, :, 0] > 0.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-17, 1e-3])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_single_shift_is_direct_chain(monkeypatch, shift, shifted):
+    """One shift never takes the series: the moments are bitwise those of
+    the direct chain (the Bridge samplers and the dk route call this way)."""
+    calls = _count_series(monkeypatch)
+    for a, b in [(0.0, 0.0), (0.5, 2.0), (6.0, 2.0)]:
+        got = pair_moments(a, b, 1.0, 1.0 + MIN_DISTANCE, [shift], shifted=shifted)
+        want = _direct_chain(a, b, 1.0, 1.0 + MIN_DISTANCE, [shift], shifted=shifted)
+        for g, w in zip(got if shifted else (got,), want if shifted else (want,)):
+            assert np.array_equal(g, w)
+    assert not calls
