@@ -29,6 +29,8 @@ import numpy as np
 
 from .core import (
     JacobiParams,
+    _jacobi_rows,
+    _normalize_rows,
     eigenvalue,
     eval_trig_poly,
     eval_trig_poly_deriv,
@@ -83,15 +85,25 @@ def eval_phi(params: JacobiParams, n: int, theta) -> np.ndarray:
 
 
 def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
-    """All Phi_0..Phi_nmax at theta; shape (nmax+1, *theta.shape)."""
+    """All Phi_0..Phi_nmax at theta; shape (nmax+1, *theta.shape).
+
+    The even and odd rows are built in place in the output, by the Jacobi
+    recurrence and then scaled by c_n and the basis factors in eval_phi's
+    rounding order, so each row is bitwise equal to eval_phi and the table
+    takes its own memory plus a few rows of theta's shape."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
     theta = np.asarray(theta, dtype=float)
+    x = np.cos(theta)
     out = np.empty((nmax + 1,) + theta.shape, dtype=float)
-    even_tab = trig_poly_table(params, nmax // 2, theta)
-    out[0::2] = even_tab / np.sqrt(2.0)
+    even = out[0::2]
+    _normalize_rows(_jacobi_rows(even, params.alpha, params.beta, x), params)
+    even /= np.sqrt(2.0)
     if nmax >= 1:
-        kmax = (nmax + 1) // 2
-        odd_tab = trig_poly_table(params.shifted(), kmax - 1, theta)
-        out[1::2] = np.sin(theta) * odd_tab / (2.0 * np.sqrt(2.0))
+        odd, shifted = out[1::2], params.shifted()
+        _normalize_rows(_jacobi_rows(odd, shifted.alpha, shifted.beta, x), shifted)
+        odd *= np.sin(theta)
+        odd /= 2.0 * np.sqrt(2.0)
     return out
 
 

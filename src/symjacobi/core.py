@@ -123,20 +123,43 @@ def eval_jacobi(n: int, alpha: float, beta: float, x) -> np.ndarray:
 
 
 def jacobi_table(nmax: int, alpha: float, beta: float, x) -> np.ndarray:
-    """All Jacobi polynomials up to degree nmax at x, shape (nmax+1, *x.shape)."""
+    """All Jacobi polynomials up to degree nmax at x, shape (nmax+1, *x.shape).
+
+    The recurrence runs in place in the output, with one scratch array of
+    x's shape, so the table is built in its own memory plus one row."""
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     JacobiParams(alpha, beta)
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape, dtype=float)
-    out[0] = 1.0
-    if nmax == 0:
+    return _jacobi_rows(np.empty((nmax + 1,) + x.shape, dtype=float), alpha, beta, x)
+
+
+def _jacobi_rows(out: np.ndarray, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Fill row k of out with P_k^(alpha,beta)(x), in place, and return out.
+
+    The steps round as the expressions of eval_jacobi do (sums and products
+    in commuted order are the same floats), so each row is bitwise equal to
+    eval_jacobi; out may be a strided view such as a table's even rows."""
+    out[0, ...] = 1.0
+    if out.shape[0] == 1:
         return out
-    out[1] = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    # float64 array arithmetic rounds as scalar arithmetic does: eval_jacobi bitwise
-    coeffs = _recurrence_coeffs(np.arange(2, nmax + 1.0), alpha, beta)
+    # (alpha + 1) + (alpha + beta + 2) (x - 1) / 2
+    p1 = out[1, ...]
+    np.subtract(x, 1.0, out=p1)
+    p1 *= alpha + beta + 2.0
+    p1 /= 2.0
+    p1 += alpha + 1.0
+    scratch = np.empty_like(x)
+    coeffs = _recurrence_coeffs(np.arange(2, out.shape[0] + 0.0), alpha, beta)
     for k, (a1, a2, a3, a4) in enumerate(zip(*(c.tolist() for c in coeffs)), start=2):
-        out[k] = ((a2 + a3 * x) * out[k - 1] - a4 * out[k - 2]) / a1
+        # ((a2 + a3 x) P_{k-1} - a4 P_{k-2}) / a1
+        row = out[k, ...]
+        np.multiply(x, a3, out=row)
+        row += a2
+        row *= out[k - 1, ...]
+        np.multiply(out[k - 2, ...], a4, out=scratch)
+        row -= scratch
+        row /= a1
     return out
 
 
@@ -193,9 +216,13 @@ def eval_trig_poly(params: JacobiParams, n: int, theta) -> np.ndarray:
 def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
     """All normalized trig polynomials up to degree nmax; shape (nmax+1, ...)."""
     theta = np.asarray(theta, dtype=float)
-    tab = jacobi_table(nmax, params.alpha, params.beta, np.cos(theta))
-    c = np.asarray(norm_const(params, np.arange(nmax + 1)))
-    tab *= c.reshape((nmax + 1,) + (1,) * theta.ndim)
+    return _normalize_rows(jacobi_table(nmax, params.alpha, params.beta, np.cos(theta)), params)
+
+
+def _normalize_rows(tab: np.ndarray, params: JacobiParams) -> np.ndarray:
+    """Scale row n of a Jacobi table by c_n, in place, and return it."""
+    c = np.asarray(norm_const(params, np.arange(tab.shape[0])))
+    tab *= c.reshape(c.shape + (1,) * (tab.ndim - 1))
     return tab
 
 

@@ -32,6 +32,9 @@ from .kernels import L2TWeighted, SupOverT
 from .quadrature import composite_gauss
 
 _PARITIES = ("full", "even", "odd")
+# the time-sampled operators sweep their time grid in blocks of rows whose
+# (rows, points) values take about this many bytes
+BLOCK_BYTES = 1 << 20
 
 
 def _check_parity(parity: str, restricted: bool) -> None:
@@ -91,17 +94,44 @@ def maximal_apply(
     restricted: bool = False,
 ) -> np.ndarray:
     """Pointwise maximal function sup_t |semigroup f|, the sup taken over the
-    SupOverT log-spaced time grid."""
+    SupOverT log-spaced time grid.
+
+    The time grid is swept in blocks of rows (see _time_blocks): each block
+    builds its decay rows exp(-t sqrt(lam)) c, multiplies them by the mode
+    table and folds their absolute values into a running maximum, so beyond
+    the (modes, points) table the sweep holds about BLOCK_BYTES of values,
+    never a (times, points) grid."""
     _check_parity(parity, restricted)
     if spec is None:
         spec = SupOverT()
     c = np.asarray(coeffs, dtype=float)
-    lam = mode_eigenvalues(params, c.size, parity)
-    decay = np.exp(-np.outer(spec.grid(), np.sqrt(lam)))
-    table = mode_table(params, c.size, theta, parity)
-    vals = (decay * c) @ table
-    out = np.max(np.abs(vals), axis=0)
+    theta = np.asarray(theta, dtype=float)
+    root = np.sqrt(mode_eigenvalues(params, c.size, parity))
+    table = mode_table(params, c.size, theta.ravel(), parity)
+    times = spec.grid()
+    out = np.zeros(theta.size)
+    for rows in _time_blocks(times.size, theta.size):
+        decay = np.outer(-times[rows], root)
+        np.exp(decay, out=decay)
+        decay *= c
+        vals = decay @ table
+        np.maximum(out, np.abs(vals, out=vals).max(axis=0), out=out)
+    out = out.reshape(theta.shape)
     return 0.5 * out if restricted else out
+
+
+def _time_blocks(n_times: int, n_points: int) -> list:
+    """Slices of a time grid whose (rows, points) float64 values take about
+    BLOCK_BYTES each.  A block is a whole number of 24-row tiles (24 is a
+    common multiple of the row tiles of the usual dgemm kernels, 8 and 12) and
+    never a single row (a one-row product takes BLAS's matrix-vector path),
+    so that each block's product rounds as the same rows of one whole-grid
+    product do."""
+    rows = 24 * max(1, BLOCK_BYTES // (8 * 24 * n_points))
+    edges = list(range(0, n_times, rows)) + [n_times]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(i, j) for i, j in zip(edges[:-1], edges[1:])]
 
 
 def riesz_apply(
@@ -234,6 +264,11 @@ def gfun_apply(
     Integrates |t^{M+N} d_t^M delta_N (semigroup f)|^2 dt/t over the
     weighted time grid.  The L^2 norm of the result against the measure of
     the chosen parity agrees with gfun_norm.
+
+    The time grid is swept in blocks of rows (see _time_blocks), and each
+    block's weighted squares are added to the running integral one time row
+    at a time, in grid order, so beyond the mode table the sweep holds about
+    BLOCK_BYTES of values, never a (times, points) grid.
     """
     _check_parity(parity, restricted)
     if M < 0 or N < 0 or M + N < 1:
@@ -246,28 +281,39 @@ def gfun_apply(
         return np.zeros(theta.shape)
     spec = L2TWeighted(m=M, n=N, lam_min=float(np.min(lam[alive])))
     t, wt = spec.grid()
-    prof = _gfun_profiles(params, lam, M, N, t, restricted) * c
-
+    points = theta.ravel()
+    # the mode functions that the leftover lowering (odd N) lands on, one
+    # table row per coefficient slot, and the profile columns it multiplies
+    cols, coef = slice(None), c
     if N % 2 == 0:
-        table = mode_table(params, c.size, theta, parity)
-        vals = prof @ table
+        table = mode_table(params, c.size, points, parity)
     elif parity == "full":
-        # leftover lowering walks even modes down and odd modes up with
-        # alternating sign; mode zero has gap zero and contributes nothing
-        n_idx = np.arange(c.size)
-        prof = prof * (-1.0) ** n_idx
-        target = np.where(n_idx == 0, 0, n_idx - (-1) ** n_idx)
-        table = mode_table(params, c.size + 1, theta, parity)
-        vals = prof @ table[target]
+        # the lowering walks even modes down and odd modes up with alternating
+        # sign: slot n lands on n - (-1)^n, so adjacent rows 2k - 1, 2k swap
+        # places; mode zero has gap zero and contributes nothing.  The sign
+        # is exact, so it may ride on the coefficients
+        coef = c * (-1.0) ** np.arange(c.size)
+        table = mode_table(params, c.size + 1, points, parity)
+        for n in range(1, c.size, 2):
+            table[[n, n + 1]] = table[[n + 1, n]]
+        table = table[: c.size]
     elif parity == "even":
         # targets are the odd family shifted down by one; mode 0 dies
-        table = mode_table(params, c.size - 1, theta, "odd")
-        vals = prof[:, 1:] @ table
+        table = mode_table(params, c.size - 1, points, "odd")
+        cols = slice(1, None)
     else:
         # targets are the even family shifted up by one
-        table = mode_table(params, c.size + 1, theta, "even")
-        vals = prof @ table[1:]
-    return np.sqrt((wt[:, None] * vals**2).sum(axis=0))
+        table = mode_table(params, c.size + 1, points, "even")[1:]
+    acc = np.zeros(points.size)
+    for rows in _time_blocks(t.size, points.size):
+        prof = _gfun_profiles(params, lam, M, N, t[rows], restricted)
+        prof *= coef
+        vals = prof[:, cols] @ table
+        vals *= vals
+        vals *= wt[rows, None]
+        for row in vals:
+            acc += row
+    return np.sqrt(acc).reshape(theta.shape)
 
 
 @dataclass(frozen=True)

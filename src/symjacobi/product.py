@@ -117,23 +117,34 @@ def _axis_cells(k: int) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _atomic(a: float) -> bool:
+    """Whether dPi_a is taken as the two atoms: at a = -1/2, and at the one
+    float above it whose rule exponent a - 1/2 rounds to -1."""
+    return a - 0.5 == -1.0
+
+
 @lru_cache(maxsize=1024)
 def _segment(a: float, x0: float, x1: float, n: int):
     """Nodes x = 1 - u and weights of dPi_a restricted to x in [x0, x1]."""
-    if a == -0.5:
+    if _atomic(a):
         return np.array([0.0, 2.0]), np.array([0.5, 0.5])
-    norm = np.exp(gammaln(a + 1.0) - gammaln(a + 0.5)) / np.sqrt(np.pi)
-    if x0 == 0.0:  # endpoint u = 1, weight x^(a - 1/2) handled exactly
-        rule = gauss_jacobi_rule(a - 0.5, 0.0, n)
+    # the weights are normalized for the exponent e the rules use, which is
+    # a - 1/2 rounded: normalizing for a itself puts a relative error of about
+    # 1e-16 / (a + 1/2) on the mass, just above a = -1/2.  Where a - 1/2 is
+    # exact, e + 1 and e + 3/2 round as a + 1/2 and a + 1 do.
+    e = a - 0.5
+    norm = np.exp(gammaln(e + 1.5) - gammaln(e + 1.0)) / np.sqrt(np.pi)
+    if x0 == 0.0:  # endpoint u = 1, weight x^e handled exactly
+        rule = gauss_jacobi_rule(e, 0.0, n)
         x = x1 * (1.0 - rule.nodes) / 2.0
-        w = rule.weights * (x1 / 2.0) ** (a + 0.5) * (2.0 - x) ** (a - 0.5)
-    elif x1 == 2.0:  # endpoint u = -1, weight (2 - x)^(a - 1/2) handled exactly
-        rule = gauss_jacobi_rule(0.0, a - 0.5, n)
+        w = rule.weights * (x1 / 2.0) ** (e + 1.0) * (2.0 - x) ** e
+    elif x1 == 2.0:  # endpoint u = -1, weight (2 - x)^e handled exactly
+        rule = gauss_jacobi_rule(0.0, e, n)
         x = 2.0 - (2.0 - x0) * (1.0 + rule.nodes) / 2.0
-        w = rule.weights * ((2.0 - x0) / 2.0) ** (a + 0.5) * x ** (a - 0.5)
+        w = rule.weights * ((2.0 - x0) / 2.0) ** (e + 1.0) * x ** e
     else:
         x, w = composite_gauss([x0, x1], n)
-        w = w * (x * (2.0 - x)) ** (a - 0.5)
+        w = w * (x * (2.0 - x)) ** e
     return x, norm * w
 
 
@@ -157,9 +168,9 @@ def _grading_floor(q_floor, shifts, refine):
 def _signature(a, b, A, B, floor):
     """The mesh of a rule as (ku, kv, d): the halvings of each axis and the
     clamped floor(log2(A / B))."""
-    ku = 0 if a == -0.5 else _levels(A, floor)
-    kv = 0 if b == -0.5 else _levels(B, floor)
-    if a == -0.5 or b == -0.5:
+    ku = 0 if _atomic(a) else _levels(A, floor)
+    kv = 0 if _atomic(b) else _levels(B, floor)
+    if _atomic(a) or _atomic(b):
         return ku, kv, 0
     # the mesh compares xi- and eta-edges A 2^-i and B 2^-j, so it depends on
     # A / B only through floor(log2(A / B)), clamped to where it matters
@@ -221,7 +232,7 @@ def _axis_rule(a: float, k: int, n: int):
     """Per segment of an axis with k halvings, one row each (the two atoms
     at a = -1/2): the nodes x = 1 - u, 1 - x, the weights of dPi_a and
     x (2 - x), as one (4, segments, nodes) table."""
-    segments = [(0.0, 2.0)] if a == -0.5 else _axis_segments(k)
+    segments = [(0.0, 2.0)] if _atomic(a) else _axis_segments(k)
     x, w = (np.array(z) for z in zip(*(_segment(a, x0, x1, n) for x0, x1 in segments)))
     table = np.stack([x, 1.0 - x, w, x * (2.0 - x)])
     table.flags.writeable = False
@@ -232,7 +243,7 @@ def _cell_grids(a, b, ku, kv, d, n, rows):
     """The given rows of the two axis tables gathered to the cells of a mesh,
     laid out in the order of the rule's nodes (u outer, v inner): two
     (len(rows), cells, nodes per cell) arrays."""
-    iu, iv = _cells(a == -0.5, b == -0.5, ku, kv, d)
+    iu, iv = _cells(_atomic(a), _atomic(b), ku, kv, d)
     tu, tv = _axis_rule(a, ku, n)[rows][:, iu], _axis_rule(b, kv, n)[rows][:, iv]
     return np.repeat(tu, tv.shape[2], axis=2), np.tile(tv, (1, 1, tu.shape[2]))
 
@@ -260,10 +271,13 @@ def _corner_rule(a: float, b: float, ku: int, kv: int, d: int, n: int):
 def _both_families(a: float, b: float, ku: int, kv: int, d: int, n: int):
     """The families of _corner_rule (columns 0-5) beside those of the shifted
     measures (columns 6-11): dPi_(a+1)(u) = (a + 1)/(a + 1/2) (1 - u^2)
-    dPi_a(u), and 1 - u^2 = x (2 - x); cached beside the rule, read-only."""
+    dPi_a(u), and 1 - u^2 = x (2 - x); cached beside the rule, read-only.
+    The ratios are taken at the rule's exponents a - 1/2 and b - 1/2, as in
+    _segment."""
     fams = _corner_rule(a, b, ku, kv, d, n)[2]
     gu, gv = _cell_grids(a, b, ku, kv, d, n, slice(3, 4))
-    g = (a + 1.0) / (a + 0.5) * (b + 1.0) / (b + 0.5) * gu.ravel() * gv.ravel()
+    ea, eb = a - 0.5, b - 0.5
+    g = (ea + 1.5) / (ea + 1.0) * (eb + 1.5) / (eb + 1.0) * gu.ravel() * gv.ravel()
     both = np.empty((fams.shape[0], 12))
     both[:, :6] = fams
     np.multiply(fams, g[:, None], out=both[:, 6:])

@@ -6,6 +6,8 @@ two routes are compared in float and the sign table of the first-order
 operator is pinned against the pointwise operator.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,37 @@ class TestEvalPhi:
         tab = phi_table(p, 9, th)
         for n in range(10):
             assert_allclose(tab[n], eval_phi(p, n, th), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [np.array(0.7), np.linspace(-3.0, 3.0, 15).reshape(3, 5), np.linspace(-3.1, 3.1, 64)],
+        ids=["0-d", "3x5", "64"],
+    )
+    @pytest.mark.parametrize("ab", [(-0.5, -0.5), (6.0, 2.0), (0.5, -0.25)], ids=str)
+    def test_table_rows_bitwise(self, ab, theta):
+        """The table built in place holds eval_phi's bits, row by row, on
+        theta of any shape, for even and odd nmax."""
+        p = JacobiParams(*ab)
+        for nmax in (0, 1, 40, 41):
+            tab = phi_table(p, nmax, theta)
+            assert tab.shape == (nmax + 1,) + theta.shape
+            for n in range(nmax + 1):
+                assert np.array_equal(tab[n], eval_phi(p, n, theta)), n
+
+    def test_table_builds_no_temporaries(self):
+        """phi_table(511, 2048 points) peaks below 1.1 times its output: the
+        recurrence and the scalings run in place, with a few theta-sized
+        rows beside the table."""
+        p = JacobiParams(0.5, -0.25)
+        th = np.linspace(-3.1, 3.1, 2048)
+        phi_table(p, 511, th)
+        tracemalloc.start()
+        try:
+            phi_table(p, 511, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 512 * th.size * 8
 
     def test_orthonormality(self):
         """<Phi_n, Phi_m> over dmu = delta_{nm} for n, m <= 16."""

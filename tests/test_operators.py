@@ -1,6 +1,8 @@
 """Tests for spectral-side operators: semigroup, maximal, Riesz, square
 functions, multipliers, and the parity reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -311,6 +313,113 @@ class TestGFunction:
     def test_needs_at_least_one_order(self):
         with pytest.raises(ValueError, match="M \\+ N"):
             gfun_norm(JacobiParams(0.0, 0.0), np.ones(3), 0, 0)
+
+
+def _whole_grid_maximal(params, c, theta, parity="full", restricted=False):
+    """maximal_apply as one (times, points) grid: every time row at once."""
+    lam = mode_eigenvalues(params, c.size, parity)
+    decay = np.exp(-np.outer(SupOverT().grid(), np.sqrt(lam)))
+    vals = (decay * c) @ mode_table(params, c.size, np.ravel(theta), parity)
+    out = np.max(np.abs(vals), axis=0).reshape(np.shape(theta))
+    return 0.5 * out if restricted else out
+
+
+def _whole_grid_gfun(params, c, M, N, theta, parity="full", restricted=False):
+    """gfun_apply as one (times, points) grid, its weighted squares summed
+    over the time axis."""
+    lam = mode_eigenvalues(params, c.size, parity)
+    t, wt = L2TWeighted(m=M, n=N, lam_min=float(np.min(lam[lam > 0.0]))).grid()
+    root, gap = np.sqrt(lam), np.maximum(lam - params.lam0, 0.0)
+    prof = (-root) ** M * gap ** (N // 2) * np.exp(-np.outer(t, root))
+    if N % 2:
+        prof = prof * (-np.sqrt(gap))
+    prof = (0.5 * prof if restricted else prof) * c
+    x = np.ravel(theta)
+    if N % 2 == 0:
+        vals = prof @ mode_table(params, c.size, x, parity)
+    elif parity == "full":
+        n = np.arange(c.size)
+        target = np.where(n == 0, 0, n - (-1) ** n)
+        vals = (prof * (-1.0) ** n) @ mode_table(params, c.size + 1, x, parity)[target]
+    elif parity == "even":
+        vals = prof[:, 1:] @ mode_table(params, c.size - 1, x, "odd")
+    else:
+        vals = prof @ mode_table(params, c.size + 1, x, "even")[1:]
+    # the time-ordered sum, which is what sum(axis=0) does over the strided
+    # time axis of two or more points (a single column it sums pairwise)
+    acc = np.cumsum(wt[:, None] * vals**2, axis=0)[-1]
+    return np.sqrt(acc).reshape(np.shape(theta))
+
+
+# point grids: 0-d, a (3, 5) grid and 40 points, each less than one block of
+# the time sweep, and 2048 points, many blocks.  The counts are multiples of
+# 8, the column tile of the usual dgemm kernels, so that a block's product
+# rounds as the same rows of the whole-grid product
+_GRIDS = {
+    "0-d": np.array(0.8),
+    "3x5": np.linspace(-2.9, 2.9, 15).reshape(3, 5),
+    "40": np.linspace(-3.1, 3.1, 40),
+    "2048": np.sort(np.random.default_rng(21).uniform(-np.pi, np.pi, 2048)),
+}
+_BLOCK_PARAMS = [JacobiParams(-0.5, -0.5), JacobiParams(6.0, 2.0), JacobiParams(0.5, -0.25)]
+
+
+class TestRowBlocks:
+    """The time sweeps in row blocks give the bits of the whole-grid forms."""
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=str)
+    @pytest.mark.parametrize("params", _BLOCK_PARAMS, ids=lambda p: f"{p.alpha:g},{p.beta:g}")
+    def test_maximal_bitwise(self, params, grid):
+        c = np.random.default_rng(22).standard_normal(96)
+        theta = _GRIDS[grid]
+        got = maximal_apply(params, c, theta)
+        assert got.shape == theta.shape
+        assert np.array_equal(got, _whole_grid_maximal(params, c, theta))
+        half = np.abs(theta)
+        for parity in ("even", "odd"):
+            got = maximal_apply(params, c, half, parity=parity, restricted=True)
+            assert np.array_equal(got, _whole_grid_maximal(params, c, half, parity, True))
+
+    @pytest.mark.parametrize("grid", _GRIDS, ids=str)
+    @pytest.mark.parametrize("params", _BLOCK_PARAMS, ids=lambda p: f"{p.alpha:g},{p.beta:g}")
+    def test_gfun_bitwise_every_branch(self, params, grid):
+        """N even, and N odd under "full", "even" and "odd"."""
+        c = np.random.default_rng(23).standard_normal(96)
+        theta = _GRIDS[grid]
+        for M, N, parity in [(1, 0, "full"), (1, 2, "even"), (0, 1, "full"), (2, 1, "full"),
+                             (0, 1, "even"), (1, 1, "odd")]:
+            x = theta if parity == "full" else np.abs(theta)
+            got = gfun_apply(params, c, M, N, x, parity=parity)
+            assert got.shape == theta.shape
+            assert np.array_equal(got, _whole_grid_gfun(params, c, M, N, x, parity)), (M, N, parity)
+        got = gfun_apply(params, c, 1, 1, np.abs(theta), parity="even", restricted=True)
+        assert np.array_equal(got, _whole_grid_gfun(params, c, 1, 1, np.abs(theta), "even", True))
+
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda p, c, th: maximal_apply(p, c, th),
+            lambda p, c, th: gfun_apply(p, c, 1, 0, th),
+            lambda p, c, th: gfun_apply(p, c, 0, 1, th),
+        ],
+        ids=["maximal", "gfun_N_even", "gfun_N_odd"],
+    )
+    def test_sweep_builds_no_time_grid(self, apply):
+        """At 512 modes x 2048 points (the spectral benchmark's size) the
+        sweep peaks below one and a half (modes, points) float64 mode tables:
+        the whole-grid forms held a (1141, 2048) values grid, its absolute
+        values and the (1141, 512) decay, over six tables in all."""
+        p = JacobiParams(0.5, -0.25)
+        c = np.random.default_rng(24).standard_normal(512)
+        theta = _GRIDS["2048"]
+        apply(p, c, theta)
+        tracemalloc.start()
+        try:
+            apply(p, c, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * c.size * theta.size * 8
 
 
 class TestMultipliers:
