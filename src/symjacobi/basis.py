@@ -34,6 +34,7 @@ from .core import (
     eigenvalue,
     eval_trig_poly,
     eval_trig_poly_deriv,
+    sin_product_derivative,
     trig_poly_table,
 )
 from .quadrature import mu_plus_rule
@@ -178,15 +179,10 @@ class ModeRows:
                 rows[1:] = 2.0 * self(params, n_modes - 1, "odd", order - 1)
             return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
         # odd family (1/2) sin(theta) P^{+1}_n, differentiated by the product rule
-        base = self(params.shifted(), n_modes, "even")
-        sin, cos = np.sin(theta), np.cos(theta)
-        if order == 0:
-            return 0.5 * sin * base
-        dbase = self(params.shifted(), n_modes, "even", 1)
-        if order == 1:
-            return 0.5 * (cos * base + sin * dbase)
-        d2base = self(params.shifted(), n_modes, "even", 2)
-        return 0.5 * (-sin * base + 2.0 * cos * dbase + sin * d2base)
+        derivs = [self(params.shifted(), n_modes, "even", k) for k in range(order + 1)]
+        rows = sin_product_derivative(theta, derivs)
+        rows *= 0.5
+        return rows
 
 
 def analyze(params: JacobiParams, f, nmax: int, nodes: int | None = None) -> np.ndarray:

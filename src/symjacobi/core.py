@@ -16,6 +16,7 @@ through log-gamma so large degrees and fractional parameters stay stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +242,17 @@ def eval_trig_poly_deriv(params: JacobiParams, n: int, theta) -> np.ndarray:
     shifted = params.shifted()
     factor = -0.5 * np.sqrt(n * (n + params.alpha + params.beta + 1.0))
     return factor * np.sin(theta) * eval_trig_poly(shifted, n - 1, theta)
+
+
+def sin_product_derivative(x, derivs) -> np.ndarray:
+    """The i-th x-derivative of sin(x) g(x), i = len(derivs) - 1, from the
+    derivatives derivs = (g, g', ..., g^(i)) by the product rule:
+    sum_k (C(i, k) sin^(i-k)(x)) g_k, summed in order k = 0..i."""
+    i = len(derivs) - 1
+    s, c = np.sin(x), np.cos(x)
+    sin_derivs = (s, c, -s, -c)
+    terms = [(math.comb(i, k) * sin_derivs[(i - k) % 4]) * g for k, g in enumerate(derivs)]
+    return sum(terms[1:], terms[0])
 
 
 def eigenvalue(params: JacobiParams, n) -> np.ndarray:

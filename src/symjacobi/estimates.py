@@ -202,39 +202,40 @@ def _time_panels(lo: float, hi: float, nodes: int, breaks=()) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 # kernel families
 
-# profiles per family: slot -> (head assembly name, tail combo), the combo
-# being mode_sum's (parity, th_op, ph_op, m); the "F" slot is the B-norm
-# profile, G* slots are gradient components for scalar kernels
+# profiles per family: slot -> spec, the (parity, th_op, ph_op, m) key that
+# both the product-rule head (HeadKernels.profile) and the mode-sum tail
+# (mode_sum) take; the "F" slot is the B-norm profile, G* slots are gradient
+# components for scalar kernels.  The atomic kind has no head.
 _FAMILY = {
-    "poisson": dict(kind="sup", F=("H", ("even", 0, 0, 0))),
-    "poisson_reflected": dict(kind="sup", F=("Ht", ("odd", 0, 0, 0))),
-    "square_even": dict(kind="l2", power=3.0, F=("H_dt_dth", ("even", 1, 0, 1))),
-    "square_odd": dict(kind="l2", power=3.0, F=("Ht_dt_low", ("odd", "low", 0, 1))),
+    "poisson": dict(kind="sup", F=("even", 0, 0, 0)),
+    "poisson_reflected": dict(kind="sup", F=("odd", 0, 0, 0)),
+    "square_even": dict(kind="l2", power=3.0, F=("even", 1, 0, 1)),
+    "square_odd": dict(kind="l2", power=3.0, F=("odd", "low", 0, 1)),
     "riesz_even": dict(
         kind="int",
         power=0.0,
-        F=("H_dth", ("even", 1, 0, 0)),
-        Gth=("H_dth2", ("even", 2, 0, 0)),
-        Gph=("H_dth_dph", ("even", 1, 1, 0)),
+        F=("even", 1, 0, 0),
+        Gth=("even", 2, 0, 0),
+        Gph=("even", 1, 1, 0),
     ),
     "riesz_odd": dict(
         kind="int",
         power=0.0,
-        F=("Ht_low", ("odd", "low", 0, 0)),
-        Gth=("Ht_low_dth", ("odd", "low1", 0, 0)),
-        Gph=("Ht_low_dph", ("odd", "low", 1, 0)),
+        F=("odd", "low", 0, 0),
+        Gth=("odd", "low1", 0, 0),
+        Gph=("odd", "low", 1, 0),
     ),
     "multiplier_laplace": dict(
         kind="mult",
-        F=("H_dt", ("even", 0, 0, 1)),
-        Gth=("H_dt_dth", ("even", 1, 0, 1)),
-        Gph=("H_dt_dph", ("even", 0, 1, 1)),
+        F=("even", 0, 0, 1),
+        Gth=("even", 1, 0, 1),
+        Gph=("even", 0, 1, 1),
     ),
     "multiplier_atomic": dict(
         kind="atoms",
-        F=(None, ("even", 0, 0, 0)),
-        Gth=(None, ("even", 1, 0, 0)),
-        Gph=(None, ("even", 0, 1, 0)),
+        F=("even", 0, 0, 0),
+        Gth=("even", 1, 0, 0),
+        Gph=("even", 0, 1, 0),
     ),
 }
 
@@ -309,43 +310,42 @@ class FamilyBatch:
     def _profiles(self, pairs, kernel_ids, slots, refine):
         plan = []
         for kid in kernel_ids:
-            spec = _FAMILY[kid]
-            for slot in slots:
-                if slot in spec:
-                    t = self.atoms[0] if spec["kind"] == "atoms" else self._tail_grid_for(kid)[0]
-                    plan.append((kid, slot, spec[slot][0], spec[slot][1], t))
+            fam = _FAMILY[kid]
+            atoms = fam["kind"] == "atoms"
+            t = self.atoms[0] if atoms else self._tail_grid_for(kid)[0]
+            plan += [(kid, slot, fam[slot], not atoms, t) for slot in slots if slot in fam]
         # a plan reading both the plain and the reflected family takes both
         # from one shared moment pass
-        reflected = [name.startswith("Ht") for _, _, name, _, _ in plan if name is not None]
-        both = any(reflected) and not all(reflected)
-        hk = HeadKernels(self.params, pairs[:, 0], pairs[:, 1], self.t_head, refine, both=both)
+        parities = {spec[0] for _, _, spec, has_head, _ in plan if has_head}
+        hk = HeadKernels(
+            self.params, pairs[:, 0], pairs[:, 1], self.t_head, refine, both=len(parities) == 2
+        )
         # the tails share their row tables; the longest sums (earliest tail
         # time) go first, so the shorter ones read leading rows
         th_rows, ph_rows = (ModeRows(pairs[:, i], headroom=ROW_HEADROOM) for i in (0, 1))
         out = {}
-        for kid, slot, head_name, combo, t_tail in sorted(plan, key=lambda e: e[4].min()):
-            tail = mode_sum_rows(self.params, combo[0], t_tail, th_rows, ph_rows, *combo[1:])
-            head = None if head_name is None else getattr(hk, head_name)()
-            out[(kid, slot)] = (head, tail)
+        for kid, slot, spec, has_head, t_tail in sorted(plan, key=lambda e: e[4].min()):
+            tail = mode_sum_rows(self.params, spec, t_tail, th_rows, ph_rows)
+            out[(kid, slot)] = (hk.profile(spec) if has_head else None, tail)
         return out
 
     def _reduce(self, kid, head, tail):
         """Profile pair -> per-pair B-norm (the absolute integral for scalar
         kernels).  For sup kernels also returns the argmax times."""
-        spec = _FAMILY[kid]
-        kind = spec["kind"]
+        fam = _FAMILY[kid]
+        kind = fam["kind"]
         if kind == "sup":
             f_all = np.concatenate([np.abs(head), np.abs(tail)], axis=0)
             t_all = np.concatenate([self.t_head, self.t_tail])
             idx = np.argmax(f_all, axis=0)
             return f_all[idx, np.arange(f_all.shape[1])], t_all[idx]
         if kind == "l2":
-            pw = spec["power"]
+            pw = fam["power"]
             acc = (self.w_head * self.t_head**pw) @ head**2
             acc = acc + (self.w_tail * self.t_tail**pw) @ tail**2
             return np.sqrt(acc), None
         if kind == "int":
-            pw = spec["power"]
+            pw = fam["power"]
             vals = (self.w_head * self.t_head**pw) @ head + (
                 self.w_tail * self.t_tail**pw
             ) @ tail

@@ -28,7 +28,8 @@ Also here: mode_sum, the one damped half-line mode sum behind the series
 route, the estimate tails and the derivative kernels (time derivatives and
 iterated one-sided lowering compositions, reduced to closed mode-wise
 factors), and the two norms in the time variable used by square functions and
-maximal operators.
+maximal operators.  A kernel profile has one name on both routes, the spec
+(parity, th_op, ph_op, m) that mode_sum and product.HeadKernels.profile take.
 """
 
 from __future__ import annotations
@@ -129,27 +130,25 @@ def n_max_for(
     return int(ok[0] + 1)
 
 
-def mode_sum(
-    params: JacobiParams, parity: str, t, theta, phi, th_op=0, ph_op=0, m=0, pairs=0, n_modes=None
-) -> np.ndarray:
+def mode_sum(params: JacobiParams, spec, t, theta, phi, pairs=0, n_modes=None) -> np.ndarray:
     """Damped half-line mode sum, shape (len(t),) + the broadcast shape of
     theta and phi (scalars count as one point):
 
         (1/2) sum_n (-sqrt(lam_n))^m (lam_n - lam_0)^pairs e^{-t sqrt(lam_n)}
               A_n(theta) B_n(phi)
 
-    over the "even" or "odd" family, with theta broadcast against phi.  The
-    rows A and B come from basis.mode_table, each on its own input's shape:
-    an outer grid theta[:, None], phi[None, :] costs I + J rows and no I x J
-    operand is built.  th_op and ph_op are a derivative order (0, 1 or 2),
-    or "low" / "low1" for the odd family's adjoint lowering and its first
-    derivative.  Each pair of lowerings contributes one gap factor, which
-    `pairs` supplies.  By default the mode count meets the tail bound with
-    four extra powers at the smallest t.
+    for the profile spec = (parity, th_op, ph_op, m), which
+    product.HeadKernels.profile takes too: over the "even" or "odd" family,
+    with theta broadcast against phi.  The rows A and B come from
+    basis.mode_table, each on its own input's shape: an outer grid
+    theta[:, None], phi[None, :] costs I + J rows and no I x J operand is
+    built.  th_op and ph_op are a derivative order (0, 1 or 2), or "low" /
+    "low1" for the odd family's adjoint lowering and its first derivative.
+    Each pair of lowerings contributes one gap factor, which `pairs`
+    supplies.  By default the mode count meets the tail bound with four
+    extra powers at the smallest t.
     """
-    return mode_sum_rows(
-        params, parity, t, _table_rows(theta), _table_rows(phi), th_op, ph_op, m, pairs, n_modes
-    )
+    return mode_sum_rows(params, spec, t, _table_rows(theta), _table_rows(phi), pairs, n_modes)
 
 
 def _table_rows(x):
@@ -161,11 +160,10 @@ def _table_rows(x):
     )
 
 
-def mode_sum_rows(
-    params, parity, t, th_rows, ph_rows, th_op=0, ph_op=0, m=0, pairs=0, n_modes=None
-):
+def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
     """mode_sum with the theta and phi rows read from two basis.ModeRows, so
     that the sums of one evaluation pass share their row tables."""
+    parity, th_op, ph_op, m = spec
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if n_modes is None:
         n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
@@ -192,13 +190,13 @@ def poisson_kernel_series(
     theta[:, None], phi[None, :] builds I + J mode rows."""
     if nmax is None:
         nmax = n_max_for(params, t)
-    vals = mode_sum(params, "even", t, theta, phi, n_modes=nmax + 1)
+    vals = mode_sum(params, ("even", 0, 0, 0), t, theta, phi, n_modes=nmax + 1)
     return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
-def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
-    """One HeadKernels profile (H, Ht, a first derivative or lowering) of the
-    integral route at each point, with the given nodes per cell side."""
+def _dk_eval(params: JacobiParams, t: float, theta, phi, spec, nodes=None):
+    """The HeadKernels profile of a mode_sum spec (parity, th_op, ph_op, m)
+    on the integral route at each point, with the given nodes per cell side."""
     if not params.kernel_valid:
         raise ValueError("integral route needs alpha, beta >= -1/2")
     if t <= 0:
@@ -208,14 +206,14 @@ def _dk_eval(params: JacobiParams, t: float, theta, phi, name: str, nodes=None):
     )
     times = np.array([float(t)])
     head = HeadKernels(params, theta.ravel(), phi.ravel(), times, nodes=nodes or DK_NODES)
-    return getattr(head, name)()[0].reshape(theta.shape)
+    return head.profile(spec)[0].reshape(theta.shape)
 
 
 def poisson_kernel_dk(params: JacobiParams, t: float, theta, phi, nodes: int | None = None):
     """Half-kernel H_t by the double product-formula average (integral route),
     with `nodes` Gauss points per cell side of the corner rule (DK_NODES by
     default).  Valid for alpha, beta >= -1/2."""
-    return _dk_eval(params, t, theta, phi, "H", nodes)
+    return _dk_eval(params, t, theta, phi, ("even", 0, 0, 0), nodes)
 
 
 def poisson_kernel_dk_auto(
@@ -312,8 +310,9 @@ def kernel_derivative(
     an odd leftover lowering replacing the theta-factor by its first-order
     image.  The odd (reflected) part works the same through the shifted family.
 
-    Integral route: implemented for m + n_delta <= 1 (first-order
-    differentiation under the double average), used for cross-validation.
+    Integral route: the HeadKernels profile of the same mode_sum spec,
+    implemented for m + n_delta <= 1 (first-order differentiation under the
+    double average), used for cross-validation.
 
     Parameters
     ----------
@@ -328,20 +327,19 @@ def kernel_derivative(
         raise ValueError("derivative orders must be nonnegative")
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
+    pairs, odd_left = divmod(n_delta, 2)
+    # one leftover lowering is the plain derivative on the even family and
+    # the adjoint lowering onto P_{n+1} on the odd family
+    spec = (parity, ("low" if parity == "odd" else 1) if odd_left else 0, 0, m)
     if route == "dk":
         if m + n_delta > 1:
             raise NotImplementedError("integral route carries first-order derivatives only")
-        names = ("H", "H_dt", "H_dth") if parity == "even" else ("Ht", "Ht_dt", "Ht_low")
-        return _dk_eval(params, t, theta, phi, names[m + 2 * n_delta])
+        return _dk_eval(params, t, theta, phi, spec)
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
     if nmax is None:
         nmax = n_max_for(params, t, extra_power=float(m + n_delta))
-    pairs, odd_left = divmod(n_delta, 2)
-    # one leftover lowering is the plain derivative on the even family and
-    # the adjoint lowering onto P_{n+1} on the odd family
-    th_op = ("low" if parity == "odd" else 1) if odd_left else 0
-    vals = mode_sum(params, parity, t, theta, phi, th_op, 0, m, pairs, nmax + 1)
+    vals = mode_sum(params, spec, t, theta, phi, pairs, nmax + 1)
     return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 

@@ -57,8 +57,12 @@ shift alone always takes the direct chain.
 Callers work on blocks of pairs.  block_moments is the one loop over pairs:
 it reduces a block to its unordered pairs, computes each once, in mesh order
 so that consecutive pairs share a cached rule, and expands the result back
-to the block.  PairHead and HeadKernels assemble the kernel profiles of a
-whole block from those moments, as (times, pairs) arrays.
+to the block.  A pair with one negative angle is the pair of absolute angles
+with u -> -u, since dPi_a is even: its moments of u and uv change sign.
+
+HeadKernels assembles the kernel profiles of a whole block from those
+moments, as (times, pairs) arrays, keyed by the spec (parity, th_op, ph_op,
+m) that the series route's mode_sum takes, from PairHead's moment formulas.
 """
 
 from __future__ import annotations
@@ -69,12 +73,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .core import JacobiParams, total_mass
+from .core import JacobiParams, sin_product_derivative, total_mass
 from .quadrature import composite_gauss, gauss_jacobi_rule
 
 __all__ = [
     "cosh_half_minus_one", "nodes_for", "corner_rule", "pair_moments", "block_moments",
-    "PairHead", "HeadKernels",
+    "HeadKernels",
 ]
 
 # Gauss nodes per cell side (two more above a + b = 4 and again above 10,
@@ -154,7 +158,8 @@ def _levels(c: float, floor: float) -> int:
 
 
 def _scales(theta, phi):
-    """A, B and q_floor of a point pair, all symmetric in theta and phi."""
+    """A, B and q_floor of the pair (|theta|, |phi|), symmetric in theta and phi."""
+    theta, phi = abs(theta), abs(phi)
     A = np.sin(theta / 2.0) * np.sin(phi / 2.0)
     B = np.cos(theta / 2.0) * np.cos(phi / 2.0)
     q_floor = 2.0 * np.sin(abs(theta - phi) / 4.0) ** 2
@@ -351,6 +356,9 @@ def pair_moments(
                     np.matmul(base, c, out=o[j - 2 * i, n_small:])
             if j + 1 < steps:
                 base *= inv
+    if theta * phi < 0:  # the pair (|theta|, |phi|) with u -> -u, as dPi_a is even
+        for o in outs:
+            o[..., [1, 4]] *= -1.0
     return tuple(outs) if shifted else outs[0]
 
 
@@ -503,6 +511,19 @@ class PairHead:
         return self.C * self.sh * self.p * ((self.p + 1.0) * quad - mixed)
 
 
+# PairHead's formula for each (theta, phi, time) derivative order
+_PAIR_PARTS = {
+    (0, 0, 0): PairHead.value,
+    (1, 0, 0): PairHead.d_theta,
+    (0, 1, 0): PairHead.d_phi,
+    (0, 0, 1): PairHead.d_t,
+    (1, 0, 1): PairHead.d_t_theta,
+    (0, 1, 1): PairHead.d_t_phi,
+    (2, 0, 0): PairHead.d_theta2,
+    (1, 1, 0): PairHead.d_theta_phi,
+}
+
+
 def _cstar(params: JacobiParams, theta: float) -> float:
     half = theta / 2.0
     return -(params.alpha + 0.5) / np.tan(half) + (params.beta + 0.5) * np.tan(half)
@@ -516,12 +537,12 @@ def _cstar_prime(params: JacobiParams, theta: float) -> float:
 
 
 class HeadKernels:
-    """Product-formula profiles of every kernel family's integrand (H, the
-    reflected Ht = (1/4) sin(theta) sin(phi) H^(alpha+1, beta+1), their
-    derivatives and adjoint lowerings) for a block of pairs (theta[i], phi[i]),
-    each a (times, pairs) array, composed from the plain and shifted parameter
-    sets, built lazily.  The estimate harness takes them for its time head and
-    the kernels module for its integral route.
+    """Product-formula profiles of every kernel family's integrand for a
+    block of pairs (theta[i], phi[i]), each a (times, pairs) array, keyed by
+    mode_sum's spec (parity, th_op, ph_op, m): "even" is H and "odd" the
+    reflected Ht = (1/4) sin(theta) sin(phi) H^(alpha+1, beta+1).  The
+    estimate harness takes them for its time head and the kernels module for
+    its integral route.
 
     A caller that reads both families passes both=True, and their moments
     come from one shared block_moments pass; otherwise each family that is
@@ -556,79 +577,21 @@ class HeadKernels:
     def shift(self):
         return self._head(self.params.shifted(), "shift")
 
-    # plain family
-    def H(self):
-        return self.plain.value()
-
-    def H_dth(self):
-        return self.plain.d_theta()
-
-    def H_dt(self):
-        return self.plain.d_t()
-
-    def H_dt_dth(self):
-        return self.plain.d_t_theta()
-
-    def H_dt_dph(self):
-        return self.plain.d_t_phi()
-
-    def H_dth2(self):
-        return self.plain.d_theta2()
-
-    def H_dth_dph(self):
-        return self.plain.d_theta_phi()
-
-    # reflected family: (1/4) sin(theta) sin(phi) times the shifted kernel
-    def _prefix(self):
-        return 0.25 * np.sin(self.theta) * np.sin(self.phi)
-
-    def Ht(self):
-        return self._prefix() * self.shift.value()
-
-    def Ht_dth(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (c * self.shift.value() + s * self.shift.d_theta())
-
-    def Ht_dph(self):
-        s, c = np.sin(self.phi), np.cos(self.phi)
-        return 0.25 * np.sin(self.theta) * (c * self.shift.value() + s * self.shift.d_phi())
-
-    def Ht_dt(self):
-        return self._prefix() * self.shift.d_t()
-
-    def Ht_dt_dth(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (c * self.shift.d_t() + s * self.shift.d_t_theta())
-
-    def Ht_dth2(self):
-        s, c = np.sin(self.theta), np.cos(self.theta)
-        return 0.25 * np.sin(self.phi) * (
-            -s * self.shift.value() + 2.0 * c * self.shift.d_theta() + s * self.shift.d_theta2()
-        )
-
-    def Ht_dth_dph(self):
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        sp, cp = np.sin(self.phi), np.cos(self.phi)
-        return 0.25 * (
-            ct * cp * self.shift.value()
-            + ct * sp * self.shift.d_phi()
-            + st * cp * self.shift.d_theta()
-            + st * sp * self.shift.d_theta_phi()
-        )
-
-    # adjoint lowering applied in theta to the reflected family
-    def Ht_low(self):
-        return -self.Ht_dth() + _cstar(self.params, self.theta) * self.Ht()
-
-    def Ht_dt_low(self):
-        return -self.Ht_dt_dth() + _cstar(self.params, self.theta) * self.Ht_dt()
-
-    def Ht_low_dth(self):
-        return (
-            -self.Ht_dth2()
-            + _cstar_prime(self.params, self.theta) * self.Ht()
-            + _cstar(self.params, self.theta) * self.Ht_dth()
-        )
-
-    def Ht_low_dph(self):
-        return -self.Ht_dth_dph() + _cstar(self.params, self.theta) * self.Ht_dph()
+    def profile(self, spec):
+        """The (times, pairs) profile of the spec (parity, th_op, ph_op, m)."""
+        parity, th_op, ph_op, m = spec
+        if th_op in ("low", "low1"):  # -d_theta + c* in theta, or its theta-derivative
+            part = lambda k: self.profile((parity, k, ph_op, m))
+            cstar = _cstar(self.params, self.theta)
+            if th_op == "low":
+                return -part(1) + cstar * part(0)
+            return -part(2) + _cstar_prime(self.params, self.theta) * part(0) + cstar * part(1)
+        if parity == "even":
+            return _PAIR_PARTS[th_op, ph_op, m](self.plain)
+        # the product rule over sin(theta) at each phi-order, then over sin(phi)
+        shift = lambda k, j: _PAIR_PARTS[k, j, m](self.shift)
+        by_phi = [
+            sin_product_derivative(self.theta, [shift(k, j) for k in range(th_op + 1)])
+            for j in range(ph_op + 1)
+        ]
+        return 0.25 * sin_product_derivative(self.phi, by_phi)

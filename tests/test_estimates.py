@@ -194,8 +194,8 @@ class TestSwapReuse:
     @staticmethod
     def _row_keys(kernel_ids, slots):
         """Distinct (parity, op) row tables of a pass at theta and at phi."""
-        combos = [_FAMILY[k][s][1] for k in kernel_ids for s in slots if s in _FAMILY[k]]
-        return len({(c[0], c[1]) for c in combos}) + len({(c[0], c[2]) for c in combos})
+        specs = [_FAMILY[k][s] for k in kernel_ids for s in slots if s in _FAMILY[k]]
+        return len({(c[0], c[1]) for c in specs}) + len({(c[0], c[2]) for c in specs})
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED, ATOMIC])
     def test_values_builds_each_row_table_once(self, params, monkeypatch):
@@ -222,9 +222,8 @@ class TestSwapReuse:
         batch = FamilyBatch(params)
         pairs = pair_grid(1)[::11]
         for (kid, slot), (_, tail) in batch.profiles(pairs, ("F", "Gth", "Gph")).items():
-            parity, th_op, ph_op, m = _FAMILY[kid][slot][1]
             t = batch.atoms[0] if _FAMILY[kid]["kind"] == "atoms" else batch._tail_grid_for(kid)[0]
-            want = mode_sum(params, parity, t, pairs[:, 0], pairs[:, 1], th_op, ph_op, m)
+            want = mode_sum(params, _FAMILY[kid][slot], t, pairs[:, 0], pairs[:, 1])
             assert np.array_equal(tail, want), (kid, slot)
 
     def test_moved_pass_reads_vector_kernels_only(self, monkeypatch):
@@ -254,21 +253,23 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED])
     def test_head_matches_series(self, params):
+        """Every spec with a head gives the same profile on both routes at
+        the splice."""
         t = np.array([0.35, 0.5])
-        checks = [
-            ("H", ("even", 0, 0, 0)),
-            ("H_dth", ("even", 1, 0, 0)),
-            ("H_dt_dth", ("even", 1, 0, 1)),
-            ("Ht", ("odd", 0, 0, 0)),
-            ("Ht_dt_low", ("odd", "low", 0, 1)),
-            ("Ht_low_dth", ("odd", "low1", 0, 0)),
-        ]
+        specs = {
+            spec
+            for fam in _FAMILY.values()
+            if fam["kind"] != "atoms"
+            for slot, spec in fam.items()
+            if slot in ("F", "Gth", "Gph")
+        }
+        assert len(specs) == 12
         for th, ph in ((0.9, 1.7), (2.4, 3.0)):
             head = HeadKernels(params, th, ph, t)
-            for name, (parity, th_op, ph_op, m_t) in checks:
-                hv = getattr(head, name)()[:, 0]
-                tv = mode_sum(params, parity, t, th, ph, th_op, ph_op, m_t)[:, 0]
-                assert_allclose(hv, tv, rtol=2e-7, atol=1e-12)
+            for spec in sorted(specs, key=str):
+                hv = head.profile(spec)[:, 0]
+                tv = mode_sum(params, spec, t, th, ph)[:, 0]
+                assert_allclose(hv, tv, rtol=2e-7, atol=1e-12, err_msg=str(spec))
 
     def test_refine_reproduces(self):
         batch = FamilyBatch(SKEWED, ("poisson", "riesz_odd"))

@@ -217,6 +217,23 @@ class TestSymmetrizedKernel:
         )
         assert_allclose(odd, tilde_kernel(p, t, th, ph), rtol=1e-12)
 
+    def test_dk_route_on_the_full_circle(self):
+        """The integral route takes negative angles as the series does: at
+        (theta, -phi) its even part is bitwise that at (theta, phi), and HH
+        agrees with the series on (-pi, pi)^2, derivatives included."""
+        rng = np.random.default_rng(27)
+        th = rng.uniform(-np.pi + 0.1, np.pi - 0.1, 12)
+        ph = rng.uniform(-np.pi + 0.1, np.pi - 0.1, 12)
+        for a, b in KERNEL_PAIRS:
+            p = JacobiParams(a, b)
+            assert np.array_equal(poisson_kernel_dk(p, 0.6, th, -ph), poisson_kernel_dk(p, 0.6, th, ph))
+            dk = symmetrized_kernel(p, 0.6, th, ph, route="dk")
+            assert_allclose(dk, symmetrized_kernel(p, 0.6, th, ph), rtol=1e-8)
+            for m, nd, par in [(1, 0, "even"), (0, 1, "even"), (1, 0, "odd"), (0, 1, "odd")]:
+                s = kernel_derivative(p, 0.6, th, ph, m=m, n_delta=nd, parity=par)
+                d = kernel_derivative(p, 0.6, th, ph, m=m, n_delta=nd, parity=par, route="dk")
+                assert_allclose(d, s, rtol=1e-8, atol=1e-12)
+
     def test_tilde_parameter_shift(self):
         """Reflected part equals (1/4) sin sin times the shifted-family kernel."""
         p = JacobiParams(0.0, 0.0)
@@ -281,10 +298,11 @@ class TestKernelDerivative:
             kernel_derivative(JacobiParams(0.0, 0.0), 1.0, 1.0, 2.0, m=1, n_delta=1, route="dk")
 
 
-def _paired_mode_sum(params, parity, t, theta, phi, th_op, ph_op, m, pairs):
+def _paired_mode_sum(params, spec, t, theta, phi, pairs):
     """Reference mode sum: theta and phi broadcast and raveled to paired
     points, mode rows built per point and contracted by one
     "tn,np,np->tp" einsum, then shaped back."""
+    parity, th_op, ph_op, m = spec
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
     n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
@@ -347,10 +365,10 @@ class TestBroadcasting:
              layout="scalar_theta", ops=("even", 2, 1), m=0, pairs=1)
     def test_mode_sum_equals_paired_call(self, a, b, t, theta, phi, layout, ops, m, pairs):
         p = JacobiParams(a, b)
-        parity, th_op, ph_op = ops
+        spec = (*ops, m)
         th, ph = _grid(theta, phi, layout)
-        got = mode_sum(p, parity, t, th, ph, th_op, ph_op, m, pairs)
-        assert _same_bits(got, _paired_mode_sum(p, parity, t, th, ph, th_op, ph_op, m, pairs))
+        got = mode_sum(p, spec, t, th, ph, pairs)
+        assert _same_bits(got, _paired_mode_sum(p, spec, t, th, ph, pairs))
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(
