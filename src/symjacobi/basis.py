@@ -33,7 +33,6 @@ from .core import (
     _normalize_rows,
     eigenvalue,
     eval_trig_poly,
-    eval_trig_poly_deriv,
     sin_product_derivative,
     trig_poly_table,
 )
@@ -49,14 +48,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "d_apply_spectral",
-    "d_apply_pointwise",
-    "delta_apply",
-    "delta_star_apply",
-    "lowering_compose",
-    "sym_operator_apply",
 ]
-
-_CLAMP = 1e-12
 
 
 def half_index(n) -> np.ndarray:
@@ -185,8 +177,11 @@ class ModeRows:
         return rows
 
 
-def analyze(params: JacobiParams, f, nmax: int, nodes: int | None = None) -> np.ndarray:
+def analyze(params: JacobiParams, f, nmax: int) -> np.ndarray:
     """Expansion coefficients <f, Phi_n> over dmu for n = 0..nmax.
+
+    The half-line quadrature has nmax + 16 points, so band limits up to nmax
+    are resolved exactly.
 
     Parameters
     ----------
@@ -194,18 +189,13 @@ def analyze(params: JacobiParams, f, nmax: int, nodes: int | None = None) -> np.
         Vectorized function on (-pi, pi).
     nmax : int
         Largest basis index.
-    nodes : int, optional
-        Half-line quadrature size; default resolves band limits up to nmax
-        exactly (nmax + 16 points).
 
     Returns
     -------
     numpy.ndarray
         Coefficient vector of length nmax + 1.
     """
-    if nodes is None:
-        nodes = nmax + 16
-    rule = mu_plus_rule(params, nodes)
+    rule = mu_plus_rule(params, nmax + 16)
     th = rule.nodes
     fp = np.asarray(f(th), dtype=float)
     fm = np.asarray(f(-th), dtype=float)
@@ -244,94 +234,3 @@ def d_apply_spectral(params: JacobiParams, coeffs, order: int = 1) -> np.ndarray
         c = new
     return c
 
-
-def _central_diff(f, theta, h):
-    return (np.asarray(f(theta + h), dtype=float) - np.asarray(f(theta - h), dtype=float)) / (
-        2.0 * h
-    )
-
-
-def _odd_part(f, theta):
-    return (np.asarray(f(theta), dtype=float) - np.asarray(f(-theta), dtype=float)) / 2.0
-
-
-def drift_coeff_full(params: JacobiParams, theta) -> np.ndarray:
-    """Odd-part drift coefficient (alpha - beta + (alpha+beta+1) cos theta)/sin theta,
-    with the denominator clamped away from the interior zero set."""
-    theta = np.asarray(theta, dtype=float)
-    a, b = params.alpha, params.beta
-    s = np.sin(theta)
-    s = np.where(np.abs(s) < _CLAMP, np.copysign(_CLAMP, np.where(s == 0.0, 1.0, s)), s)
-    return (a - b + (a + b + 1.0) * np.cos(theta)) / s
-
-
-def d_apply_pointwise(params: JacobiParams, f, theta, h: float = 1e-5) -> np.ndarray:
-    """Pointwise D f = f' + drift * f_odd for a callable f, by central
-    differences of step h; intended for interior theta."""
-    theta = np.asarray(theta, dtype=float)
-    return _central_diff(f, theta, h) + drift_coeff_full(params, theta) * _odd_part(f, theta)
-
-
-def delta_apply(f, theta, h: float = 1e-5) -> np.ndarray:
-    """Raw lowering operator: plain derivative of the callable f."""
-    return _central_diff(f, theta, h)
-
-
-def delta_star_apply(params: JacobiParams, f, theta, h: float = 1e-5) -> np.ndarray:
-    """Formal adjoint of the lowering operator:
-
-    delta* f = -f' - (alpha + 1/2) cot(theta/2) f + (beta + 1/2) tan(theta/2) f.
-    """
-    theta = np.asarray(theta, dtype=float)
-    half = theta / 2.0
-    s = np.sin(half)
-    s = np.where(np.abs(s) < _CLAMP, np.copysign(_CLAMP, np.where(s == 0.0, 1.0, s)), s)
-    c = np.cos(half)
-    c = np.where(np.abs(c) < _CLAMP, np.copysign(_CLAMP, np.where(c == 0.0, 1.0, c)), c)
-    coeff = -(params.alpha + 0.5) * (c / s) + (params.beta + 0.5) * (s / c)
-    return -_central_diff(f, theta, h) + coeff * np.asarray(f(theta), dtype=float)
-
-
-def lowering_compose(
-    params: JacobiParams, f, theta, n_apps: int, first: str = "delta", h: float = 1e-3
-) -> np.ndarray:
-    """Alternating composition of the lowering operator and its adjoint,
-    applied `n_apps` times to the callable f by nested central differences.
-
-    `first` names the operator applied first: "delta" gives ... delta* delta f
-    (the even-count pattern), "delta_star" gives ... delta delta* f.  The
-    nested stencil is O(h^2); evaluation count grows like 2^n_apps, so keep
-    n_apps small (<= 4).
-    """
-    if first not in ("delta", "delta_star"):
-        raise ValueError("first must be 'delta' or 'delta_star'")
-    g = f
-    use_delta = first == "delta"
-    for _ in range(n_apps):
-        g_prev = g
-        if use_delta:
-            g = lambda th, g_=g_prev: delta_apply(g_, th, h)
-        else:
-            g = lambda th, g_=g_prev: delta_star_apply(params, g_, th, h)
-        use_delta = not use_delta
-    return np.asarray(g(np.asarray(theta, dtype=float)), dtype=float)
-
-
-def sym_operator_apply(params: JacobiParams, f, theta, h: float = 1e-4) -> np.ndarray:
-    """Pointwise symmetrized operator -D^2 f + lam0 f via two nested
-    pointwise D applications (finite differences, interior theta)."""
-    theta = np.asarray(theta, dtype=float)
-    df = lambda th: d_apply_pointwise(params, f, th, h)
-    return -d_apply_pointwise(params, df, theta, h) + params.lam0 * np.asarray(
-        f(theta), dtype=float
-    )
-
-
-def defining_odd_phi(params: JacobiParams, k: int, theta) -> np.ndarray:
-    """Odd basis function by its defining formula (normalized lowering of the
-    degree-k trig polynomial); used to cross-check the closed form."""
-    if k < 1:
-        raise ValueError("odd-index functions need k >= 1")
-    gap = float(eigenvalue(params, k) - params.lam0)
-    theta = np.asarray(theta, dtype=float)
-    return -eval_trig_poly_deriv(params, k, theta) / np.sqrt(2.0 * gap)

@@ -586,6 +586,16 @@ def _nonnegative_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def _positive_time(text: str) -> float:
+    try:
+        value = float(text)
+        if 0.0 < value < float("inf"):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite time, got {text!r}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -616,7 +626,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "kernel", parents=[common],
         help="tabulate the Poisson kernel and its parts as CSV",
     )
-    kernel.add_argument("--t", type=float, default=1.0, help="semigroup time")
+    kernel.add_argument(
+        "--t", type=_positive_time, default=1.0, help="semigroup time, positive and finite"
+    )
     kernel.add_argument(
         "--route", choices=("series", "dk", "both"), default="series",
         help="evaluation route; both adds a relative-difference column",

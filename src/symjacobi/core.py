@@ -34,7 +34,6 @@ __all__ = [
     "eigenvalue",
     "spectrum",
     "total_mass",
-    "jacobi_operator_apply",
 ]
 
 
@@ -273,46 +272,3 @@ def total_mass(params: JacobiParams) -> float:
     """Total mass of dmu+ on (0, pi): Beta(alpha + 1, beta + 1)."""
     return float(np.exp(betaln(params.alpha + 1.0, params.beta + 1.0)))
 
-
-def drift_coeff(params: JacobiParams, theta) -> np.ndarray:
-    """First-order coefficient (alpha - beta + (alpha + beta + 1) cos theta)/sin theta.
-
-    Singular at theta in {0, +-pi}; callers clamp or avoid the endpoints.
-    """
-    theta = np.asarray(theta, dtype=float)
-    a, b = params.alpha, params.beta
-    return (a - b + (a + b + 1.0) * np.cos(theta)) / np.sin(theta)
-
-
-def jacobi_operator_apply(params: JacobiParams, f_values, theta_grid) -> np.ndarray:
-    """Apply the second-order Jacobi operator on a uniform grid.
-
-    Computes -f'' - [(alpha - beta + (alpha + beta + 1) cos theta)/sin theta] f'
-    + lam0 f with second-order central differences.  The two boundary entries
-    are returned as NaN; this routine is a finite-difference oracle for
-    eigenfunction checks, not a spectral method.
-
-    Parameters
-    ----------
-    f_values : array_like
-        Samples of f on theta_grid.
-    theta_grid : array_like
-        Uniformly spaced points inside (0, pi).
-
-    Returns
-    -------
-    numpy.ndarray
-        Grid samples of the operator applied to f; endpoints NaN.
-    """
-    theta = np.asarray(theta_grid, dtype=float)
-    f = np.asarray(f_values, dtype=float)
-    if theta.shape != f.shape or theta.ndim != 1 or theta.size < 3:
-        raise ValueError("need matching 1-d grids with at least 3 points")
-    h = theta[1] - theta[0]
-    if not np.allclose(np.diff(theta), h, rtol=1e-10, atol=0.0):
-        raise ValueError("theta_grid must be uniformly spaced")
-    out = np.full_like(f, np.nan)
-    fpp = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
-    fp = (f[2:] - f[:-2]) / (2.0 * h)
-    out[1:-1] = -fpp - drift_coeff(params, theta[1:-1]) * fp + params.lam0 * f[1:-1]
-    return out

@@ -247,18 +247,15 @@ class MultiplierProfile:
 
     fn: object
     breakpoints: tuple = ()
-    name: str = "one"
 
 
-PROFILE_ONE = MultiplierProfile(fn=lambda t: np.ones_like(t), name="one")
-PROFILE_SIGN = MultiplierProfile(
-    fn=lambda t: np.sign(np.sin(t)),
-    breakpoints=tuple(np.pi * np.arange(1, 20)),
-    name="sign_sin",
-)
 # default harness profile: the constant profile gives the identity operator,
 # whose kernel vanishes off the diagonal, so the sign profile is the
 # interesting stock case for kernel estimates
+PROFILE_SIGN = MultiplierProfile(
+    fn=lambda t: np.sign(np.sin(t)),
+    breakpoints=tuple(np.pi * np.arange(1, 20)),
+)
 STOCK_ATOMS = (np.array([0.4, 1.1, 2.7]), np.array([0.6, -0.3, 0.4]))
 
 
@@ -591,18 +588,6 @@ def _exact_quotients(th, ph, tht):
     qa = np.abs(th - ph) * ph * (np.pi - ph) / denom
     qb = tht * ph * (np.pi - tht) * (np.pi - ph) / denom
     return qa, qb
-
-
-def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = None):
-    """The two quotients of _exact_quotients, with constant exactly one;
-    (b) requires 2 |theta - theta~| <= |theta - phi|."""
-    if not (0.0 < theta < np.pi and 0.0 < phi < np.pi):
-        raise ValueError("theta and phi must lie in (0, pi)")
-    if theta_tilde is None:
-        theta_tilde = theta
-    if 2.0 * abs(theta - theta_tilde) > abs(theta - phi):
-        raise ValueError("theta~ violates 2|theta - theta~| <= |theta - phi|")
-    return _exact_quotients(theta, phi, theta_tilde)
 
 
 def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .basis import mode_eigenvalues, mode_table, phi_table, sym_eigenvalue
 from .core import JacobiParams, eigenvalue
-from .product import HeadKernels
+from .product import HeadKernels, cosh_half_minus_one
 from .quadrature import composite_gauss
 
 __all__ = [
@@ -104,27 +104,23 @@ def q_theta(theta, phi, u, v) -> np.ndarray:
     ) * np.sin(theta / 2.0) * np.cos(phi / 2.0)
 
 
-def n_max_for(
-    params: JacobiParams,
-    t: float,
-    extra_power: float = 0.0,
-    tol: float = TAIL_TOL,
-    cap: int = MODE_CAP,
-) -> int:
+def n_max_for(params: JacobiParams, t: float, extra_power: float = 0.0) -> int:
     """Smallest mode count whose tail bound
-    exp(-t sqrt(lam_n)) (n+1)^{2(alpha+beta+2)+extra_power} drops below tol.
+    exp(-t sqrt(lam_n)) (n+1)^{2(alpha+beta+2)+extra_power} drops below
+    TAIL_TOL = 1e-14, searched up to MODE_CAP = 4096 modes.
 
-    Raises ConvergenceError when the cap cannot meet the bound (small t).
+    Raises ValueError unless t is positive and finite, and ConvergenceError
+    when the cap cannot meet the bound (small t).
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    n = np.arange(1, cap + 1, dtype=float)
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"time must be positive and finite, got {t}")
+    n = np.arange(1, MODE_CAP + 1, dtype=float)
     expo = 2.0 * (params.alpha + params.beta + 2.0) + extra_power
     log_bound = -t * np.sqrt(eigenvalue(params, n)) + expo * np.log(n + 1.0)
-    ok = np.nonzero(log_bound < np.log(tol))[0]
+    ok = np.nonzero(log_bound < np.log(TAIL_TOL))[0]
     if ok.size == 0:
         raise ConvergenceError(
-            f"mode cap {cap} leaves tail bound exp({log_bound[-1]:.2f}) at t={t}; "
+            f"mode cap {MODE_CAP} leaves tail bound exp({log_bound[-1]:.2f}) at t={t}; "
             "the series route cannot converge here"
         )
     return int(ok[0] + 1)
@@ -182,28 +178,38 @@ def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
     return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, th_rows), rows(ph_op, ph_rows))
 
 
-def poisson_kernel_series(
-    params: JacobiParams, t: float, theta, phi, nmax: int | None = None
-) -> np.ndarray:
+def poisson_kernel_series(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
     """Half-kernel H_t(theta, phi) by the mode sum (series route), on the
     broadcast shape of theta and phi; one mode_sum call, so an outer grid
     theta[:, None], phi[None, :] builds I + J mode rows."""
-    if nmax is None:
-        nmax = n_max_for(params, t)
+    nmax = n_max_for(params, t)
     vals = mode_sum(params, ("even", 0, 0, 0), t, theta, phi, n_modes=nmax + 1)
     return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 def _dk_eval(params: JacobiParams, t: float, theta, phi, spec, nodes=None):
     """The HeadKernels profile of a mode_sum spec (parity, th_op, ph_op, m)
-    on the integral route at each point, with the given nodes per cell side."""
+    on the integral route at each point, with the given nodes per cell side.
+
+    The angles must lie in [-pi, pi], and t must be positive with sinh(t/2)
+    and cosh(t/2) - 1 finite (t up to about 1420.9)."""
     if not params.kernel_valid:
         raise ValueError("integral route needs alpha, beta >= -1/2")
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.sinh(t / 2.0)) and np.isfinite(cosh_half_minus_one(t))
+    if not finite:
+        raise ValueError(f"time t={t} overflows sinh(t/2) or cosh(t/2) - 1 on the integral route")
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
+    for name, angle in (("theta", theta), ("phi", phi)):
+        outside = np.abs(angle) > np.pi
+        if outside.any():
+            raise ValueError(
+                f"angle {name}={angle[outside].flat[0]} lies outside the kernel domain [-pi, pi]"
+            )
     times = np.array([float(t)])
     head = HeadKernels(params, theta.ravel(), phi.ravel(), times, nodes=nodes or DK_NODES)
     return head.profile(spec)[0].reshape(theta.shape)
@@ -252,38 +258,35 @@ def poisson_kernel_dk_auto(
     return vals
 
 
-def tilde_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series", **kw):
+def tilde_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series"):
     """Reflected (odd) part Ht_t = (1/4) sin(theta) sin(phi) H_t^{(alpha+1,beta+1)}."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shifted = params.shifted()
     if route == "series":
-        core = poisson_kernel_series(shifted, t, theta, phi, **kw)
+        core = poisson_kernel_series(shifted, t, theta, phi)
     elif route == "dk":
-        core = poisson_kernel_dk(shifted, t, theta, phi, **kw)
+        core = poisson_kernel_dk(shifted, t, theta, phi)
     else:
         raise ValueError(f"unknown route {route!r}")
     return 0.25 * np.sin(theta) * np.sin(phi) * core
 
 
-def symmetrized_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series", **kw):
+def symmetrized_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series"):
     """Full kernel HH_t = H_t + Ht_t on (-pi, pi) x (-pi, pi)."""
     if route == "series":
-        half = poisson_kernel_series(params, t, theta, phi, **kw)
+        half = poisson_kernel_series(params, t, theta, phi)
     elif route == "dk":
-        half = poisson_kernel_dk(params, t, theta, phi, **kw)
+        half = poisson_kernel_dk(params, t, theta, phi)
     else:
         raise ValueError(f"unknown route {route!r}")
-    return half + tilde_kernel(params, t, theta, phi, route=route, **kw)
+    return half + tilde_kernel(params, t, theta, phi, route=route)
 
 
-def symmetrized_kernel_mode_sum(
-    params: JacobiParams, t: float, theta, phi, nmax: int | None = None
-) -> np.ndarray:
+def symmetrized_kernel_mode_sum(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
     """HH_t summed directly over the symmetrized basis (independent route for
     the decomposition check): sum_n e^{-t sqrt(lam_{<n>})} Phi_n(theta) Phi_n(phi)."""
-    if nmax is None:
-        nmax = 2 * n_max_for(params, t) + 1
+    nmax = 2 * n_max_for(params, t) + 1
     n = np.arange(nmax + 1)
     damp = np.exp(-t * np.sqrt(sym_eigenvalue(params, n)))
     tab_th = phi_table(params, nmax, theta)
@@ -300,7 +303,6 @@ def kernel_derivative(
     n_delta: int = 0,
     parity: str = "even",
     route: str = "series",
-    nmax: int | None = None,
 ) -> np.ndarray:
     """Time derivatives and lowering compositions of the kernel parts.
 
@@ -337,45 +339,50 @@ def kernel_derivative(
         return _dk_eval(params, t, theta, phi, spec)
     if route != "series":
         raise ValueError(f"unknown route {route!r}")
-    if nmax is None:
-        nmax = n_max_for(params, t, extra_power=float(m + n_delta))
+    nmax = n_max_for(params, t, extra_power=float(m + n_delta))
     vals = mode_sum(params, spec, t, theta, phi, pairs, nmax + 1)
     return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:
     """Integral of H_t(theta, .) over dmu+: e^{-t sqrt(lam_0)} / 2, which is
-    e^{-t |alpha+beta+1| / 2} / 2 on both sides of the critical line."""
+    e^{-t |alpha+beta+1| / 2} / 2 on both sides of the critical line and 1/2
+    on it, at every t up to and including infinity."""
+    if params.critical:
+        return 0.5
     return 0.5 * float(np.exp(-t * abs(params.alpha + params.beta + 1.0) / 2.0))
 
 
 @dataclass(frozen=True)
 class SupOverT:
     """Sup norm over a fixed log-spaced time grid (reproducibility contract:
-    the grid is part of the norm's definition)."""
+    the grid is part of the norm's definition): T_MIN = 1e-4 to T_MAX = 50
+    with POINTS_PER_DECADE = 200 points per decade, 1141 times in all."""
 
-    t_min: float = 1e-4
-    t_max: float = 50.0
-    points_per_decade: int = 200
+    T_MIN = 1e-4
+    T_MAX = 50.0
+    POINTS_PER_DECADE = 200
 
     def grid(self) -> np.ndarray:
-        decades = np.log10(self.t_max / self.t_min)
-        count = int(np.ceil(decades * self.points_per_decade)) + 1
-        return np.geomspace(self.t_min, self.t_max, count)
+        decades = np.log10(self.T_MAX / self.T_MIN)
+        count = int(np.ceil(decades * self.POINTS_PER_DECADE)) + 1
+        return np.geomspace(self.T_MIN, self.T_MAX, count)
 
 
 @dataclass(frozen=True)
 class L2TWeighted:
     """L^2 norm against t^{2(m+n)-1} dt, by composite Gauss in log time with
     the upper truncation chosen so the slowest surviving mode's tail integral
-    falls below 1e-16 relative."""
+    falls below 1e-16 relative.  The grid starts at T_LO = 1e-10 and its
+    panels carry NODES_PER_PANEL = 8 Gauss points each."""
+
+    T_LO = 1e-10
+    NODES_PER_PANEL = 8
 
     m: int
     n: int
     lam_min: float
-    t_lo: float = 1e-10
     points_per_decade: int = 30
-    nodes_per_panel: int = 8
 
     @property
     def weight_power(self) -> float:
@@ -399,10 +406,10 @@ class L2TWeighted:
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights in t for integrating f(t) t^w dt."""
-        s_lo, s_hi = np.log(self.t_lo), np.log(self.t_hi())
-        panels = max(1, int(np.ceil((s_hi - s_lo) / np.log(10.0) * self.points_per_decade / self.nodes_per_panel)))
+        s_lo, s_hi = np.log(self.T_LO), np.log(self.t_hi())
+        panels = max(1, int(np.ceil((s_hi - s_lo) / np.log(10.0) * self.points_per_decade / self.NODES_PER_PANEL)))
         edges = np.linspace(s_lo, s_hi, panels + 1)
-        s_nodes, s_weights = composite_gauss(edges, self.nodes_per_panel)
+        s_nodes, s_weights = composite_gauss(edges, self.NODES_PER_PANEL)
         t_nodes = np.exp(s_nodes)
         # dt = t ds and the measure weight t^w
         t_weights = s_weights * t_nodes ** (self.weight_power + 1.0)

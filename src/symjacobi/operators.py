@@ -44,26 +44,6 @@ def _check_parity(parity: str, restricted: bool) -> None:
         raise ValueError("the restricted factor applies to half-line parities only")
 
 
-def reduce_symmetrized(coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Split full-basis coefficients into the two half-line families.
-
-    Phi_{2k} = P_k / sqrt(2) and Phi_{2k+1} is 1/sqrt(2) times the odd
-    half-line mode, so both reductions divide by sqrt(2).
-    """
-    c = np.asarray(coeffs, dtype=float)
-    return c[0::2] / np.sqrt(2.0), c[1::2] / np.sqrt(2.0)
-
-
-def combine_symmetrized(even_coeffs, odd_coeffs) -> np.ndarray:
-    """Inverse of reduce_symmetrized."""
-    a = np.asarray(even_coeffs, dtype=float)
-    b = np.asarray(odd_coeffs, dtype=float)
-    c = np.zeros(a.size + b.size)
-    c[0 : 2 * a.size : 2] = np.sqrt(2.0) * a
-    c[1 : 2 * b.size + 1 : 2] = np.sqrt(2.0) * b
-    return c
-
-
 def semigroup_apply(
     params: JacobiParams,
     t: float,
@@ -89,7 +69,6 @@ def maximal_apply(
     params: JacobiParams,
     coeffs,
     theta,
-    spec: SupOverT | None = None,
     parity: str = "full",
     restricted: bool = False,
 ) -> np.ndarray:
@@ -102,13 +81,11 @@ def maximal_apply(
     the (modes, points) table the sweep holds about BLOCK_BYTES of values,
     never a (times, points) grid."""
     _check_parity(parity, restricted)
-    if spec is None:
-        spec = SupOverT()
     c = np.asarray(coeffs, dtype=float)
     theta = np.asarray(theta, dtype=float)
     root = np.sqrt(mode_eigenvalues(params, c.size, parity))
     table = mode_table(params, c.size, theta.ravel(), parity)
-    times = spec.grid()
+    times = SupOverT().grid()
     out = np.zeros(theta.size)
     for rows in _time_blocks(times.size, theta.size):
         decay = np.outer(-times[rows], root)
@@ -320,13 +297,16 @@ def gfun_apply(
 class LaplaceMultiplier:
     """Spectral multiplier m(z) = integral of z e^{-tz} phi(t) dt with phi
     bounded; |m| is then bounded by sup |phi|.  Breakpoints mark
-    discontinuities of phi so panels never straddle them."""
+    discontinuities of phi so panels never straddle them.  After the
+    substitution u = t z the integral runs over (0, U_MAX) with U_MAX = 45,
+    in unit panels of NODES_PER_PANEL = 12 Gauss points each."""
+
+    U_MAX = 45.0
+    NODES_PER_PANEL = 12
 
     phi: Callable[[np.ndarray], np.ndarray]
     bound: float | None = None
     breakpoints: tuple[float, ...] = ()
-    u_max: float = 45.0
-    nodes_per_panel: int = 12
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -340,10 +320,10 @@ class LaplaceMultiplier:
             raise ValueError(f"spectral argument must be nonnegative, got {z}")
         if z == 0.0:
             return 0.0
-        # substitute u = t z: m = integral e^{-u} phi(u/z) du on (0, u_max)
-        edges = set(np.arange(0.0, self.u_max + 1.0))
-        edges.update(z * b for b in self.breakpoints if 0.0 < z * b < self.u_max)
-        u, wq = composite_gauss(sorted(edges), self.nodes_per_panel)
+        # substitute u = t z: m = integral e^{-u} phi(u/z) du on (0, U_MAX)
+        edges = set(np.arange(0.0, self.U_MAX + 1.0))
+        edges.update(z * b for b in self.breakpoints if 0.0 < z * b < self.U_MAX)
+        u, wq = composite_gauss(sorted(edges), self.NODES_PER_PANEL)
         return float(np.sum(wq * np.exp(-u) * self.phi(u / z)))
 
 
@@ -374,13 +354,15 @@ class AtomicMultiplier:
         return np.exp(-np.multiply.outer(z, self.times)) @ self.weights
 
 
-def fractional_atoms(s_max: float = 6.0, panel_width: float = 0.25, nodes: int = 8) -> AtomicMultiplier:
+def fractional_atoms() -> AtomicMultiplier:
     """Atomic representation of z^{-1/2} through t = s^2:
 
     z^{-1/2} = (2/sqrt(pi)) integral e^{-s^2 z} ds over (0, inf),
 
-    discretized by composite Gauss on (0, s_max).  Accurate to roughly
+    discretized by composite Gauss on (0, s_max) with s_max = 6, in 24
+    panels of width 1/4 with 8 nodes each (192 atoms).  Accurate to roughly
     e^{-s_max^2 z} for z of order one."""
+    s_max, panel_width, nodes = 6.0, 0.25, 8
     n_panels = int(np.ceil(s_max / panel_width))
     s, ws = composite_gauss(np.linspace(0.0, s_max, n_panels + 1), nodes)
     return AtomicMultiplier(times=s**2, weights=2.0 * ws / np.sqrt(np.pi))

@@ -26,7 +26,6 @@ __all__ = [
     "mu_full_rule",
     "interval_measure",
     "ball_measure",
-    "ball_comparable",
 ]
 
 
@@ -156,18 +155,3 @@ def ball_measure(params: JacobiParams, theta, radius) -> np.ndarray:
         raise ValueError("radius must be nonnegative")
     return interval_measure(params, theta - radius, theta + radius)
 
-
-def ball_comparable(params: JacobiParams, theta, phi) -> np.ndarray:
-    """Two-sided comparison expression for the ball measure at radius
-    |theta - phi|:
-
-        |theta - phi| (theta + phi)^{2 alpha + 1} (2 pi - theta - phi)^{2 beta + 1}.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    s = theta + phi
-    return (
-        np.abs(theta - phi)
-        * s ** (2.0 * params.alpha + 1.0)
-        * (2.0 * np.pi - s) ** (2.0 * params.beta + 1.0)
-    )

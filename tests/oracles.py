@@ -1,0 +1,209 @@
+"""Independent reference forms that the tests check the closed forms against.
+
+These are finite-difference and sampled stand-ins for operators the package
+computes exactly: the first-order calculus of the symmetrized basis by
+central differences, the second-order Jacobi operator on a uniform grid, the
+split of full-basis coefficients into the two half-line families, the
+two-sided ball-measure comparison expression, and the pointwise exact lemma
+quotients.  The package itself does not call them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly_deriv
+from symjacobi.estimates import _exact_quotients
+
+_CLAMP = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# first-order calculus of the symmetrized basis, by central differences
+
+
+def _central_diff(f, theta, h):
+    return (np.asarray(f(theta + h), dtype=float) - np.asarray(f(theta - h), dtype=float)) / (
+        2.0 * h
+    )
+
+
+def _odd_part(f, theta):
+    return (np.asarray(f(theta), dtype=float) - np.asarray(f(-theta), dtype=float)) / 2.0
+
+
+def drift_coeff(params: JacobiParams, theta) -> np.ndarray:
+    """Odd-part drift coefficient (alpha - beta + (alpha+beta+1) cos theta)/sin theta,
+    with the denominator clamped away from the interior zero set."""
+    theta = np.asarray(theta, dtype=float)
+    a, b = params.alpha, params.beta
+    s = np.sin(theta)
+    s = np.where(np.abs(s) < _CLAMP, np.copysign(_CLAMP, np.where(s == 0.0, 1.0, s)), s)
+    return (a - b + (a + b + 1.0) * np.cos(theta)) / s
+
+
+def d_apply_pointwise(params: JacobiParams, f, theta, h: float = 1e-5) -> np.ndarray:
+    """Pointwise D f = f' + drift * f_odd for a callable f, by central
+    differences of step h; intended for interior theta."""
+    theta = np.asarray(theta, dtype=float)
+    return _central_diff(f, theta, h) + drift_coeff(params, theta) * _odd_part(f, theta)
+
+
+def delta_apply(f, theta, h: float = 1e-5) -> np.ndarray:
+    """Raw lowering operator: plain derivative of the callable f."""
+    return _central_diff(f, theta, h)
+
+
+def delta_star_apply(params: JacobiParams, f, theta, h: float = 1e-5) -> np.ndarray:
+    """Formal adjoint of the lowering operator:
+
+    delta* f = -f' - (alpha + 1/2) cot(theta/2) f + (beta + 1/2) tan(theta/2) f.
+    """
+    theta = np.asarray(theta, dtype=float)
+    half = theta / 2.0
+    s = np.sin(half)
+    s = np.where(np.abs(s) < _CLAMP, np.copysign(_CLAMP, np.where(s == 0.0, 1.0, s)), s)
+    c = np.cos(half)
+    c = np.where(np.abs(c) < _CLAMP, np.copysign(_CLAMP, np.where(c == 0.0, 1.0, c)), c)
+    coeff = -(params.alpha + 0.5) * (c / s) + (params.beta + 0.5) * (s / c)
+    return -_central_diff(f, theta, h) + coeff * np.asarray(f(theta), dtype=float)
+
+
+def lowering_compose(
+    params: JacobiParams, f, theta, n_apps: int, first: str = "delta", h: float = 1e-3
+) -> np.ndarray:
+    """Alternating composition of the lowering operator and its adjoint,
+    applied `n_apps` times to the callable f by nested central differences.
+
+    `first` names the operator applied first: "delta" gives ... delta* delta f
+    (the even-count pattern), "delta_star" gives ... delta delta* f.  The
+    nested stencil is O(h^2); evaluation count grows like 2^n_apps, so keep
+    n_apps small (<= 4).
+    """
+    if first not in ("delta", "delta_star"):
+        raise ValueError("first must be 'delta' or 'delta_star'")
+    g = f
+    use_delta = first == "delta"
+    for _ in range(n_apps):
+        g_prev = g
+        if use_delta:
+            g = lambda th, g_=g_prev: delta_apply(g_, th, h)
+        else:
+            g = lambda th, g_=g_prev: delta_star_apply(params, g_, th, h)
+        use_delta = not use_delta
+    return np.asarray(g(np.asarray(theta, dtype=float)), dtype=float)
+
+
+def sym_operator_apply(params: JacobiParams, f, theta, h: float = 1e-4) -> np.ndarray:
+    """Pointwise symmetrized operator -D^2 f + lam0 f via two nested
+    pointwise D applications (finite differences, interior theta)."""
+    theta = np.asarray(theta, dtype=float)
+    df = lambda th: d_apply_pointwise(params, f, th, h)
+    return -d_apply_pointwise(params, df, theta, h) + params.lam0 * np.asarray(
+        f(theta), dtype=float
+    )
+
+
+def defining_odd_phi(params: JacobiParams, k: int, theta) -> np.ndarray:
+    """Odd basis function by its defining formula (normalized lowering of the
+    degree-k trig polynomial); used to cross-check the closed form."""
+    if k < 1:
+        raise ValueError("odd-index functions need k >= 1")
+    gap = float(eigenvalue(params, k) - params.lam0)
+    theta = np.asarray(theta, dtype=float)
+    return -eval_trig_poly_deriv(params, k, theta) / np.sqrt(2.0 * gap)
+
+
+# ---------------------------------------------------------------------------
+# the second-order Jacobi operator on a uniform grid
+
+
+def jacobi_operator_apply(params: JacobiParams, f_values, theta_grid) -> np.ndarray:
+    """Apply the second-order Jacobi operator on a uniform grid.
+
+    Computes -f'' - [(alpha - beta + (alpha + beta + 1) cos theta)/sin theta] f'
+    + lam0 f with second-order central differences.  The two boundary entries
+    are returned as NaN; this routine is a finite-difference oracle for
+    eigenfunction checks, not a spectral method.  Only interior points of
+    (0, pi) enter drift_coeff, where its clamp never acts.
+
+    Parameters
+    ----------
+    f_values : array_like
+        Samples of f on theta_grid.
+    theta_grid : array_like
+        Uniformly spaced points inside (0, pi).
+
+    Returns
+    -------
+    numpy.ndarray
+        Grid samples of the operator applied to f; endpoints NaN.
+    """
+    theta = np.asarray(theta_grid, dtype=float)
+    f = np.asarray(f_values, dtype=float)
+    if theta.shape != f.shape or theta.ndim != 1 or theta.size < 3:
+        raise ValueError("need matching 1-d grids with at least 3 points")
+    h = theta[1] - theta[0]
+    if not np.allclose(np.diff(theta), h, rtol=1e-10, atol=0.0):
+        raise ValueError("theta_grid must be uniformly spaced")
+    out = np.full_like(f, np.nan)
+    fpp = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h**2
+    fp = (f[2:] - f[:-2]) / (2.0 * h)
+    out[1:-1] = -fpp - drift_coeff(params, theta[1:-1]) * fp + params.lam0 * f[1:-1]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# full-basis coefficients and the two half-line families
+
+
+def reduce_symmetrized(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Split full-basis coefficients into the two half-line families.
+
+    Phi_{2k} = P_k / sqrt(2) and Phi_{2k+1} is 1/sqrt(2) times the odd
+    half-line mode, so both reductions divide by sqrt(2).
+    """
+    c = np.asarray(coeffs, dtype=float)
+    return c[0::2] / np.sqrt(2.0), c[1::2] / np.sqrt(2.0)
+
+
+def combine_symmetrized(even_coeffs, odd_coeffs) -> np.ndarray:
+    """Inverse of reduce_symmetrized."""
+    a = np.asarray(even_coeffs, dtype=float)
+    b = np.asarray(odd_coeffs, dtype=float)
+    c = np.zeros(a.size + b.size)
+    c[0 : 2 * a.size : 2] = np.sqrt(2.0) * a
+    c[1 : 2 * b.size + 1 : 2] = np.sqrt(2.0) * b
+    return c
+
+
+# ---------------------------------------------------------------------------
+# sampled comparison forms
+
+
+def ball_comparable(params: JacobiParams, theta, phi) -> np.ndarray:
+    """Two-sided comparison expression for the ball measure at radius
+    |theta - phi|:
+
+        |theta - phi| (theta + phi)^{2 alpha + 1} (2 pi - theta - phi)^{2 beta + 1}.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    s = theta + phi
+    return (
+        np.abs(theta - phi)
+        * s ** (2.0 * params.alpha + 1.0)
+        * (2.0 * np.pi - s) ** (2.0 * params.beta + 1.0)
+    )
+
+
+def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = None):
+    """The two quotients of _exact_quotients, with constant exactly one;
+    (b) requires 2 |theta - theta~| <= |theta - phi|."""
+    if not (0.0 < theta < np.pi and 0.0 < phi < np.pi):
+        raise ValueError("theta and phi must lie in (0, pi)")
+    if theta_tilde is None:
+        theta_tilde = theta
+    if 2.0 * abs(theta - theta_tilde) > abs(theta - phi):
+        raise ValueError("theta~ violates 2|theta - theta~| <= |theta - phi|")
+    return _exact_quotients(theta, phi, theta_tilde)

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import d_apply_pointwise
 from symjacobi.basis import (
-    d_apply_pointwise,
     d_apply_spectral,
     mode_eigenvalues,
     phi_table,

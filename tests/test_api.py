@@ -1,6 +1,9 @@
-"""Public-surface guards: every exported name resolves, and the README's
-Quick start block runs as written."""
+"""Public-surface guards: every exported name resolves, the test-only
+reference forms stay out of the package, and the README's Quick start block
+runs as written."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -11,6 +14,26 @@ from symjacobi import basis, core, kernels, product, quadrature
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# finite-difference and sampled references, defined in tests/oracles.py only
+ORACLE_NAMES = (
+    "_CLAMP",
+    "_central_diff",
+    "_odd_part",
+    "drift_coeff_full",
+    "d_apply_pointwise",
+    "delta_apply",
+    "delta_star_apply",
+    "lowering_compose",
+    "sym_operator_apply",
+    "defining_odd_phi",
+    "drift_coeff",
+    "jacobi_operator_apply",
+    "reduce_symmetrized",
+    "combine_symmetrized",
+    "ball_comparable",
+    "lemma_estimates_exact",
+)
+
 
 def test_all_names_resolve():
     for module in (symjacobi, basis, core, kernels, product, quadrature):
@@ -18,6 +41,16 @@ def test_all_names_resolve():
         assert len(set(names)) == len(names), module.__name__
         missing = [n for n in names if not hasattr(module, n)]
         assert missing == [], f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+def test_oracles_not_shipped():
+    modules = [symjacobi] + [
+        importlib.import_module(f"symjacobi.{info.name}")
+        for info in pkgutil.iter_modules(symjacobi.__path__)
+    ]
+    assert len(modules) == 9
+    shipped = [(m.__name__, n) for m in modules for n in ORACLE_NAMES if hasattr(m, n)]
+    assert shipped == []
 
 
 def test_readme_quick_start_runs():

@@ -12,20 +12,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symjacobi.basis import (
-    analyze,
+from oracles import (
     d_apply_pointwise,
-    d_apply_spectral,
     defining_odd_phi,
     delta_apply,
     delta_star_apply,
+    lowering_compose,
+    sym_operator_apply,
+)
+from symjacobi.basis import (
+    analyze,
+    d_apply_spectral,
     eval_phi,
     half_index,
-    lowering_compose,
     mode_table,
     phi_table,
     sym_eigenvalue,
-    sym_operator_apply,
     synthesize,
 )
 from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly

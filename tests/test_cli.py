@@ -55,6 +55,13 @@ class TestParsing:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("t", ["0", "-1", "inf", "nan", "soon"])
+    def test_kernel_time_must_be_positive_and_finite(self, t, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--t", t, "--alpha", "-0.5", "--beta", "-0.5", "--level", "0"])
+        assert exc.value.code == 2
+        assert "expected a positive finite time" in capsys.readouterr().err
+
     def test_parser_built_once_and_calls_independent(self, tmp_path):
         """The parser is built once per process; consecutive calls with other
         flags, other subcommands and a usage error in between each parse
@@ -122,6 +129,14 @@ class TestKernelTable:
         for (th, ph), v in h.items():
             assert_allclose(h[(ph, th)], v, rtol=1e-12)
         assert_allclose(vals[:, 6], semigroup_mass(params, 0.8), rtol=1e-10)
+
+    @pytest.mark.parametrize("route", ["dk", "both"])
+    def test_overflowing_dk_time_fails(self, capsys, route):
+        """At t = 1500 sinh(t/2) overflows: the integral route refuses the
+        time instead of writing NaN columns."""
+        assert main(["kernel", "--t", "1500", "--route", route, "--level", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "t=1500.0" in captured.err
 
     def test_both_route_reports_difference(self, tmp_path):
         out = tmp_path / "kernel.csv"
@@ -215,6 +230,15 @@ class TestOperatorTable:
         got = np.array([float(row[1]) for row in data])
         lam = mode_eigenvalues(JacobiParams(0.0, 0.0), 3)
         assert_allclose(got, np.array([1.0, 0.0, 0.5]) * np.exp(-0.5 * np.sqrt(lam)))
+
+    def test_semigroup_at_infinite_time(self, capsys):
+        """operator --t still takes infinity: on the critical line the
+        bottom mode survives and every other mode is gone."""
+        argv = ["operator", "--op", "semigroup", "--t", "inf", "--nmax", "3",
+                "--alpha", "-0.5", "--beta", "-0.5"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [float(row.split(",")[1]) for row in rows] == [1.0, 0.0, 0.0, 0.0]
 
     def test_reads_own_output_and_header_rows(self, tmp_path):
         """A coefficient table written by the tool (echo line, n,value header)

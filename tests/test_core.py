@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import jacobi_operator_apply
 from symjacobi.core import (
     JacobiParams,
     eigenvalue,
     eval_jacobi,
     eval_trig_poly,
     eval_trig_poly_deriv,
-    jacobi_operator_apply,
     jacobi_table,
     norm_const,
     spectrum,

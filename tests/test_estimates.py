@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import lemma_estimates_exact
 from symjacobi import basis, estimates, product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
-    PROFILE_ONE,
     PROFILE_SIGN,
     EstimateAccuracyError,
     EstimateReport,
@@ -33,7 +33,6 @@ from symjacobi.estimates import (
     exact_lemma_report,
     ladder_verdict,
     VECTOR_KERNELS,
-    lemma_estimates_exact,
     lemma_levels,
     lemma_samplers,
     pair_grid,
@@ -369,6 +368,7 @@ class TestChecksSmoke:
         }
 
     def test_profile_choice_changes_multiplier(self):
+        PROFILE_ONE = MultiplierProfile(fn=lambda t: np.ones_like(t))
         pairs = np.array([[1.0, 2.1]])
         b1 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_SIGN)
         b2 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_ONE)
@@ -381,7 +381,7 @@ class TestChecksSmoke:
         assert_allclose(n2[0], 1.0 / (2.0 * np.pi), rtol=1e-4)
 
     def test_custom_profile(self):
-        prof = MultiplierProfile(fn=lambda t: np.exp(-t), name="exp")
+        prof = MultiplierProfile(fn=lambda t: np.exp(-t))
         rep = single_level("multiplier_laplace", ATOMIC, 1, profile=prof)["Growth"]
         assert rep.empirical_sup > 0.0
         stock = single_level("multiplier_laplace", ATOMIC, 1)["Growth"]

@@ -132,6 +132,19 @@ class TestSeriesKernel:
         with pytest.raises(ConvergenceError, match="cap"):
             n_max_for(JacobiParams(0.0, 0.0), 1e-4)
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_nonfinite_time_rejected(self, t):
+        """At t = inf the series would multiply the critical line's zero
+        root by inf; the mode count refuses such a time instead."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            n_max_for(JacobiParams(-0.5, -0.5), t)
+
+    def test_mass_limit_at_infinite_time(self):
+        """The bottom mode keeps its mass on the critical line and decays
+        off it, also in the limit t = inf."""
+        assert semigroup_mass(JacobiParams(-0.5, -0.5), np.inf) == 0.5
+        assert semigroup_mass(JacobiParams(0.0, 0.0), np.inf) == 0.0
+
 
 class TestDKRoute:
     def test_route_agreement_sweep(self):
@@ -157,6 +170,30 @@ class TestDKRoute:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="-1/2"):
             poisson_kernel_dk(JacobiParams(-0.75, 0.0), 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("theta, phi, name", [(0.6, 3.5, "phi"), (-3.5, 1.0, "theta")])
+    def test_angle_outside_domain_rejected(self, theta, phi, name):
+        message = rf"{name}=-?3\.5 lies outside the kernel domain \[-pi, pi\]"
+        with pytest.raises(ValueError, match=message):
+            poisson_kernel_dk(JacobiParams(0.5, 1.0), 1.0, theta, phi)
+
+    @pytest.mark.parametrize("t", [1500.0, np.inf])
+    @pytest.mark.parametrize("a, b", KERNEL_PAIRS)
+    def test_overflowing_time_rejected(self, a, b, t):
+        """Past t of about 1420.9, sinh(t/2) and cosh(t/2) - 1 overflow and
+        every integral-route value would be NaN."""
+        p = JacobiParams(a, b)
+        for evaluate in (
+            lambda: poisson_kernel_dk(p, t, 1.0, 1.2),
+            lambda: tilde_kernel(p, t, 1.0, 1.2, route="dk"),
+            lambda: kernel_derivative(p, t, 1.0, 1.2, m=1, route="dk"),
+        ):
+            with pytest.raises(ValueError, match=f"t={t}"):
+                evaluate()
+
+    def test_largest_finite_time_still_evaluated(self):
+        p = JacobiParams(-0.5, -0.5)
+        assert_allclose(poisson_kernel_dk(p, 1420.0, 1.0, 1.2), 1.0 / (2.0 * np.pi), rtol=1e-14)
 
     def test_layer_warning_and_auto_upgrade(self):
         """Near-diagonal small-t evaluation: the corner rule resolves the

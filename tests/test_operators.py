@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import combine_symmetrized, delta_apply, delta_star_apply, reduce_symmetrized
 from symjacobi.basis import (
     d_apply_spectral,
-    delta_apply,
-    delta_star_apply,
     mode_eigenvalues,
     mode_table,
     phi_table,
@@ -21,7 +20,6 @@ from symjacobi.kernels import L2TWeighted, SupOverT, bnorm
 from symjacobi.operators import (
     AtomicMultiplier,
     LaplaceMultiplier,
-    combine_symmetrized,
     fractional_atoms,
     gfun_apply,
     gfun_bound,
@@ -29,7 +27,6 @@ from symjacobi.operators import (
     gfun_norm,
     maximal_apply,
     multiplier_apply,
-    reduce_symmetrized,
     riesz_apply,
     semigroup_apply,
 )

@@ -9,10 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import betaln
 
+from oracles import ball_comparable
 from symjacobi import quadrature
 from symjacobi.core import JacobiParams, eval_trig_poly, total_mass
 from symjacobi.quadrature import (
-    ball_comparable,
     ball_measure,
     composite_gauss,
     gauss_jacobi_rule,
