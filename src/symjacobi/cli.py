@@ -75,6 +75,8 @@ LEMMA_IDS = ("Bridge1", "Bridge2", "L43Star", "Trig", "Comp", "Asympt")
 PRODUCT_LEMMA_IDS = ("Bridge1", "Bridge2", "L43Star")
 PRODUCT_SKIP_REASON = "product-formula measures need alpha, beta >= -1/2"
 SUITES = ("basis", "kernels", "operators", "estimates", "ap")
+# Gauss nodes of the dmu+ and dmu rules that integrate the kernel masses
+MASS_NODES = 400
 
 
 def _fmt(x) -> str:
@@ -90,9 +92,10 @@ def _sym_grid(level: int, size_exp: int = 3) -> np.ndarray:
 
 
 def _echo_line(args, command: str, **extra) -> str:
-    parts = [f"# symjacobi {command}"]
-    parts += [f"alpha={_fmt(args.alpha)}", f"beta={_fmt(args.beta)}"]
-    parts += [f"nmax={args.nmax}", f"nodes={args.nodes}", f"level={args.level}"]
+    """The run configuration: alpha, beta, then nmax and level where the
+    command takes them, then the command's own fields."""
+    parts = [f"# symjacobi {command}", f"alpha={_fmt(args.alpha)}", f"beta={_fmt(args.beta)}"]
+    parts += [f"{k}={getattr(args, k)}" for k in ("nmax", "level") if hasattr(args, k)]
     parts += [f"{k}={v}" for k, v in extra.items()]
     return " ".join(parts) + "\n"
 
@@ -131,7 +134,7 @@ def cmd_kernel(args) -> int:
     t = args.t
     theta = _sym_grid(args.level, size_exp=2)
     # each series column is one call over an outer grid: mode rows per input, not per point
-    mass_rule = mu_plus_rule(params, max(args.nodes, 400))
+    mass_rule = mu_plus_rule(params, MASS_NODES)
     kern = poisson_kernel_series(params, t, np.abs(theta)[:, None], mass_rule.nodes[None, :])
     mass = [mass_rule.integrate(row) for row in kern]
     th, ph = np.meshgrid(theta, theta, indexing="ij")
@@ -168,8 +171,8 @@ def _read_coeffs(path) -> np.ndarray:
 
     Blank lines and ``#`` comments are skipped, and so is a leading header
     row, one in which no field is a number.  Any other row whose last field
-    is not a float raises, naming the file and line, so no coefficient is
-    dropped or renumbered."""
+    is not a finite float raises, naming the file and line, so no
+    coefficient is dropped, renumbered or carried as nan or inf."""
     vals = []
     first = True
     with open(path, newline="") as fh:
@@ -182,11 +185,14 @@ def _read_coeffs(path) -> np.ndarray:
             if header:
                 continue
             try:
-                vals.append(float(row[-1]))
+                value = float(row[-1])
+                if not np.isfinite(value):
+                    raise ValueError
             except ValueError:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: last field {row[-1]!r} is not a number"
+                    f"{path}:{reader.line_num}: last field {row[-1]!r} is not a finite number"
                 ) from None
+            vals.append(value)
     if not vals:
         raise ValueError(f"no numeric rows found in {path}")
     return np.array(vals)
@@ -279,10 +285,17 @@ def _skipped_entry(estimate_id, **extra) -> dict:
     return entry
 
 
+def _gram_nodes(nmax: int) -> int:
+    """Half-line Gauss nodes of the basis suite's Gram matrix: 256, or
+    2*nmax + 32 when that is more.  Any count of at least nmax/2 + 2
+    integrates the Gram matrix exactly."""
+    return max(256, 2 * nmax + 32)
+
+
 def _suite_basis(args):
     params = JacobiParams(args.alpha, args.beta)
     entries, failures = [], []
-    rule = mu_full_rule(params, max(args.nodes, 2 * args.nmax + 32))
+    rule = mu_full_rule(params, _gram_nodes(args.nmax))
     table = phi_table(params, args.nmax, rule.nodes)
     gram = (table * rule.weights) @ table.T
     dev = np.abs(gram - np.eye(args.nmax + 1))
@@ -334,8 +347,8 @@ def _suite_kernels(args):
         _check_entry("KernelSplitIdentity", args.level, rel, (th[k], ph[k]), 1e-10, failures)
     )
 
-    half_rule = mu_plus_rule(params, max(args.nodes, 400))
-    full_rule = mu_full_rule(params, max(args.nodes, 400))
+    half_rule = mu_plus_rule(params, MASS_NODES)
+    full_rule = mu_full_rule(params, MASS_NODES)
     worst_h, arg_h = -np.inf, (0.0,)
     worst_f, arg_f = -np.inf, (0.0,)
     for t in (0.1, 1.0, 5.0):
@@ -454,11 +467,11 @@ def _suite_estimates(args):
     return entries, failures
 
 
-def _ap_ladder(weight, params, level, stability=STABILITY_THRESHOLD):
+def _ap_ladder(weight, params, level):
     """A_p constants at dyadic depths 3, 4, ...: level + 2 depths, at least four."""
     depths = range(3, 3 + max(level + 2, 4))
     sups = [ap_constant(weight, params, weight.p, n) for n in depths]
-    verdict = ladder_verdict(sups, stability, AP_DIVERGENCE_FACTOR)
+    verdict = ladder_verdict(sups, AP_DIVERGENCE_FACTOR)
     levels = [_level_dict(n, s, []) for n, s in zip(depths, sups)]
     return levels, verdict
 
@@ -524,7 +537,7 @@ def cmd_verify(args) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         "nmax": args.nmax,
-        "nodes": args.nodes,
+        "nodes": _gram_nodes(args.nmax),
         "level": args.level,
         "seed": args.seed,
         "results": entries,
@@ -596,20 +609,23 @@ def _positive_time(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a positive finite time, got {text!r}")
 
 
+def _add_command(sub, name: str, summary: str, nmax: bool) -> argparse.ArgumentParser:
+    """A subcommand with the flags every command reads, and --nmax if it
+    reads that too."""
+    parser = sub.add_parser(name, help=summary)
+    parser.add_argument("--alpha", type=float, default=0.0, help="finite Jacobi parameter > -1")
+    parser.add_argument("--beta", type=float, default=0.0, help="finite Jacobi parameter > -1")
+    if nmax:
+        parser.add_argument("--nmax", type=_nonnegative_int, default=16, help="largest basis index")
+    parser.add_argument("--level", type=_nonnegative_int, default=2, help="grid refinement level")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    return parser
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=0.0, help="Jacobi parameter alpha > -1")
-    common.add_argument("--beta", type=float, default=0.0, help="Jacobi parameter beta > -1")
-    common.add_argument("--nmax", type=_nonnegative_int, default=16, help="largest basis index")
-    nodes_help = "quadrature resolution (silently >= 400 for kernel masses, >= 2*nmax+32 for basis)"
-    common.add_argument("--nodes", type=_nonnegative_int, default=256, help=nodes_help)
-    common.add_argument("--level", type=_nonnegative_int, default=2, help="grid refinement level")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampling suites")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-
+    state between calls.  Each command takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="symjacobi",
         description=__doc__,
@@ -617,15 +633,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "basis", parents=[common],
-        help="tabulate the symmetrized basis functions as CSV",
-    )
+    _add_command(sub, "basis", "tabulate the symmetrized basis functions as CSV", True)
 
-    kernel = sub.add_parser(
-        "kernel", parents=[common],
-        help="tabulate the Poisson kernel and its parts as CSV",
-    )
+    kernel = _add_command(sub, "kernel", "tabulate the Poisson kernel and its parts as CSV", False)
     kernel.add_argument(
         "--t", type=_positive_time, default=1.0, help="semigroup time, positive and finite"
     )
@@ -634,18 +644,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluation route; both adds a relative-difference column",
     )
 
-    operator = sub.add_parser(
-        "operator", parents=[common],
-        help="apply an operator to a coefficient vector",
-    )
+    operator = _add_command(sub, "operator", "apply an operator to a coefficient vector", True)
     operator.add_argument(
         "--op", required=True,
         choices=("semigroup", "maximal", "riesz", "gfun", "multiplier"),
     )
     operator.add_argument("--t", type=float, default=1.0, help="semigroup time")
-    operator.add_argument("--M", type=int, default=1, help="time derivative order")
+    operator.add_argument("--M", type=_nonnegative_int, default=1, help="time derivative order")
     operator.add_argument(
-        "--N", type=int, default=0,
+        "--N", type=_nonnegative_int, default=0,
         help="lowering order; for riesz, the transform order (0 means 1)",
     )
     operator.add_argument("--parity", choices=("full", "even", "odd"), default="full")
@@ -654,20 +661,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="CSV of expansion coefficients (default: geometric test vector)",
     )
 
-    verify = sub.add_parser(
-        "verify", parents=[common],
-        help="run a verification suite and write a JSON report",
-    )
+    verify = _add_command(sub, "verify", "run a verification suite and write a JSON report", True)
+    verify.add_argument("--seed", type=int, default=0, help="seed for the sampling suites")
     verify.add_argument("--suite", choices=SUITES + ("all",), default="all")
     verify.add_argument(
         "--stamp", action="store_true",
         help="include a wall-clock timestamp in the report header",
     )
 
-    ap_check = sub.add_parser(
-        "ap-check", parents=[common],
-        help="A_p ladder for one double-power weight",
-    )
+    ap_check = _add_command(sub, "ap-check", "A_p ladder for one double-power weight", False)
     ap_check.add_argument("--r", type=float, required=True, help="sine exponent")
     ap_check.add_argument("--s", type=float, required=True, help="cosine exponent")
     ap_check.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent")

@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Parameter pair (alpha, beta) of a Jacobi family, both above -1.
+    """Parameter pair (alpha, beta) of a Jacobi family, both finite and above -1.
 
     Attributes
     ----------
@@ -52,10 +52,9 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > -1.0 and self.beta > -1.0):
-            raise ValueError(
-                f"alpha and beta must both exceed -1, got ({self.alpha}, {self.beta})"
-            )
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not -1.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and exceed -1, got {value}")
 
     @property
     def lam0(self) -> float:
@@ -72,9 +71,9 @@ class JacobiParams:
         """True when both parameters are >= -1/2 (product-formula range)."""
         return self.alpha >= -0.5 and self.beta >= -0.5
 
-    def shifted(self, da: int = 1, db: int = 1) -> "JacobiParams":
-        """Parameter pair (alpha + da, beta + db)."""
-        return JacobiParams(self.alpha + da, self.beta + db)
+    def shifted(self) -> "JacobiParams":
+        """Parameter pair (alpha + 1, beta + 1)."""
+        return JacobiParams(self.alpha + 1, self.beta + 1)
 
 
 @dataclass(frozen=True)

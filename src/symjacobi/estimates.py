@@ -68,6 +68,14 @@ DIVERGENCE_FACTOR = 2.0
 REPRODUCE_TOL = 1e-6
 # samples per chunk of the exact-lemma sweep
 EXACT_CHUNK = 1 << 16
+# random samples of the Trig and Comp lemmas at level 1; each level doubles them
+NESTED_BASE = 100_000
+# the L43Star exponents (gamma1, gamma2, kappa, k1, k2)
+L43_EXPONENTS = (1.0, 1.0, 0.0, 0.0, 0.0)
+# the A_p cells' composite rule: Gauss nodes per panel, and the panels halving
+# toward a singular endpoint
+CELL_NODES = 8
+CELL_DEPTH = 6
 # extra modes of the polynomial tables the tails share: a lowering reads one
 # mode more than its sum, a second derivative two fewer
 ROW_HEADROOM = 3
@@ -93,17 +101,25 @@ class EstimateReport:
             raise ValueError("empirical_sup must be finite")
 
 
+def _check_exponent(p) -> None:
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"exponent must be finite and satisfy p >= 1, got {p}")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
-    """Double-power weight |sin(theta/2)|^r (cos(theta/2))^s with exponent p."""
+    """Double-power weight |sin(theta/2)|^r (cos(theta/2))^s with exponent
+    p; r and s must be finite, and 1 <= p < inf."""
 
     r: float
     s: float
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"exponent must satisfy p >= 1, got {self.p}")
+        for name, value in (("r", self.r), ("s", self.s)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        _check_exponent(self.p)
 
     def values(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -249,9 +265,9 @@ class MultiplierProfile:
     breakpoints: tuple = ()
 
 
-# default harness profile: the constant profile gives the identity operator,
-# whose kernel vanishes off the diagonal, so the sign profile is the
-# interesting stock case for kernel estimates
+# harness profile: the constant profile gives the identity operator, whose
+# kernel vanishes off the diagonal, so the sign profile is the interesting
+# stock case for kernel estimates
 PROFILE_SIGN = MultiplierProfile(
     fn=lambda t: np.sign(np.sin(t)),
     breakpoints=tuple(np.pi * np.arange(1, 20)),
@@ -265,15 +281,11 @@ class FamilyBatch:
     moments are built once and reused by every assembly, and the mode-sum
     tails of a pass share their mode-row tables (basis.ModeRows), each built
     once.  values() reduces them to every per-pair quantity the ladders read,
-    at the working or at a doubled quadrature resolution."""
+    at the working or at a doubled quadrature resolution.  The Laplace-type
+    family uses the time profile PROFILE_SIGN, and the atomic family the
+    (times, weights) pair STOCK_ATOMS."""
 
-    def __init__(
-        self,
-        params: JacobiParams,
-        kernel_ids=KERNEL_IDS,
-        profile: MultiplierProfile = PROFILE_SIGN,
-        atoms=STOCK_ATOMS,
-    ):
+    def __init__(self, params: JacobiParams, kernel_ids=KERNEL_IDS):
         if not params.kernel_valid:
             raise ValueError("harness kernels need alpha, beta >= -1/2")
         unknown = [k for k in kernel_ids if k not in KERNEL_IDS]
@@ -281,13 +293,11 @@ class FamilyBatch:
             raise ValueError(f"unknown kernel_id {unknown[0]!r}")
         self.params = params
         self.kernel_ids = tuple(kernel_ids)
-        self.profile = profile
-        self.atoms = atoms
         self.t_head, self.w_head = _time_panels(T_HEAD_LO, T_SPLIT, NODES_PER_TIME_PANEL)
         self.t_tail, self.w_tail = _time_panels(T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL)
         if any(_FAMILY[k]["kind"] == "mult" for k in self.kernel_ids):
             self.t_mult, self.w_mult = _time_panels(
-                T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL, profile.breakpoints
+                T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL, PROFILE_SIGN.breakpoints
             )
         else:
             self.t_mult = self.t_tail
@@ -309,7 +319,7 @@ class FamilyBatch:
         for kid in kernel_ids:
             fam = _FAMILY[kid]
             atoms = fam["kind"] == "atoms"
-            t = self.atoms[0] if atoms else self._tail_grid_for(kid)[0]
+            t = STOCK_ATOMS[0] if atoms else self._tail_grid_for(kid)[0]
             plan += [(kid, slot, fam[slot], not atoms, t) for slot in slots if slot in fam]
         # a plan reading both the plain and the reflected family takes both
         # from one shared moment pass
@@ -348,13 +358,13 @@ class FamilyBatch:
             ) @ tail
             return np.abs(vals), None
         if kind == "mult":
-            ph = self.profile.fn
+            ph = PROFILE_SIGN.fn
             vals = -((self.w_head * ph(self.t_head)) @ head) - (
                 (self.w_mult * ph(self.t_mult)) @ tail
             )
             return np.abs(vals), None
         if kind == "atoms":
-            return np.abs(self.atoms[1] @ tail), None
+            return np.abs(STOCK_ATOMS[1] @ tail), None
         raise RuntimeError(f"unknown kind {kind!r}")
 
     def values(self, pairs: np.ndarray, refine: int = 1) -> dict:
@@ -436,17 +446,19 @@ def _smoothness_pairs(pairs):
 # lemma samplers
 
 
-def _nested_count(level: int, base: int = 100_000) -> int:
-    """Samples of _nested_samples at a level: the leading rows of any deeper level."""
-    return base * 2 ** (level - 1)
+def _nested_count(level: int) -> int:
+    """Samples of _nested_samples at a level, NESTED_BASE * 2^(level - 1):
+    the leading rows of any deeper level."""
+    return NESTED_BASE * 2 ** (level - 1)
 
 
-def _nested_samples(seed: int, level: int, base: int = 100_000) -> np.ndarray:
-    """Random (theta, phi, u, v) tuples, nested across levels: level l
-    extends level l-1 by a freshly seeded block, so sample sets only grow."""
+def _nested_samples(seed: int, level: int) -> np.ndarray:
+    """Random (theta, phi, u, v) tuples, nested across levels: level 1 has
+    NESTED_BASE of them, and level l extends level l-1 by a freshly seeded
+    block, so sample sets only grow."""
     blocks = []
     for lv in range(1, level + 1):
-        count = base if lv == 1 else base * 2 ** (lv - 2)
+        count = NESTED_BASE if lv == 1 else NESTED_BASE * 2 ** (lv - 2)
         rng = np.random.default_rng(seed + lv)
         blocks.append(
             np.column_stack(
@@ -476,12 +488,12 @@ def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), pref
     return out, ratios
 
 
-def _bridge_args(which, l43_exponents):
+def _bridge_args(which):
     """_bridge_ratio's keywords for Bridge1, Bridge2 or L43Star."""
     if which != "L43Star":
         power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
         return dict(power_extra=power_extra, dist_power=dist_power)
-    g1, g2, kappa, k1, k2 = l43_exponents
+    g1, g2, kappa, k1, k2 = L43_EXPONENTS
 
     def prefac(prs):
         s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
@@ -496,25 +508,19 @@ def _bridge_args(which, l43_exponents):
     )
 
 
-def lemma_samplers(
-    params: JacobiParams,
-    which: str,
-    grid_level: int,
-    l43_exponents=(1.0, 1.0, 0.0, 0.0, 0.0),
-) -> EstimateReport:
+def lemma_samplers(params: JacobiParams, which: str, grid_level: int) -> EstimateReport:
     """Empirical sup of the left-to-right quotient of the comparison lemmas.
 
     which selects among Bridge1, Bridge2 (the two product-integral bounds),
-    L43Star (their weighted generalization), Trig (|d_theta q| against
-    sqrt(q)), Comp (stability of q under moving theta a quarter distance)
-    and Asympt (the hyperbolic-prefactor bound).
+    L43Star (their weighted generalization, with the exponents
+    L43_EXPONENTS), Trig (|d_theta q| against sqrt(q)), Comp (stability of q
+    under moving theta a quarter distance) and Asympt (the
+    hyperbolic-prefactor bound).
     """
-    return lemma_levels(params, which, (grid_level,), l43_exponents)[0]
+    return lemma_levels(params, which, (grid_level,))[0]
 
 
-def lemma_levels(
-    params: JacobiParams, which: str, levels, l43_exponents=(1.0, 1.0, 0.0, 0.0, 0.0)
-) -> tuple:
+def lemma_levels(params: JacobiParams, which: str, levels) -> tuple:
     """lemma_samplers at each of the levels, one report per level, each
     bitwise the single-level report.  The pair grids and the random sample
     sets are nested, so the quotients are evaluated once, on the union of the
@@ -522,7 +528,7 @@ def lemma_levels(
     subset in its own order (a sup's first argmax included)."""
     levels = tuple(levels)
     if which in ("Bridge1", "Bridge2", "L43Star"):
-        args = _bridge_args(which, l43_exponents)
+        args = _bridge_args(which)
         grids = [pair_grid(level) for level in levels]
         union = np.unique(np.vstack(grids), axis=0)
         keys = union[:, 0] + 1j * union[:, 1]  # sorted, as the rows are
@@ -620,17 +626,17 @@ def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0):
 # A_p constants
 
 
-def _cell_rule(lo: float, hi: float, singular, nodes: int = 8, depth: int = 6):
-    """Composite rule on (lo, hi), geometrically graded toward any endpoint
-    listed in singular."""
+def _cell_rule(lo: float, hi: float, singular):
+    """Composite rule on (lo, hi) with CELL_NODES Gauss nodes per panel, the
+    panels halving CELL_DEPTH times toward any endpoint listed in singular."""
     edges = [lo, hi]
     width = hi - lo
     if lo in singular:
-        edges += [lo + width * 2.0**-k for k in range(1, depth + 1)]
+        edges += [lo + width * 2.0**-k for k in range(1, CELL_DEPTH + 1)]
     if hi in singular:
-        edges += [hi - width * 2.0**-k for k in range(1, depth + 1)]
+        edges += [hi - width * 2.0**-k for k in range(1, CELL_DEPTH + 1)]
     edges = np.array(sorted(set(edges)))
-    return composite_gauss(edges, nodes)
+    return composite_gauss(edges, CELL_NODES)
 
 
 def ap_member(weight: WeightSpec, params: JacobiParams, p: float | None = None) -> bool:
@@ -641,8 +647,7 @@ def ap_member(weight: WeightSpec, params: JacobiParams, p: float | None = None) 
     same for (s, beta); for p = 1 the upper endpoints close to zero."""
     if p is None:
         p = weight.p
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     da = 2.0 * params.alpha + 2.0
     db = 2.0 * params.beta + 2.0
     if p == 1:
@@ -665,8 +670,7 @@ def ap_constant(
     double-power weight sits at an endpoint or at the singular points."""
     if p is None:
         p = weight.p
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     n_cells = 2**n_intervals
     cell_edges = np.linspace(-np.pi, np.pi, n_cells + 1)
     singular = {-np.pi, 0.0, np.pi}
@@ -738,18 +742,17 @@ class LadderResult:
         return [r.empirical_sup for r in self.reports]
 
 
-def ladder_verdict(
-    sups, stability=STABILITY_THRESHOLD, divergence_factor=DIVERGENCE_FACTOR
-) -> str:
-    """stable: last-step relative growth below threshold; diverging: growth
-    above the factor at each of the last three steps; else inconclusive."""
+def ladder_verdict(sups, divergence_factor=DIVERGENCE_FACTOR) -> str:
+    """stable: last-step relative growth below STABILITY_THRESHOLD;
+    diverging: growth above the factor at each of the last three steps;
+    else inconclusive."""
     sups = list(sups)
     if len(sups) < 2 or sups[-2] == 0.0:
         return "inconclusive"
     growth = [b / a if a > 0 else np.inf for a, b in zip(sups[:-1], sups[1:])]
     if len(growth) >= 3 and all(g > divergence_factor for g in growth[-3:]):
         return "diverging"
-    if growth[-1] < 1.0 + stability:
+    if growth[-1] < 1.0 + STABILITY_THRESHOLD:
         return "stable"
     return "inconclusive"
 
@@ -762,18 +765,13 @@ def _assert_monotone(sups, label):
             )
 
 
-def run_standard_ladders(
-    params: JacobiParams,
-    kernel_ids=KERNEL_IDS,
-    levels=(1, 2, 3, 4),
-    profile: MultiplierProfile = PROFILE_SIGN,
-    atoms=STOCK_ATOMS,
-) -> dict:
+def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1, 2, 3, 4)) -> dict:
     """All applicable standard-estimate ladders for the given kernel
     families, sharing one product-rule pass per grid point.
 
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
+    The multiplier families use PROFILE_SIGN and STOCK_ATOMS.
     The level grids are nested with bitwise-identical coordinates, so each
     level evaluates only its new pairs with FamilyBatch.values and appends
     them to per-quantity arrays; a level's reports read those arrays through
@@ -782,11 +780,8 @@ def run_standard_ladders(
     through one FamilyBatch.values(..., refine=2) call of a single-kernel
     batch.  One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
-    batch = FamilyBatch(params, kernel_ids, profile=profile, atoms=atoms)
-    ones = {
-        kid: FamilyBatch(params, (kid,), profile=profile, atoms=atoms)
-        for kid in batch.kernel_ids
-    }
+    batch = FamilyBatch(params, kernel_ids)
+    ones = {kid: FamilyBatch(params, (kid,)) for kid in batch.kernel_ids}
     # pairs as complex keys theta + i phi, in the order of the stored values
     known, store = np.empty(0, complex), {}
     refined = {kid: {} for kid in batch.kernel_ids}

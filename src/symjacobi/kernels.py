@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import mode_eigenvalues, mode_table, phi_table, sym_eigenvalue
+from .basis import ModeRows, mode_eigenvalues, phi_table, sym_eigenvalue
 from .core import JacobiParams, eigenvalue
 from .product import HeadKernels, cosh_half_minus_one
 from .quadrature import composite_gauss
@@ -67,8 +67,11 @@ __all__ = [
 
 MODE_CAP = 4096
 TAIL_TOL = 1e-14
-# Gauss nodes per cell side of the integral route's corner rule
+# Gauss nodes per cell side of the integral route's corner rule, and the
+# agreement and node cap at which poisson_kernel_dk_auto stops raising them
 DK_NODES = 12
+DK_REL_TOL = 1e-8
+DK_MAX_NODES = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -135,25 +138,17 @@ def mode_sum(params: JacobiParams, spec, t, theta, phi, pairs=0, n_modes=None) -
 
     for the profile spec = (parity, th_op, ph_op, m), which
     product.HeadKernels.profile takes too: over the "even" or "odd" family,
-    with theta broadcast against phi.  The rows A and B come from
-    basis.mode_table, each on its own input's shape: an outer grid
-    theta[:, None], phi[None, :] costs I + J rows and no I x J operand is
-    built.  th_op and ph_op are a derivative order (0, 1 or 2), or "low" /
-    "low1" for the odd family's adjoint lowering and its first derivative.
-    Each pair of lowerings contributes one gap factor, which `pairs`
-    supplies.  By default the mode count meets the tail bound with four
-    extra powers at the smallest t.
+    with theta broadcast against phi.  The rows A and B come from one
+    basis.ModeRows per input (mode_table's half-line rows), each on its own
+    input's shape: an outer grid theta[:, None], phi[None, :] costs I + J
+    rows and no I x J operand is built.  th_op and ph_op are a derivative
+    order (0, 1 or 2), or "low" / "low1" for the odd family's adjoint
+    lowering and its first derivative.  Each pair of lowerings contributes
+    one gap factor, which `pairs` supplies.  By default the mode count meets
+    the tail bound with four extra powers at the smallest t.
     """
-    return mode_sum_rows(params, spec, t, _table_rows(theta), _table_rows(phi), pairs, n_modes)
-
-
-def _table_rows(x):
-    """mode_table's rows at x, called like a basis.ModeRows: a table built for
-    one sum keeps none of the tables it was built from."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return lambda params, n_modes, parity, order, lowered: mode_table(
-        params, n_modes, x, parity, order, lowered
-    )
+    th_rows, ph_rows = (ModeRows(np.atleast_1d(x)) for x in (theta, phi))
+    return mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs, n_modes)
 
 
 def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
@@ -222,20 +217,13 @@ def poisson_kernel_dk(params: JacobiParams, t: float, theta, phi, nodes: int | N
     return _dk_eval(params, t, theta, phi, ("even", 0, 0, 0), nodes)
 
 
-def poisson_kernel_dk_auto(
-    params: JacobiParams,
-    t: float,
-    theta,
-    phi,
-    rel_tol: float = 1e-8,
-    max_nodes: int = 32,
-) -> np.ndarray:
+def poisson_kernel_dk_auto(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
     """Integral-route kernel with the Gauss nodes per cell side raised by four,
-    from four below DK_NODES, until two consecutive counts agree to rel_tol.
-    Convergence is per point: each point keeps the value at its own first
-    agreeing count, so it does not depend on the other points of the call.
-    Points still apart at max_nodes keep that count's value, and the call
-    leaves one AccuracyWarning standing."""
+    from four below DK_NODES, until two consecutive counts agree to
+    DK_REL_TOL = 1e-8.  Convergence is per point: each point keeps the value
+    at its own first agreeing count, so it does not depend on the other
+    points of the call.  Points still apart at DK_MAX_NODES = 32 keep that
+    count's value, and the call leaves one AccuracyWarning standing."""
     theta, phi = np.broadcast_arrays(
         np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     )
@@ -243,14 +231,14 @@ def poisson_kernel_dk_auto(
     vals = poisson_kernel_dk(params, t, theta, phi, n)
     todo = np.ones(theta.shape, dtype=bool)
     while todo.any():
-        n = min(n + 4, max_nodes)
+        n = min(n + 4, DK_MAX_NODES)
         new = poisson_kernel_dk(params, t, theta[todo], phi[todo], n)
         gap = np.abs(new - vals[todo]) / np.maximum(np.abs(new), 1e-300)
         vals[todo] = new
-        todo[todo] = ~(gap <= rel_tol)
-        if todo.any() and n >= max_nodes:
+        todo[todo] = ~(gap <= DK_REL_TOL)
+        if todo.any() and n >= DK_MAX_NODES:
             warnings.warn(
-                f"integral route not converged to {rel_tol:.1e} at {n} nodes per cell "
+                f"integral route not converged to {DK_REL_TOL:.1e} at {n} nodes per cell "
                 f"at {int(todo.sum())} points; avoid t -> 0 near the diagonal",
                 AccuracyWarning,
             )
@@ -373,16 +361,17 @@ class SupOverT:
 class L2TWeighted:
     """L^2 norm against t^{2(m+n)-1} dt, by composite Gauss in log time with
     the upper truncation chosen so the slowest surviving mode's tail integral
-    falls below 1e-16 relative.  The grid starts at T_LO = 1e-10 and its
-    panels carry NODES_PER_PANEL = 8 Gauss points each."""
+    falls below 1e-16 relative.  The grid starts at T_LO = 1e-10, has
+    POINTS_PER_DECADE = 30 points per decade, and its panels carry
+    NODES_PER_PANEL = 8 Gauss points each."""
 
     T_LO = 1e-10
+    POINTS_PER_DECADE = 30
     NODES_PER_PANEL = 8
 
     m: int
     n: int
     lam_min: float
-    points_per_decade: int = 30
 
     @property
     def weight_power(self) -> float:
@@ -407,7 +396,7 @@ class L2TWeighted:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights in t for integrating f(t) t^w dt."""
         s_lo, s_hi = np.log(self.T_LO), np.log(self.t_hi())
-        panels = max(1, int(np.ceil((s_hi - s_lo) / np.log(10.0) * self.points_per_decade / self.NODES_PER_PANEL)))
+        panels = max(1, int(np.ceil((s_hi - s_lo) / np.log(10.0) * self.POINTS_PER_DECADE / self.NODES_PER_PANEL)))
         edges = np.linspace(s_lo, s_hi, panels + 1)
         s_nodes, s_weights = composite_gauss(edges, self.NODES_PER_PANEL)
         t_nodes = np.exp(s_nodes)

@@ -289,7 +289,7 @@ def test_ac09_ap_characterization():
     for r, s in ((1.0, -1.0), (2.5, 0.0)):
         w = WeightSpec(r, s, 2.0)
         sups = [ap_constant(w, p, 2.0, n) for n in range(3, 7)]
-        verdicts[(r, s)] = ladder_verdict(sups, 0.05, AP_DIVERGENCE_FACTOR)
+        verdicts[(r, s)] = ladder_verdict(sups, divergence_factor=AP_DIVERGENCE_FACTOR)
     ok = verdicts[(1.0, -1.0)] == "stable" and verdicts[(2.5, 0.0)] == "diverging"
     report(
         "AC09 double-power weight ladders inside and outside the window",

@@ -1,6 +1,7 @@
 """CLI contract tests: CSV layouts, JSON report schema, exit codes, and
 byte-level determinism of the verification reports."""
 
+import argparse
 import csv
 import json
 import warnings
@@ -78,6 +79,96 @@ class TestParsing:
         assert "alpha=0.5" in echoes[0] and "nmax=2" in echoes[0]
         assert "alpha=0.0" in echoes[1] and "nmax=16" in echoes[1]
         assert "alpha=0.0" in echoes[2] and "route=series" in echoes[2]
+
+    # the flags each command reads, and takes: 37 in all
+    COMMAND_FLAGS = {
+        "basis": {"alpha", "beta", "nmax", "level", "out"},
+        "kernel": {"alpha", "beta", "level", "out", "t", "route"},
+        "operator": {
+            "alpha", "beta", "nmax", "level", "out", "op", "t", "M", "N", "parity", "input"
+        },
+        "verify": {"alpha", "beta", "nmax", "level", "seed", "out", "suite", "stamp"},
+        "ap-check": {"alpha", "beta", "level", "out", "r", "s", "p"},
+    }
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.COMMAND_FLAGS)
+        for name, want in self.COMMAND_FLAGS.items():
+            got = {a.dest for a in sub.choices[name]._actions if a.dest != "help"}
+            assert got == want, name
+        assert sum(map(len, self.COMMAND_FLAGS.values())) == 37
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernel", "--nodes", "1000"],
+            ["kernel", "--nmax", "4"],
+            ["basis", "--seed", "1"],
+            ["operator", "--op", "riesz", "--nodes", "9"],
+            ["operator", "--op", "riesz", "--seed", "9"],
+            ["ap-check", "--r", "1", "--s", "0", "--nmax", "3"],
+            ["verify", "--suite", "basis", "--nodes", "9"],
+        ],
+        ids=["kernel-nodes", "kernel-nmax", "basis-seed", "operator-nodes", "operator-seed",
+             "ap-check-nmax", "verify-nodes"],
+    )
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        """A flag the command would not read is refused, not silently dropped
+        or overridden."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["basis", "--nmax", "1", "--level", "0"],
+             "# symjacobi basis alpha=0.0 beta=0.0 nmax=1 level=0"),
+            (["kernel", "--level", "0", "--alpha", "0.5"],
+             "# symjacobi kernel alpha=0.5 beta=0.0 level=0 t=1.0 route=series"),
+            (["operator", "--op", "riesz", "--nmax", "2"],
+             "# symjacobi operator alpha=0.0 beta=0.0 nmax=2 level=2 op=riesz parity=full "
+             "t=1.0 M=1 N=0 n_coeffs=3"),
+            (["ap-check", "--r", "1", "--s", "-1", "--level", "0"],
+             "# symjacobi ap-check alpha=0.0 beta=0.0 level=0 r=1.0 s=-1.0 p=2.0"),
+        ],
+        ids=["basis", "kernel", "operator", "ap-check"],
+    )
+    def test_echo_line_prints_the_command_flags(self, tmp_path, argv, echo):
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read_table(out)[0] == echo
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["basis", "--alpha", "inf", "--nmax", "2", "--level", "0"],
+             "alpha must be finite and exceed -1, got inf"),
+            (["operator", "--op", "semigroup", "--beta", "inf"],
+             "beta must be finite and exceed -1, got inf"),
+            (["ap-check", "--r", "1", "--s", "0", "--p", "nan"],
+             "exponent must be finite and satisfy p >= 1, got nan"),
+            (["ap-check", "--r", "nan", "--s", "0"], "r must be finite, got nan"),
+        ],
+        ids=["basis-alpha", "operator-beta", "ap-check-p", "ap-check-r"],
+    )
+    def test_nonfinite_parameter_fails(self, argv, message, capsys):
+        """A non-finite parameter is an error naming it, with no table of
+        NaNs, zeros or infinite constants written."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--M", "--N"])
+    def test_negative_operator_order_is_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["operator", "--op", "gfun", flag, "-1"])
+        assert exc.value.code == 2
+        assert "expected a nonnegative integer" in capsys.readouterr().err
 
 
 class TestBasisTable:
@@ -268,6 +359,15 @@ class TestOperatorTable:
         assert rc == 1
         assert f"{src}:{line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+    def test_nonfinite_row_fails_with_line(self, tmp_path, capsys, field):
+        """A nan or inf coefficient is refused with its file and line, not
+        passed through to the output."""
+        src = tmp_path / "c.csv"
+        src.write_text(f"n,value\n0,1.0\n1,{field}\n")
+        assert main(["operator", "--op", "semigroup", "--input", str(src)]) == 1
+        assert f"{src}:3: last field {field!r} is not a finite number" in capsys.readouterr().err
+
     def test_multiplier_matches_inverse_root(self, tmp_path):
         out = tmp_path / "o.csv"
         rc = main(
@@ -312,6 +412,20 @@ class TestVerifyReports:
                 for lv in entry["levels"]:
                     assert set(lv) == {"level", "sup", "argmax"}
                     assert isinstance(lv["level"], int)
+
+    @pytest.mark.parametrize("nmax, nodes", [(16, 256), (112, 256), (120, 272)])
+    def test_basis_suite_sizes_gram_rule_from_nmax(self, tmp_path, nmax, nodes):
+        """The Gram rule has 256 half-line nodes, or 2*nmax + 32 when that is
+        more, so it never drops below the nmax/2 + 2 that integrate the Gram
+        matrix exactly; the report records the count used."""
+        path = tmp_path / "basis.json"
+        argv = ["verify", "--suite", "basis", "--nmax", str(nmax), "--out", str(path)]
+        assert main(argv) == 0
+        report = json.loads(path.read_text())
+        assert report["nodes"] == nodes
+        assert [e["estimate_id"] for e in report["results"]] == [
+            "BasisOrthonormality", "BasisRoundtrip"
+        ]
 
     def test_report_to_stdout_by_default(self, capsys):
         assert main(["verify", "--suite", "basis"]) == 0

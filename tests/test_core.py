@@ -34,6 +34,17 @@ class TestParams:
         with pytest.raises(ValueError, match="exceed -1"):
             JacobiParams(0.0, -1.5)
 
+    @pytest.mark.parametrize(
+        "ab, bad",
+        [((np.inf, 0.0), "alpha=inf"), ((0.0, np.inf), "beta=inf"), ((np.nan, 0.0), "alpha=nan")],
+    )
+    def test_nonfinite_rejected(self, ab, bad):
+        """An infinite parameter is refused, naming it, not carried into
+        all-NaN tables."""
+        name, value = bad.split("=")
+        with pytest.raises(ValueError, match=f"{name} must be finite and exceed -1, got {value}"):
+            JacobiParams(*ab)
+
     def test_critical_flag(self):
         assert JacobiParams(-0.5, -0.5).critical
         assert JacobiParams(-0.25, -0.75).critical

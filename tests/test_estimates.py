@@ -15,7 +15,6 @@ from symjacobi import basis, estimates, product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
-    PROFILE_SIGN,
     EstimateAccuracyError,
     EstimateReport,
     FamilyBatch,
@@ -70,9 +69,10 @@ class TestGrids:
         b = _dyadic_log(3, MIN_DISTANCE, np.pi - MIN_DISTANCE)
         assert set(a.tolist()) <= set(b.tolist())
 
-    def test_nested_samples_prefix(self):
-        s1 = _nested_samples(7, 1, base=500)
-        s2 = _nested_samples(7, 2, base=500)
+    def test_nested_samples_prefix(self, monkeypatch):
+        monkeypatch.setattr(estimates, "NESTED_BASE", 500)
+        s1 = _nested_samples(7, 1)
+        s2 = _nested_samples(7, 2)
         assert s2.shape[0] == 2 * s1.shape[0]
         assert np.array_equal(s2[: s1.shape[0]], s1)
 
@@ -221,7 +221,8 @@ class TestSwapReuse:
         batch = FamilyBatch(params)
         pairs = pair_grid(1)[::11]
         for (kid, slot), (_, tail) in batch.profiles(pairs, ("F", "Gth", "Gph")).items():
-            t = batch.atoms[0] if _FAMILY[kid]["kind"] == "atoms" else batch._tail_grid_for(kid)[0]
+            atoms = _FAMILY[kid]["kind"] == "atoms"
+            t = estimates.STOCK_ATOMS[0] if atoms else batch._tail_grid_for(kid)[0]
             want = mode_sum(params, _FAMILY[kid][slot], t, pairs[:, 0], pairs[:, 1])
             assert np.array_equal(tail, want), (kid, slot)
 
@@ -288,6 +289,18 @@ class TestReports:
         with pytest.raises(ValueError):
             WeightSpec(1.0, 0.0, p=0.5)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((np.nan, 0.0, 2.0), "r"), ((0.0, np.inf, 2.0), "s"), ((0.0, 0.0, np.nan), "p"),
+         ((0.0, 0.0, np.inf), "p")],
+    )
+    def test_weight_spec_nonfinite_rejected(self, args, name):
+        """A NaN or infinite exponent is refused by name, never turned into
+        an A_p constant of 0.0 or inf."""
+        message = "exponent must be finite" if name == "p" else f"{name} must be finite"
+        with pytest.raises(ValueError, match=message):
+            WeightSpec(*args)
+
     def test_reproduce_or_raise(self):
         _reproduce_or_raise(1.0, 1.0 + 1e-8, 1e-6, "ok")
         with pytest.raises(EstimateAccuracyError):
@@ -315,9 +328,9 @@ class TestLadderLogic:
             _assert_monotone([1.5, 1.0], "drop")
 
 
-def single_level(kernel_id, params, level, **kw):
+def single_level(kernel_id, params, level):
     """estimate_id -> the one report of a single-level ladder run."""
-    res = run_standard_ladders(params, (kernel_id,), levels=(level,), **kw)
+    res = run_standard_ladders(params, (kernel_id,), levels=(level,))
     return {eid: lad.reports[0] for (kid, eid), lad in res.items() if kid == kernel_id}
 
 
@@ -367,12 +380,13 @@ class TestChecksSmoke:
             "poisson", "poisson_reflected", "square_even", "square_odd"
         }
 
-    def test_profile_choice_changes_multiplier(self):
+    def test_profile_choice_changes_multiplier(self, monkeypatch):
         PROFILE_ONE = MultiplierProfile(fn=lambda t: np.ones_like(t))
         pairs = np.array([[1.0, 2.1]])
-        b1 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_SIGN)
-        b2 = FamilyBatch(ATOMIC, ("multiplier_laplace",), profile=PROFILE_ONE)
+        b1 = FamilyBatch(ATOMIC, ("multiplier_laplace",))
         n1 = b1.values(pairs)[("norm", "multiplier_laplace")]
+        monkeypatch.setattr(estimates, "PROFILE_SIGN", PROFILE_ONE)
+        b2 = FamilyBatch(ATOMIC, ("multiplier_laplace",))
         n2 = b2.values(pairs)[("norm", "multiplier_laplace")]
         assert abs(n1[0] - n2[0]) > 1e-12
         # the constant profile telescopes to H(t_lo) - H(t_hi); at the
@@ -380,9 +394,11 @@ class TestChecksSmoke:
         # off the diagonal is the stationary mode 1/(2 pi)
         assert_allclose(n2[0], 1.0 / (2.0 * np.pi), rtol=1e-4)
 
-    def test_custom_profile(self):
+    def test_custom_profile(self, monkeypatch):
         prof = MultiplierProfile(fn=lambda t: np.exp(-t))
-        rep = single_level("multiplier_laplace", ATOMIC, 1, profile=prof)["Growth"]
+        with monkeypatch.context() as patch:
+            patch.setattr(estimates, "PROFILE_SIGN", prof)
+            rep = single_level("multiplier_laplace", ATOMIC, 1)["Growth"]
         assert rep.empirical_sup > 0.0
         stock = single_level("multiplier_laplace", ATOMIC, 1)["Growth"]
         assert rep.empirical_sup != stock.empirical_sup
@@ -450,8 +466,9 @@ class TestLemmaSamplers:
         assert r2.empirical_sup >= r1.empirical_sup * (1 - 1e-12)
         assert r1.estimate_id == which
 
-    def test_l43_custom_exponents(self):
-        rep = lemma_samplers(SQUARE, "L43Star", 1, l43_exponents=(0.5, 1.0, 0.5, 0.0, 0.5))
+    def test_l43_custom_exponents(self, monkeypatch):
+        monkeypatch.setattr(estimates, "L43_EXPONENTS", (0.5, 1.0, 0.5, 0.0, 0.5))
+        rep = lemma_samplers(SQUARE, "L43Star", 1)
         assert rep.empirical_sup > 0.0
 
     def test_unknown_sampler(self):
@@ -567,3 +584,9 @@ class TestMuckenhoupt:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             ap_constant(WeightSpec(0.0, 0.0), SQUARE, p=0.5)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_nonfinite_exponent_argument_rejected(self, p):
+        for fn in (ap_constant, ap_member):
+            with pytest.raises(ValueError, match="exponent must be finite"):
+                fn(WeightSpec(1.0, 0.0), SQUARE, p)

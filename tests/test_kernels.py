@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from symjacobi import kernels
 from symjacobi.basis import mode_eigenvalues, mode_table
 from symjacobi.core import JacobiParams
 from symjacobi.kernels import (
@@ -195,7 +196,7 @@ class TestDKRoute:
         p = JacobiParams(-0.5, -0.5)
         assert_allclose(poisson_kernel_dk(p, 1420.0, 1.0, 1.2), 1.0 / (2.0 * np.pi), rtol=1e-14)
 
-    def test_layer_warning_and_auto_upgrade(self):
+    def test_layer_warning_and_auto_upgrade(self, monkeypatch):
         """Near-diagonal small-t evaluation: the corner rule resolves the
         boundary layer at the default nodes, the auto variant converges
         without a warning and matches the series value, and it warns only
@@ -208,8 +209,10 @@ class TestDKRoute:
             assert_allclose(poisson_kernel_dk(p, t, th, ph), ser, rtol=1e-7)
             val = poisson_kernel_dk_auto(p, t, th, ph)
         assert_allclose(val, ser, rtol=1e-7)
+        monkeypatch.setattr(kernels, "DK_REL_TOL", 1e-17)
+        monkeypatch.setattr(kernels, "DK_MAX_NODES", 12)
         with pytest.warns(AccuracyWarning, match="not converged"):
-            poisson_kernel_dk_auto(p, t, th, ph, rel_tol=1e-17, max_nodes=12)
+            poisson_kernel_dk_auto(p, t, th, ph)
 
     def test_auto_value_does_not_depend_on_batch(self):
         """Each point keeps the value at its own first agreeing node count:
@@ -468,11 +471,12 @@ class TestBNorm:
             got = bnorm(lambda t: np.exp(-t * np.sqrt(lam)), spec)
             assert_allclose(got, ref, rtol=1e-7)
 
-    def test_l2_self_convergence(self):
+    def test_l2_self_convergence(self, monkeypatch):
         """Doubling the quadrature density moves the value below 0.5%."""
         f = lambda t: np.exp(-0.8 * t) * np.cos(t)
         base = bnorm(f, L2TWeighted(m=1, n=1, lam_min=0.64))
-        fine = bnorm(f, L2TWeighted(m=1, n=1, lam_min=0.64, points_per_decade=60))
+        monkeypatch.setattr(L2TWeighted, "POINTS_PER_DECADE", 60)
+        fine = bnorm(f, L2TWeighted(m=1, n=1, lam_min=0.64))
         assert abs(base - fine) / fine < 5e-3
 
     def test_sup_grid(self):
