@@ -6,7 +6,9 @@ Output contracts
 CSV files carry one ``#``-prefixed echo line with the run configuration and a
 single column-header line; columns are fixed-order.  JSON reports carry
 ``schema_version`` (currently "1") and are byte-identical across runs with the
-same flags; wall-clock metadata appears only under ``--stamp``.  Checks
+same flags; wall-clock metadata appears only under ``--stamp``.  They are
+strict JSON: a number that is not finite is written as ``null``, and a check
+whose sup is not finite has the verdict ``"inconclusive"``.  Checks
 that need the product-formula route (alpha, beta >= -1/2) are written as
 ``"skipped"`` entries with a reason outside that range.  A suite that raises
 leaves the finished entries in the report, with an ``error`` field.
@@ -21,6 +23,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -247,8 +250,13 @@ def _level_dict(level, sup, argmax) -> dict:
 
 
 def _check_entry(estimate_id, level, sup, argmax, threshold, failures, **extra) -> dict:
-    verdict = "stable" if sup <= threshold else "diverging"
-    if verdict != "stable":
+    if not math.isfinite(sup):
+        verdict = "inconclusive"
+        failures.append(f"{estimate_id}: sup {sup} is not finite")
+    elif sup <= threshold:
+        verdict = "stable"
+    else:
+        verdict = "diverging"
         failures.append(f"{estimate_id}: sup {sup:.6g} exceeds {threshold:.6g}")
     entry = {
         "estimate_id": estimate_id,
@@ -518,6 +526,18 @@ _SUITE_FUNCS = {
 }
 
 
+def _finite_or_null(value):
+    """A copy of a report with every non-finite number replaced by None,
+    which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     entries, failures, error = [], [], None
@@ -548,7 +568,7 @@ def cmd_verify(args) -> int:
         report["error"] = error
     if args.stamp:
         report["generated_at"] = datetime.now(timezone.utc).isoformat()
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -10,8 +10,9 @@ orthonormal on (0, pi) against the measure
 
 together with the eigenvalues lam_n = (n + (alpha + beta + 1)/2)^2 of the
 associated second-order differential operator.  Polynomials are evaluated by
-the standard three-term recurrence in x = cos theta; normalizing constants go
-through log-gamma so large degrees and fractional parameters stay stable.
+the standard three-term recurrence in x = cos theta; normalizing constants
+come from c_0 by a ratio recurrence in n, which stays accurate at large
+degrees where differences of log-gamma values cancel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 __all__ = [
     "JacobiParams",
@@ -176,30 +176,40 @@ def _recurrence_coeffs(k, alpha: float, beta: float):
 def norm_const(params: JacobiParams, n) -> np.ndarray:
     """Normalizing constant c_n making c_n P_n(cos theta) a unit vector.
 
-    c_n^2 = (2n + alpha + beta + 1) Gamma(n + alpha + beta + 1) Gamma(n + 1)
-            / (Gamma(n + alpha + 1) Gamma(n + beta + 1)),
-    with the n = 0 value read through the identity
-    (alpha + beta + 1) Gamma(alpha + beta + 1) = Gamma(alpha + beta + 2), which
-    also covers the critical case alpha + beta + 1 = 0.
+    c_n^2 = (2n + a + b + 1) R_n for n >= 1, with (a, b) = (alpha, beta) and
+        R_n = Gamma(n + a + b + 1) Gamma(n + 1) / (Gamma(n + a + 1) Gamma(n + b + 1)),
+    is built from c_0^2 = 1 / total_mass by the ratio recurrence
+        R_1 = c_0^2 / ((a + 1)(b + 1)),
+        R_n / R_{n-1} = (n + a + b) n / ((n + a)(n + b)) = 1 - ab / ((n + a)(n + b)),
+    so no Gamma value is taken above n = 0.  The ratios are multiplied as a
+    running sum of their log1p values: a ratio within an ulp or so of 1
+    rounds alike for many n in a row, and a plain product would drift by
+    1e-13 at n = 4000.  Nothing divides by a + b + 1, so the critical case
+    alpha + beta + 1 = 0 needs no branch, and at ab = 0 every ratio is
+    exactly 1, so c_n^2 carries no accumulated rounding.
 
     Accepts a scalar or integer array n; returns the matching shape.
     """
     a, b = params.alpha, params.beta
-    n_arr = np.atleast_1d(np.asarray(n, dtype=float))
-    if np.any(n_arr < 0):
-        raise ValueError("degrees must be nonnegative")
-    log_c2 = np.empty_like(n_arr)
-    pos = n_arr > 0
-    npos = n_arr[pos]
-    log_c2[pos] = (
-        np.log(2.0 * npos + a + b + 1.0)
-        + gammaln(npos + a + b + 1.0)
-        + gammaln(npos + 1.0)
-        - gammaln(npos + a + 1.0)
-        - gammaln(npos + b + 1.0)
-    )
-    log_c2[~pos] = gammaln(a + b + 2.0) - gammaln(a + 1.0) - gammaln(b + 1.0)
-    c = np.exp(0.5 * log_c2)
+    n_arr = np.atleast_1d(np.asarray(n))
+    index = n_arr.astype(np.intp)
+    if np.any(index != n_arr) or np.any(index < 0):
+        raise ValueError("degrees must be nonnegative integers")
+    deg = np.arange(int(index.max()) + 1, dtype=float)
+    k = deg[2:]
+    # each log ratio from log1p of its distance from 1, except where the
+    # ratio is far from 1 and that distance would cancel; there k + a + b is
+    # formed from s + e = a + b exactly, so it stays accurate as a + b nears -2
+    step = -a * b / ((k + a) * (k + b))
+    s = a + b
+    e = (a - (s - (s - a))) + (b - (s - a))
+    ratio = ((k + s) + e) * k / ((k + a) * (k + b))
+    log_ratio = np.zeros(deg.size)
+    log_ratio[2:] = np.cumsum(np.where(np.abs(step) < 0.5, np.log1p(step), np.log(ratio)))
+    mass = total_mass(params)
+    c2 = (2.0 * deg + a + b + 1.0) / ((a + 1.0) * (b + 1.0) * mass) * np.exp(log_ratio)
+    c2[0] = 1.0 / mass
+    c = np.sqrt(c2)[index]
     return c if np.ndim(n) else float(c[0])
 
 
@@ -269,5 +279,5 @@ def spectrum(params: JacobiParams, nmax: int) -> list[SpectrumEntry]:
 
 def total_mass(params: JacobiParams) -> float:
     """Total mass of dmu+ on (0, pi): Beta(alpha + 1, beta + 1)."""
-    return float(np.exp(betaln(params.alpha + 1.0, params.beta + 1.0)))
-
+    a1, b1 = params.alpha + 1.0, params.beta + 1.0
+    return math.exp(math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1))

@@ -20,11 +20,11 @@ spectrum; this is the pointwise limit of the defining integrals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import mode_eigenvalues, mode_table
 from .core import JacobiParams
@@ -170,7 +170,7 @@ def gfun_bound(M: int, N: int, restricted: bool = False) -> float:
     if M < 0 or N < 0 or M + N < 1:
         raise ValueError("square function needs M, N >= 0 with M + N >= 1")
     w = 2 * (M + N)
-    out = np.exp(gammaln(w) - w * np.log(2.0))
+    out = math.exp(math.lgamma(w) - w * math.log(2.0))
     return 0.25 * out if restricted else out
 
 

@@ -67,11 +67,11 @@ m) that the series route's mode_sum takes, from PairHead's moment formulas.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import JacobiParams, sin_product_derivative, total_mass
 from .quadrature import composite_gauss, gauss_jacobi_rule
@@ -137,7 +137,7 @@ def _segment(a: float, x0: float, x1: float, n: int):
     # 1e-16 / (a + 1/2) on the mass, just above a = -1/2.  Where a - 1/2 is
     # exact, e + 1 and e + 3/2 round as a + 1/2 and a + 1 do.
     e = a - 0.5
-    norm = np.exp(gammaln(e + 1.5) - gammaln(e + 1.0)) / np.sqrt(np.pi)
+    norm = math.exp(math.lgamma(e + 1.5) - math.lgamma(e + 1.0)) / math.sqrt(math.pi)
     if x0 == 0.0:  # endpoint u = 1, weight x^e handled exactly
         rule = gauss_jacobi_rule(e, 0.0, n)
         x = x1 * (1.0 - rule.nodes) / 2.0

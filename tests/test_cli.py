@@ -504,6 +504,30 @@ class TestVerifyReports:
         ids = [e["estimate_id"] for e in report["results"]]
         assert ids == ["BasisOrthonormality", "BasisRoundtrip"]
 
+    def test_nonfinite_sup_is_null_and_inconclusive(self, tmp_path):
+        """Just above alpha = -1 the Gram rule has a node outside [-1, 1], so
+        both basis checks have a NaN sup.  The report stays strict JSON: the
+        sup is written as null, the verdict is inconclusive, and the run
+        exits 1."""
+
+        def no_constant(name):
+            raise ValueError(f"report holds the non-JSON constant {name}")
+
+        path = tmp_path / "basis.json"
+        argv = ["verify", "--suite", "basis", "--alpha", "-0.9999999999999999",
+                "--beta", "-0.5", "--out", str(path)]
+        with np.errstate(invalid="ignore"):
+            assert main(argv) == 1
+        report = json.loads(path.read_text(), parse_constant=no_constant)
+        assert report["passed"] is False
+        assert report["failures"] == [
+            "BasisOrthonormality: sup nan is not finite",
+            "BasisRoundtrip: sup nan is not finite",
+        ]
+        for entry in report["results"]:
+            assert entry["verdict"] == "inconclusive"
+            assert entry["levels"][0]["sup"] is None
+
     @pytest.mark.parametrize("suite", ["kernels", "estimates"])
     def test_product_checks_skipped_below_minus_half(self, tmp_path, suite):
         """Outside alpha, beta >= -1/2 the product-formula checks are written
@@ -536,6 +560,9 @@ class TestVerifyReports:
         entry = _ladder_entry("Growth", [rep], "inconclusive", failures)
         assert entry["levels"][0]["argmax"] == [0.5, 0.6]
         assert len(failures) == 2
+        entry = _check_entry("BasisRoundtrip", 1, np.inf, (0,), 1.0, failures)
+        assert entry["verdict"] == "inconclusive"
+        assert failures[-1] == "BasisRoundtrip: sup inf is not finite"
 
 
 class TestApCheck:

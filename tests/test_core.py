@@ -154,6 +154,11 @@ class TestNormConst:
         for n in ns:
             assert_allclose(vec[n], norm_const(p, int(n)), rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, [0, 3, -2]])
+    def test_rejects_non_degrees(self, n):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            norm_const(JacobiParams(0.5, 2.0), n)
+
 
 class TestTrigPoly:
     FROZEN = [
