@@ -29,10 +29,8 @@ import numpy as np
 
 from .core import (
     JacobiParams,
-    _jacobi_rows,
-    _normalize_rows,
     eigenvalue,
-    eval_trig_poly,
+    recurrence_rows,
     sin_product_derivative,
     trig_poly_table,
 )
@@ -62,42 +60,39 @@ def sym_eigenvalue(params: JacobiParams, n) -> np.ndarray:
     return eigenvalue(params, half_index(n))
 
 
+def _families(params: JacobiParams, theta: np.ndarray) -> list:
+    """The two recurrence families of the basis as (params, start) pairs:
+    Phi_{2k} is row k of (alpha, beta) started at 1/sqrt(2), and Phi_{2k+1}
+    row k of (alpha + 1, beta + 1) started at sin(theta) / (2 sqrt 2)."""
+    return [(params, 1.0 / np.sqrt(2.0)), (params.shifted(), np.sin(theta) / (2.0 * np.sqrt(2.0)))]
+
+
 def eval_phi(params: JacobiParams, n: int, theta) -> np.ndarray:
-    """Evaluate the basis function Phi_n on (-pi, pi)."""
+    """Evaluate the basis function Phi_n on (-pi, pi), from a three-row ring
+    of the recurrence that phi_table runs, so it holds row n's bits."""
     if n < 0:
         raise ValueError(f"basis index must be nonnegative, got {n}")
     theta = np.asarray(theta, dtype=float)
-    if n % 2 == 0:
-        return eval_trig_poly(params, n // 2, theta) / np.sqrt(2.0)
-    k = (n + 1) // 2
-    return (
-        np.sin(theta)
-        * eval_trig_poly(params.shifted(), k - 1, theta)
-        / (2.0 * np.sqrt(2.0))
-    )
+    ring = np.empty((3, 1) + theta.shape)
+    family = _families(params, theta)[n % 2]
+    return recurrence_rows(ring, np.cos(theta), [family], n // 2 + 1)[n // 2 % 3, 0]
 
 
 def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
     """All Phi_0..Phi_nmax at theta; shape (nmax+1, *theta.shape).
 
-    The even and odd rows are built in place in the output, by the Jacobi
-    recurrence and then scaled by c_n and the basis factors in eval_phi's
-    rounding order, so each row is bitwise equal to eval_phi and the table
-    takes its own memory plus a few rows of theta's shape."""
+    One stacked pass of the normalized recurrence builds both families, so
+    each pair of rows (2k, 2k + 1) is written as one contiguous block, with
+    its start factor and normalization already in it: no pass over the
+    finished table is left.  The table takes its own memory (one row more
+    for even nmax, whose last odd row is dropped) plus a scratch pair of
+    rows, and each row is bitwise equal to eval_phi."""
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     theta = np.asarray(theta, dtype=float)
-    x = np.cos(theta)
-    out = np.empty((nmax + 1,) + theta.shape, dtype=float)
-    even = out[0::2]
-    _normalize_rows(_jacobi_rows(even, params.alpha, params.beta, x), params)
-    even /= np.sqrt(2.0)
-    if nmax >= 1:
-        odd, shifted = out[1::2], params.shifted()
-        _normalize_rows(_jacobi_rows(odd, shifted.alpha, shifted.beta, x), shifted)
-        odd *= np.sin(theta)
-        odd /= 2.0 * np.sqrt(2.0)
-    return out
+    pairs = np.empty((nmax // 2 + 1, 2) + theta.shape)
+    recurrence_rows(pairs, np.cos(theta), _families(params, theta))
+    return pairs.reshape((-1,) + theta.shape)[: nmax + 1]
 
 
 def mode_eigenvalues(params: JacobiParams, n_modes: int, parity: str = "full") -> np.ndarray:
@@ -129,6 +124,14 @@ def mode_table(
         if order or lowered:
             raise ValueError("derivative and lowered rows need a half-line parity")
         return phi_table(params, n_modes - 1, theta)
+    if parity == "odd" and not (order or lowered):
+        # ModeRows' rows (1/2) sin(theta) P_n^{(alpha+1,beta+1)} bit for bit,
+        # scaled in place in a table of their own: ModeRows keeps its
+        # polynomial table for reuse, so it scales a copy
+        rows = trig_poly_table(params.shifted(), n_modes - 1, theta)
+        rows *= np.sin(theta)
+        rows *= 0.5
+        return rows
     return ModeRows(theta)(params, n_modes, parity, order, lowered)
 
 

@@ -9,10 +9,15 @@ orthonormal on (0, pi) against the measure
     dmu+(theta) = sin^{2 alpha + 1}(theta/2) cos^{2 beta + 1}(theta/2) dtheta,
 
 together with the eigenvalues lam_n = (n + (alpha + beta + 1)/2)^2 of the
-associated second-order differential operator.  Polynomials are evaluated by
-the standard three-term recurrence in x = cos theta; normalizing constants
-come from c_0 by a ratio recurrence in n, which stays accurate at large
-degrees where differences of log-gamma values cancel.
+associated second-order differential operator.  The normalized polynomials
+are evaluated by one orthonormal three-term recurrence in x = cos theta,
+whose coefficients are the entries of the Jacobi matrix (the matrix the
+Gauss rules diagonalize), so its rows come out normalized with no pass over
+them.  The same loop runs one family or several stacked ones, into a table
+or into a three-row ring.  The plain polynomials P_n keep their classical
+recurrence, and the normalizing constants c_n their ratio recurrence in n,
+which stays accurate at large degrees where differences of log-gamma values
+cancel.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "JacobiParams",
     "SpectrumEntry",
     "eval_jacobi",
-    "jacobi_table",
     "norm_const",
     "eval_trig_poly",
     "trig_poly_table",
@@ -121,47 +125,6 @@ def eval_jacobi(n: int, alpha: float, beta: float, x) -> np.ndarray:
     return p_cur
 
 
-def jacobi_table(nmax: int, alpha: float, beta: float, x) -> np.ndarray:
-    """All Jacobi polynomials up to degree nmax at x, shape (nmax+1, *x.shape).
-
-    The recurrence runs in place in the output, with one scratch array of
-    x's shape, so the table is built in its own memory plus one row."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
-    JacobiParams(alpha, beta)
-    x = np.asarray(x, dtype=float)
-    return _jacobi_rows(np.empty((nmax + 1,) + x.shape, dtype=float), alpha, beta, x)
-
-
-def _jacobi_rows(out: np.ndarray, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """Fill row k of out with P_k^(alpha,beta)(x), in place, and return out.
-
-    The steps round as the expressions of eval_jacobi do (sums and products
-    in commuted order are the same floats), so each row is bitwise equal to
-    eval_jacobi; out may be a strided view such as a table's even rows."""
-    out[0, ...] = 1.0
-    if out.shape[0] == 1:
-        return out
-    # (alpha + 1) + (alpha + beta + 2) (x - 1) / 2
-    p1 = out[1, ...]
-    np.subtract(x, 1.0, out=p1)
-    p1 *= alpha + beta + 2.0
-    p1 /= 2.0
-    p1 += alpha + 1.0
-    scratch = np.empty_like(x)
-    coeffs = _recurrence_coeffs(np.arange(2, out.shape[0] + 0.0), alpha, beta)
-    for k, (a1, a2, a3, a4) in enumerate(zip(*(c.tolist() for c in coeffs)), start=2):
-        # ((a2 + a3 x) P_{k-1} - a4 P_{k-2}) / a1
-        row = out[k, ...]
-        np.multiply(x, a3, out=row)
-        row += a2
-        row *= out[k - 1, ...]
-        np.multiply(out[k - 2, ...], a4, out=scratch)
-        row -= scratch
-        row /= a1
-    return out
-
-
 def _recurrence_coeffs(k, alpha: float, beta: float):
     """Coefficients of a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} for k >= 2
     (a degree or an array of degrees)."""
@@ -171,6 +134,74 @@ def _recurrence_coeffs(k, alpha: float, beta: float):
     a3 = (s - 1.0) * s * (s - 2.0)
     a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
     return a1, a2, a3, a4
+
+
+def jacobi_matrix(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (n entries) and off-diagonal (n - 1) of the Jacobi matrix of
+    the weight (1 - x)^alpha (1 + x)^beta: the orthonormal polynomials satisfy
+    x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}.
+
+    Each entry is a closed form good to a few ulps at any degree, and the
+    first two are written out so that no 0/0 appears on the critical line
+    alpha + beta + 1 = 0 or at alpha + beta = 0."""
+    a, b = alpha, beta
+    diag = np.empty(n)
+    diag[0] = (b - a) / (a + b + 2.0)
+    k = np.arange(1, n, dtype=float)
+    diag[1:] = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
+    offsq = np.empty(n - 1)
+    if n > 1:
+        offsq[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    k = np.arange(2, n, dtype=float)
+    offsq[1:] = (
+        4.0 * k * (k + a) * (k + b) * (k + a + b)
+        / ((2.0 * k + a + b) ** 2 * (2.0 * k + a + b + 1.0) * (2.0 * k + a + b - 1.0))
+    )
+    return diag, np.sqrt(offsq)
+
+
+def recurrence_rows(out: np.ndarray, x: np.ndarray, families, n_rows: int | None = None) -> np.ndarray:
+    """Normalized rows start * c_k P_k^(a,b)(x), k < n_rows, of one or more
+    families stacked on out's second axis, written in place; returns out.
+
+    out has shape (slots, len(families)) + x.shape, and row k goes to slot
+    k % slots: a table when n_rows is the slot count (the default), a ring
+    of three slots for a single degree.  families holds one (params, start)
+    pair per family; row 0 is start * c_0 and, with the Jacobi-matrix
+    entries of each family,
+
+        row_k = (A_k + B_k x) row_{k-1} - C_k row_{k-2},
+        B_k = 1 / off[k-1],  A_k = -diag[k-1] / off[k-1],  C_k = off[k-2] / off[k-1],
+
+    so each row is built normalized, times its family's start factor, by
+    five in-place array operations with one scratch row.  The steps are the
+    same for every slot count and stacking, so a row rounds alike in a table
+    and in a ring."""
+    n_rows = out.shape[0] if n_rows is None else n_rows
+    coeffs = np.zeros((n_rows - 1, 3, len(families)))
+    for f, (params, start) in enumerate(families):
+        diag, off = jacobi_matrix(params.alpha, params.beta, n_rows)
+        coeffs[:, 0, f] = -diag[:-1] / off
+        coeffs[:, 1, f] = 1.0 / off
+        coeffs[1:, 2, f] = off[:-1] / off[1:]
+        np.multiply(start, math.sqrt(1.0 / total_mass(params)), out=out[0, f, ...])
+    # (A_k, B_k, C_k) per step: Python floats for one family (the cheaper
+    # operand on short rows, and the same product), else one column per family
+    if len(families) == 1:
+        steps = coeffs[..., 0].tolist()
+    else:
+        steps = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
+    slots = list(out)
+    scratch = np.empty(out.shape[1:])
+    for k, (a, b, c) in enumerate(steps, start=1):
+        row = slots[k % len(slots)]
+        np.multiply(x, b, out=row)
+        row += a
+        row *= slots[(k - 1) % len(slots)]
+        if k > 1:
+            np.multiply(slots[(k - 2) % len(slots)], c, out=scratch)
+            row -= scratch
+    return out
 
 
 def norm_const(params: JacobiParams, n) -> np.ndarray:
@@ -217,22 +248,26 @@ def eval_trig_poly(params: JacobiParams, n: int, theta) -> np.ndarray:
     """Normalized trigonometric Jacobi polynomial c_n P_n(cos theta).
 
     Even in theta, so valid on (-pi, pi); orthonormal against dmu+ on (0, pi).
+    Read from a three-row ring of recurrence_rows, so it holds the bits of
+    row n of trig_poly_table.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     theta = np.asarray(theta, dtype=float)
-    return norm_const(params, n) * eval_jacobi(n, params.alpha, params.beta, np.cos(theta))
+    ring = np.empty((3, 1) + theta.shape)
+    return recurrence_rows(ring, np.cos(theta), [(params, 1.0)], n + 1)[n % 3, 0]
 
 
 def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
-    """All normalized trig polynomials up to degree nmax; shape (nmax+1, ...)."""
+    """All normalized trig polynomials up to degree nmax; shape (nmax+1, ...).
+
+    Built in place by recurrence_rows, so the table takes its own memory
+    plus one scratch row."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
     theta = np.asarray(theta, dtype=float)
-    return _normalize_rows(jacobi_table(nmax, params.alpha, params.beta, np.cos(theta)), params)
-
-
-def _normalize_rows(tab: np.ndarray, params: JacobiParams) -> np.ndarray:
-    """Scale row n of a Jacobi table by c_n, in place, and return it."""
-    c = np.asarray(norm_const(params, np.arange(tab.shape[0])))
-    tab *= c.reshape(c.shape + (1,) * (tab.ndim - 1))
-    return tab
+    rows = np.empty((nmax + 1, 1) + theta.shape)
+    return recurrence_rows(rows, np.cos(theta), [(params, 1.0)])[:, 0]
 
 
 def eval_trig_poly_deriv(params: JacobiParams, n: int, theta) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import mode_eigenvalues, mode_table
-from .core import JacobiParams
+from .core import JacobiParams, eigenvalue
 from .kernels import L2TWeighted, SupOverT
 from .quadrature import composite_gauss
 
@@ -75,26 +75,52 @@ def maximal_apply(
     """Pointwise maximal function sup_t |semigroup f|, the sup taken over the
     SupOverT log-spaced time grid.
 
-    The time grid is swept in blocks of rows (see _time_blocks): each block
-    builds its decay rows exp(-t sqrt(lam)) c, multiplies them by the mode
-    table and folds their absolute values into a running maximum, so beyond
-    the (modes, points) table the sweep holds about BLOCK_BYTES of values,
-    never a (times, points) grid."""
+    Under "full" the two slots of each eigenvalue are first folded into one
+    row of the mode table (see _folded_table), so the decay rows have one
+    column per distinct eigenvalue, about half the slots.  The time grid is
+    swept in blocks of rows (see _time_blocks): each block builds its decay
+    rows exp(-t sqrt(lam)) (times c on the half-line parities), multiplies
+    them by the mode table and folds their absolute values into a running
+    maximum, so beyond the (modes, points) table the sweep holds about
+    BLOCK_BYTES of values, never a (times, points) grid."""
     _check_parity(parity, restricted)
     c = np.asarray(coeffs, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    root = np.sqrt(mode_eigenvalues(params, c.size, parity))
-    table = mode_table(params, c.size, theta.ravel(), parity)
+    if parity == "full":
+        table, lam = _folded_table(params, c, theta.ravel())
+        coef = 1.0
+    else:
+        table = mode_table(params, c.size, theta.ravel(), parity)
+        lam, coef = mode_eigenvalues(params, c.size, parity), c
+    root = np.sqrt(lam)
     times = SupOverT().grid()
     out = np.zeros(theta.size)
     for rows in _time_blocks(times.size, theta.size):
         decay = np.outer(-times[rows], root)
         np.exp(decay, out=decay)
-        decay *= c
+        decay *= coef
         vals = decay @ table
         np.maximum(out, np.abs(vals, out=vals).max(axis=0), out=out)
     out = out.reshape(theta.shape)
     return 0.5 * out if restricted else out
+
+
+def _folded_table(params: JacobiParams, weights: np.ndarray, points: np.ndarray) -> tuple:
+    """The full-basis mode table with the slots of each eigenvalue folded
+    into one row, and the eigenvalue of each row: row k is weights[0] Phi_0
+    for k = 0 and weights[2k] Phi_{2k} + weights[2k-1] Phi_{2k-1} for
+    k >= 1, the slots 2k - 1 and 2k that share lam_k, so a sum over the N
+    slots is one over floor(N/2) + 1 eigenvalues.  The rows are scaled and
+    added in place in the phi_table of 2 floor(N/2) + 1 rows (one
+    zero-weighted row more for even N), and the folded rows are its even
+    rows, a strided view."""
+    n = 2 * (weights.size // 2) + 1
+    table = mode_table(params, n, points, "full")
+    w = np.zeros(n)
+    w[: weights.size] = weights
+    table *= w[:, None]
+    table[2::2] += table[1::2]
+    return table[0::2], eigenvalue(params, np.arange(n // 2 + 1))
 
 
 def _time_blocks(n_times: int, n_points: int) -> list:
@@ -242,7 +268,11 @@ def gfun_apply(
     weighted time grid.  The L^2 norm of the result against the measure of
     the chosen parity agrees with gfun_norm.
 
-    The time grid is swept in blocks of rows (see _time_blocks), and each
+    Under "full" the two slots of each eigenvalue share one time profile, so
+    they are folded into one row of the mode table (see _folded_table), the
+    leftover lowering of odd N by trading the weights of each pair, and the
+    profile matrix has one column per distinct eigenvalue, about half the
+    slots.  The time grid is swept in blocks of rows (see _time_blocks), and each
     block's weighted squares are added to the running integral one time row
     at a time, in grid order, so beyond the mode table the sweep holds about
     BLOCK_BYTES of values, never a (times, points) grid.
@@ -260,20 +290,23 @@ def gfun_apply(
     t, wt = spec.grid()
     points = theta.ravel()
     # the mode functions that the leftover lowering (odd N) lands on, one
-    # table row per coefficient slot, and the profile columns it multiplies
+    # table row per coefficient slot (per eigenvalue under "full"), and the
+    # profile columns it multiplies
     cols, coef = slice(None), c
-    if N % 2 == 0:
+    if parity == "full":
+        if N % 2:
+            # the lowering walks even modes down and odd modes up with
+            # alternating sign: slot n lands on n - (-1)^n, so the slots
+            # 2k - 1, 2k of lam_k land on each other's rows, and mode zero
+            # has gap zero and contributes nothing.  The sign is exact, so
+            # it rides on the weights, which trade places in each pair
+            coef = c * (-1.0) ** np.arange(c.size)
+            coef = np.append(coef, 0.0)[: 2 * (c.size // 2) + 1]
+            coef[1:] = coef[1:].reshape(-1, 2)[:, ::-1].ravel()
+        table, lam = _folded_table(params, coef, points)
+        coef = 1.0
+    elif N % 2 == 0:
         table = mode_table(params, c.size, points, parity)
-    elif parity == "full":
-        # the lowering walks even modes down and odd modes up with alternating
-        # sign: slot n lands on n - (-1)^n, so adjacent rows 2k - 1, 2k swap
-        # places; mode zero has gap zero and contributes nothing.  The sign
-        # is exact, so it may ride on the coefficients
-        coef = c * (-1.0) ** np.arange(c.size)
-        table = mode_table(params, c.size + 1, points, parity)
-        for n in range(1, c.size, 2):
-            table[[n, n + 1]] = table[[n + 1, n]]
-        table = table[: c.size]
     elif parity == "even":
         # targets are the odd family shifted down by one; mode 0 dies
         table = mode_table(params, c.size - 1, points, "odd")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import JacobiParams, total_mass
+from .core import JacobiParams, jacobi_matrix, total_mass
 
 # the incomplete Beta fraction stops once a step's factor is this close to 1
 # (a few ulps); it takes about sqrt(max(a, b)) / 2 steps (526 at a = b = 1e6)
@@ -80,21 +80,10 @@ def _frozen_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule:
 @lru_cache(maxsize=1024)
 def _golub_welsch(a: float, b: float, n: int) -> QuadratureRule:
     mass = 2.0 ** (a + b + 1.0) * total_mass(JacobiParams(a, b))
-    diag = np.empty(n)
-    diag[0] = (b - a) / (a + b + 2.0)
-    k = np.arange(1, n, dtype=float)
-    diag[1:] = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
+    diag, off = jacobi_matrix(a, b, n)
     if n == 1:
         return _frozen_rule(diag, np.array([mass]))
-    offsq = np.empty(n - 1)
-    offsq[0] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
-    k = np.arange(2, n, dtype=float)
-    offsq[1:] = (
-        4.0 * k * (k + a) * (k + b) * (k + a + b)
-        / ((2.0 * k + a + b) ** 2 * (2.0 * k + a + b + 1.0) * (2.0 * k + a + b - 1.0))
-    )
     jacobi = np.diag(diag)
-    off = np.sqrt(offsq)
     jacobi[range(1, n), range(n - 1)] = off
     jacobi[range(n - 1), range(1, n)] = off
     nodes, vecs = np.linalg.eigh(jacobi)

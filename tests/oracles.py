@@ -3,6 +3,7 @@
 These are finite-difference and sampled stand-ins for operators the package
 computes exactly: the first-order calculus of the symmetrized basis by
 central differences, the second-order Jacobi operator on a uniform grid, the
+table of plain Jacobi polynomials by their classical recurrence, the
 split of full-basis coefficients into the two half-line families, the
 two-sided ball-measure comparison expression, and the pointwise exact lemma
 quotients.  The package itself does not call them.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly_deriv
+from symjacobi.core import JacobiParams, _recurrence_coeffs, eigenvalue, eval_trig_poly_deriv
 from symjacobi.estimates import _exact_quotients
 
 _CLAMP = 1e-12
@@ -112,6 +113,51 @@ def defining_odd_phi(params: JacobiParams, k: int, theta) -> np.ndarray:
     gap = float(eigenvalue(params, k) - params.lam0)
     theta = np.asarray(theta, dtype=float)
     return -eval_trig_poly_deriv(params, k, theta) / np.sqrt(2.0 * gap)
+
+
+# ---------------------------------------------------------------------------
+# the plain Jacobi polynomials by their classical recurrence
+
+
+def jacobi_table(nmax: int, alpha: float, beta: float, x) -> np.ndarray:
+    """All Jacobi polynomials up to degree nmax at x, shape (nmax+1, *x.shape).
+
+    The recurrence runs in place in the output, with one scratch array of
+    x's shape, so the table is built in its own memory plus one row."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {nmax}")
+    JacobiParams(alpha, beta)
+    x = np.asarray(x, dtype=float)
+    return _jacobi_rows(np.empty((nmax + 1,) + x.shape, dtype=float), alpha, beta, x)
+
+
+def _jacobi_rows(out: np.ndarray, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """Fill row k of out with P_k^(alpha,beta)(x), in place, and return out.
+
+    The steps round as the expressions of eval_jacobi do (sums and products
+    in commuted order are the same floats), so each row is bitwise equal to
+    eval_jacobi."""
+    out[0, ...] = 1.0
+    if out.shape[0] == 1:
+        return out
+    # (alpha + 1) + (alpha + beta + 2) (x - 1) / 2
+    p1 = out[1, ...]
+    np.subtract(x, 1.0, out=p1)
+    p1 *= alpha + beta + 2.0
+    p1 /= 2.0
+    p1 += alpha + 1.0
+    scratch = np.empty_like(x)
+    coeffs = _recurrence_coeffs(np.arange(2, out.shape[0] + 0.0), alpha, beta)
+    for k, (a1, a2, a3, a4) in enumerate(zip(*(c.tolist() for c in coeffs)), start=2):
+        # ((a2 + a3 x) P_{k-1} - a4 P_{k-2}) / a1
+        row = out[k, ...]
+        np.multiply(x, a3, out=row)
+        row += a2
+        row *= out[k - 1, ...]
+        np.multiply(out[k - 2, ...], a4, out=scratch)
+        row -= scratch
+        row /= a1
+    return out
 
 
 # ---------------------------------------------------------------------------

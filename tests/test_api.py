@@ -39,6 +39,8 @@ ORACLE_NAMES = (
     "defining_odd_phi",
     "drift_coeff",
     "jacobi_operator_apply",
+    "jacobi_table",
+    "_jacobi_rows",
     "reduce_symmetrized",
     "combine_symmetrized",
     "ball_comparable",

@@ -6,18 +6,18 @@ differentiation for the derivative rule), independent of the recurrence
 implemented here.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import jacobi_operator_apply
+from oracles import jacobi_operator_apply, jacobi_table
 from symjacobi.core import (
     JacobiParams,
     eigenvalue,
     eval_jacobi,
     eval_trig_poly,
     eval_trig_poly_deriv,
-    jacobi_table,
     norm_const,
     spectrum,
     total_mass,
@@ -194,6 +194,39 @@ class TestTrigPoly:
         assert tab.shape == (9,)[:0] + (9, 9) or tab.shape == (9, 9)
         for n in range(9):
             assert_allclose(tab[n], eval_trig_poly(p, n, th), rtol=1e-12)
+
+
+# degrees and angles of the high-degree check, and at each parameter pair the
+# worst error, relative to the row's largest value, of the classical
+# recurrence scaled by norm_const, which built these rows before the
+# normalized recurrence did
+HIGH_DEGREES = (100, 1000, 2047, 4096)
+HIGH_THETAS = (0.05, 0.7, 1.6, 2.5, 3.1)
+CLASSICAL_ERRORS = {(0.5, 2.0): 3.0e-13, (0.0, 0.0): 1.4e-12, (6.0, 2.0): 1.1e-11, (-0.9, 3.0): 3.5e-10}
+
+
+def _trig_poly_mp(alpha, beta, n, theta):
+    """c_n P_n(cos theta) in 40-digit mpmath, from its hypergeometric Jacobi
+    polynomial and Gamma-function normalizer, at the exact float arguments."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        log_c2 = (
+            mpmath.log(2 * n + a + b + 1) + mpmath.loggamma(n + a + b + 1) + mpmath.loggamma(n + 1)
+            - mpmath.loggamma(n + a + 1) - mpmath.loggamma(n + b + 1)
+        )
+        return float(mpmath.exp(log_c2 / 2) * mpmath.jacobi(n, a, b, mpmath.cos(mpmath.mpf(theta))))
+
+
+@pytest.mark.parametrize("ab", CLASSICAL_ERRORS, ids=str)
+def test_high_degree_rows_match_mpmath(ab):
+    """Rows up to degree 4096 stay within twice the classical recurrence's
+    worst error, near both ends of (0, pi) included."""
+    tab = trig_poly_table(JacobiParams(*ab), HIGH_DEGREES[-1], np.array(HIGH_THETAS))
+    worst = 0.0
+    for n in HIGH_DEGREES:
+        want = np.array([_trig_poly_mp(*ab, n, th) for th in HIGH_THETAS])
+        worst = max(worst, np.max(np.abs(tab[n] - want)) / np.max(np.abs(want)))
+    assert worst <= 2.0 * CLASSICAL_ERRORS[ab]
 
 
 class TestTrigPolyDeriv:

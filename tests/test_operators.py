@@ -312,8 +312,9 @@ class TestGFunction:
             gfun_norm(JacobiParams(0.0, 0.0), np.ones(3), 0, 0)
 
 
-def _whole_grid_maximal(params, c, theta, parity="full", restricted=False):
-    """maximal_apply as one (times, points) grid: every time row at once."""
+def _unfolded_maximal(params, c, theta, parity="full", restricted=False):
+    """maximal_apply as one (times, points) grid: every time row at once,
+    one decay column per coefficient slot."""
     lam = mode_eigenvalues(params, c.size, parity)
     decay = np.exp(-np.outer(SupOverT().grid(), np.sqrt(lam)))
     vals = (decay * c) @ mode_table(params, c.size, np.ravel(theta), parity)
@@ -321,16 +322,29 @@ def _whole_grid_maximal(params, c, theta, parity="full", restricted=False):
     return 0.5 * out if restricted else out
 
 
-def _whole_grid_gfun(params, c, M, N, theta, parity="full", restricted=False):
-    """gfun_apply as one (times, points) grid, its weighted squares summed
-    over the time axis."""
-    lam = mode_eigenvalues(params, c.size, parity)
-    t, wt = L2TWeighted(m=M, n=N, lam_min=float(np.min(lam[lam > 0.0]))).grid()
+def _profiles(params, lam, M, N, t, restricted):
     root, gap = np.sqrt(lam), np.maximum(lam - params.lam0, 0.0)
     prof = (-root) ** M * gap ** (N // 2) * np.exp(-np.outer(t, root))
     if N % 2:
         prof = prof * (-np.sqrt(gap))
-    prof = (0.5 * prof if restricted else prof) * c
+    return 0.5 * prof if restricted else prof
+
+
+def _time_sum(vals, wt, theta):
+    # the time-ordered sum, which is what sum(axis=0) does over the strided
+    # time axis of two or more points (a single column it sums pairwise)
+    acc = np.cumsum(wt[:, None] * vals**2, axis=0)[-1]
+    return np.sqrt(acc).reshape(np.shape(theta))
+
+
+def _unfolded_gfun(params, c, M, N, theta, parity="full", restricted=False):
+    """gfun_apply as one (times, points) grid, one profile column per
+    coefficient slot, its weighted squares summed over the time axis."""
+    lam = mode_eigenvalues(params, c.size, parity)
+    if not np.any((lam > 0.0) & (c != 0.0)):
+        return np.zeros(np.shape(theta))
+    t, wt = L2TWeighted(m=M, n=N, lam_min=float(np.min(lam[lam > 0.0]))).grid()
+    prof = _profiles(params, lam, M, N, t, restricted) * c
     x = np.ravel(theta)
     if N % 2 == 0:
         vals = prof @ mode_table(params, c.size, x, parity)
@@ -342,10 +356,49 @@ def _whole_grid_gfun(params, c, M, N, theta, parity="full", restricted=False):
         vals = prof[:, 1:] @ mode_table(params, c.size - 1, x, "odd")
     else:
         vals = prof @ mode_table(params, c.size + 1, x, "even")[1:]
-    # the time-ordered sum, which is what sum(axis=0) does over the strided
-    # time axis of two or more points (a single column it sums pairwise)
-    acc = np.cumsum(wt[:, None] * vals**2, axis=0)[-1]
-    return np.sqrt(acc).reshape(np.shape(theta))
+    return _time_sum(vals, wt, theta)
+
+
+def _folded(params, weights, x):
+    """The full-basis table with weights[n] on Phi_n and the rows 2k - 1,
+    2k of lam_k added into one: floor(N/2) + 1 rows for N weights."""
+    n = 2 * (weights.size // 2) + 1
+    w = np.zeros(n)
+    w[: weights.size] = weights
+    table = mode_table(params, n, x, "full") * w[:, None]
+    folded = table[0::2]
+    folded[1:] += table[1::2]
+    return folded
+
+
+def _whole_grid_maximal(params, c, theta, parity="full", restricted=False):
+    """maximal_apply as one (times, points) grid, with the full basis folded
+    to one decay column per eigenvalue, as the sweep folds it."""
+    if parity != "full":
+        return _unfolded_maximal(params, c, theta, parity, restricted)
+    table = _folded(params, c, np.ravel(theta))
+    lam = eigenvalue(params, np.arange(table.shape[0]))
+    vals = np.exp(-np.outer(SupOverT().grid(), np.sqrt(lam))) @ table
+    return np.max(np.abs(vals), axis=0).reshape(np.shape(theta))
+
+
+def _whole_grid_gfun(params, c, M, N, theta, parity="full", restricted=False):
+    """gfun_apply as one (times, points) grid, with the full basis folded to
+    one profile column per eigenvalue, as the sweep folds it: for odd N slot
+    n carries (-1)^n c_n to its target row n - (-1)^n."""
+    if parity != "full":
+        return _unfolded_gfun(params, c, M, N, theta, parity, restricted)
+    lam = mode_eigenvalues(params, c.size)
+    t, wt = L2TWeighted(m=M, n=N, lam_min=float(np.min(lam[lam > 0.0]))).grid()
+    weights = c
+    if N % 2:
+        weights = np.zeros(c.size + 1)
+        for n in range(c.size):
+            weights[n - (-1) ** n if n else 0] = (-1.0) ** n * c[n]
+        weights = weights[: 2 * (c.size // 2) + 1]
+    table = _folded(params, weights, np.ravel(theta))
+    prof = _profiles(params, eigenvalue(params, np.arange(table.shape[0])), M, N, t, restricted)
+    return _time_sum(prof @ table, wt, theta)
 
 
 # point grids: 0-d, a (3, 5) grid and 40 points, each less than one block of
@@ -359,6 +412,38 @@ _GRIDS = {
     "2048": np.sort(np.random.default_rng(21).uniform(-np.pi, np.pi, 2048)),
 }
 _BLOCK_PARAMS = [JacobiParams(-0.5, -0.5), JacobiParams(6.0, 2.0), JacobiParams(0.5, -0.25)]
+
+
+def _fold_inputs():
+    """Coefficient vectors for the fold test: random ones of even and odd
+    length, lengths 1 and 2, and single nonzero slots on both parities of
+    the index (slot 0, the two slots of lam_1, and the top slot)."""
+    rng = np.random.default_rng(25)
+    yield from (rng.standard_normal(n) for n in (1, 2, 7, 8, 95, 96))
+    for n in (7, 8):
+        for k in (0, 1, 2, n - 1):
+            c = np.zeros(n)
+            c[k] = 1.5
+            yield c
+
+
+class TestFold:
+    """The full-basis sweeps fold the slots 2k - 1, 2k of each eigenvalue
+    into one table row; they agree with the sum over every slot."""
+
+    @pytest.mark.parametrize(
+        "params", [JacobiParams(-0.5, -0.5), JacobiParams(0.5, 2.0), JacobiParams(6.0, 2.0)],
+        ids=lambda p: f"{p.alpha:g},{p.beta:g}",
+    )
+    def test_fold_matches_slot_sum(self, params):
+        theta = _GRIDS["40"]
+        for c in _fold_inputs():
+            got, want = maximal_apply(params, c, theta), _unfolded_maximal(params, c, theta)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), c.size
+            for M, N in [(1, 0), (1, 2), (0, 1), (2, 1)]:
+                got = gfun_apply(params, c, M, N, theta)
+                want = _unfolded_gfun(params, c, M, N, theta)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (c.size, M, N)
 
 
 class TestRowBlocks:
@@ -398,14 +483,20 @@ class TestRowBlocks:
             lambda p, c, th: maximal_apply(p, c, th),
             lambda p, c, th: gfun_apply(p, c, 1, 0, th),
             lambda p, c, th: gfun_apply(p, c, 0, 1, th),
+            lambda p, c, th: maximal_apply(p, c, np.abs(th), parity="odd"),
+            lambda p, c, th: gfun_apply(p, c, 0, 1, np.abs(th), parity="even"),
+            lambda p, c, th: mode_table(p, c.size, np.abs(th), "odd"),
         ],
-        ids=["maximal", "gfun_N_even", "gfun_N_odd"],
+        ids=["maximal", "gfun_N_even", "gfun_N_odd", "maximal_odd", "gfun_even_N_odd",
+             "mode_table_odd"],
     )
     def test_sweep_builds_no_time_grid(self, apply):
         """At 512 modes x 2048 points (the spectral benchmark's size) the
         sweep peaks below one and a half (modes, points) float64 mode tables:
         the whole-grid forms held a (1141, 2048) values grid, its absolute
-        values and the (1141, 512) decay, over six tables in all."""
+        values and the (1141, 512) decay, over six tables in all.  The
+        odd-family table is the shifted polynomial table scaled in place,
+        not a scaled copy beside it."""
         p = JacobiParams(0.5, -0.25)
         c = np.random.default_rng(24).standard_normal(512)
         theta = _GRIDS["2048"]
