@@ -68,14 +68,12 @@ def _families(params: JacobiParams, theta: np.ndarray) -> list:
 
 
 def eval_phi(params: JacobiParams, n: int, theta) -> np.ndarray:
-    """Evaluate the basis function Phi_n on (-pi, pi), from a three-row ring
-    of the recurrence that phi_table runs, so it holds row n's bits."""
+    """Evaluate the basis function Phi_n on (-pi, pi): row n of
+    phi_table(params, n, theta), so it holds the bits of every longer table."""
     if n < 0:
         raise ValueError(f"basis index must be nonnegative, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    ring = np.empty((3, 1) + theta.shape)
-    family = _families(params, theta)[n % 2]
-    return recurrence_rows(ring, np.cos(theta), [family], n // 2 + 1)[n // 2 % 3, 0]
+    # a copy, so that the result does not keep the whole table alive
+    return phi_table(params, n, theta)[n].copy()
 
 
 def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
@@ -86,7 +84,8 @@ def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
     its start factor and normalization already in it: no pass over the
     finished table is left.  The table takes its own memory (one row more
     for even nmax, whose last odd row is dropped) plus a scratch pair of
-    rows, and each row is bitwise equal to eval_phi."""
+    rows.  A row holds the same bits in every longer table, which is what
+    eval_phi reads."""
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     theta = np.asarray(theta, dtype=float)

@@ -13,11 +13,8 @@ associated second-order differential operator.  The normalized polynomials
 are evaluated by one orthonormal three-term recurrence in x = cos theta,
 whose coefficients are the entries of the Jacobi matrix (the matrix the
 Gauss rules diagonalize), so its rows come out normalized with no pass over
-them.  The same loop runs one family or several stacked ones, into a table
-or into a three-row ring.  The plain polynomials P_n keep their classical
-recurrence, and the normalizing constants c_n their ratio recurrence in n,
-which stays accurate at large degrees where differences of log-gamma values
-cancel.
+them.  The same loop runs one family or several stacked ones into a table,
+and a single degree is read as its row of that table.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ import numpy as np
 __all__ = [
     "JacobiParams",
     "SpectrumEntry",
-    "eval_jacobi",
-    "norm_const",
     "eval_trig_poly",
     "trig_poly_table",
     "eval_trig_poly_deriv",
@@ -89,53 +84,6 @@ class SpectrumEntry:
     sqrt_lam: float
 
 
-def eval_jacobi(n: int, alpha: float, beta: float, x) -> np.ndarray:
-    """Evaluate the Jacobi polynomial P_n^{(alpha,beta)} at x.
-
-    Uses the three-term recurrence with P_0 = 1 and
-    P_1 = (alpha + 1) + (alpha + beta + 2)(x - 1)/2, which is well defined for
-    all alpha, beta > -1 (the leading recurrence coefficient never vanishes
-    for degrees >= 2).
-
-    Parameters
-    ----------
-    n : int
-        Degree, >= 0.
-    alpha, beta : float
-        Parameters, both > -1.
-    x : array_like
-        Evaluation points in [-1, 1] (the recurrence itself is global).
-
-    Returns
-    -------
-    numpy.ndarray
-        Values P_n^{(alpha,beta)}(x), shaped like x.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    JacobiParams(alpha, beta)  # validate the parameter range
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev
-    p_cur = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, n + 1):
-        a1, a2, a3, a4 = _recurrence_coeffs(k, alpha, beta)
-        p_cur, p_prev = ((a2 + a3 * x) * p_cur - a4 * p_prev) / a1, p_cur
-    return p_cur
-
-
-def _recurrence_coeffs(k, alpha: float, beta: float):
-    """Coefficients of a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} for k >= 2
-    (a degree or an array of degrees)."""
-    s = 2.0 * k + alpha + beta
-    a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
-    a2 = (s - 1.0) * (alpha * alpha - beta * beta)
-    a3 = (s - 1.0) * s * (s - 2.0)
-    a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
-    return a1, a2, a3, a4
-
-
 def jacobi_matrix(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (n entries) and off-diagonal (n - 1) of the Jacobi matrix of
     the weight (1 - x)^alpha (1 + x)^beta: the orthonormal polynomials satisfy
@@ -160,27 +108,24 @@ def jacobi_matrix(alpha: float, beta: float, n: int) -> tuple[np.ndarray, np.nda
     return diag, np.sqrt(offsq)
 
 
-def recurrence_rows(out: np.ndarray, x: np.ndarray, families, n_rows: int | None = None) -> np.ndarray:
-    """Normalized rows start * c_k P_k^(a,b)(x), k < n_rows, of one or more
-    families stacked on out's second axis, written in place; returns out.
+def recurrence_rows(out: np.ndarray, x: np.ndarray, families) -> np.ndarray:
+    """Normalized rows start * c_k P_k^(a,b)(x), one per row of out, of one
+    or more families stacked on out's second axis, written in place; returns
+    out.
 
-    out has shape (slots, len(families)) + x.shape, and row k goes to slot
-    k % slots: a table when n_rows is the slot count (the default), a ring
-    of three slots for a single degree.  families holds one (params, start)
-    pair per family; row 0 is start * c_0 and, with the Jacobi-matrix
-    entries of each family,
+    out has shape (rows, len(families)) + x.shape, and families holds one
+    (params, start) pair per family.  Row 0 is start * c_0 and, with the
+    Jacobi-matrix entries of each family,
 
         row_k = (A_k + B_k x) row_{k-1} - C_k row_{k-2},
         B_k = 1 / off[k-1],  A_k = -diag[k-1] / off[k-1],  C_k = off[k-2] / off[k-1],
 
     so each row is built normalized, times its family's start factor, by
-    five in-place array operations with one scratch row.  The steps are the
-    same for every slot count and stacking, so a row rounds alike in a table
-    and in a ring."""
-    n_rows = out.shape[0] if n_rows is None else n_rows
-    coeffs = np.zeros((n_rows - 1, 3, len(families)))
+    five in-place array operations with one scratch row.  Row k reads only
+    the rows below it, so it holds the same bits in every longer table."""
+    coeffs = np.zeros((out.shape[0] - 1, 3, len(families)))
     for f, (params, start) in enumerate(families):
-        diag, off = jacobi_matrix(params.alpha, params.beta, n_rows)
+        diag, off = jacobi_matrix(params.alpha, params.beta, out.shape[0])
         coeffs[:, 0, f] = -diag[:-1] / off
         coeffs[:, 1, f] = 1.0 / off
         coeffs[1:, 2, f] = off[:-1] / off[1:]
@@ -191,71 +136,30 @@ def recurrence_rows(out: np.ndarray, x: np.ndarray, families, n_rows: int | None
         steps = coeffs[..., 0].tolist()
     else:
         steps = coeffs.reshape(coeffs.shape + (1,) * x.ndim)
-    slots = list(out)
+    rows = list(out)
     scratch = np.empty(out.shape[1:])
     for k, (a, b, c) in enumerate(steps, start=1):
-        row = slots[k % len(slots)]
+        row = rows[k]
         np.multiply(x, b, out=row)
         row += a
-        row *= slots[(k - 1) % len(slots)]
+        row *= rows[k - 1]
         if k > 1:
-            np.multiply(slots[(k - 2) % len(slots)], c, out=scratch)
+            np.multiply(rows[k - 2], c, out=scratch)
             row -= scratch
     return out
-
-
-def norm_const(params: JacobiParams, n) -> np.ndarray:
-    """Normalizing constant c_n making c_n P_n(cos theta) a unit vector.
-
-    c_n^2 = (2n + a + b + 1) R_n for n >= 1, with (a, b) = (alpha, beta) and
-        R_n = Gamma(n + a + b + 1) Gamma(n + 1) / (Gamma(n + a + 1) Gamma(n + b + 1)),
-    is built from c_0^2 = 1 / total_mass by the ratio recurrence
-        R_1 = c_0^2 / ((a + 1)(b + 1)),
-        R_n / R_{n-1} = (n + a + b) n / ((n + a)(n + b)) = 1 - ab / ((n + a)(n + b)),
-    so no Gamma value is taken above n = 0.  The ratios are multiplied as a
-    running sum of their log1p values: a ratio within an ulp or so of 1
-    rounds alike for many n in a row, and a plain product would drift by
-    1e-13 at n = 4000.  Nothing divides by a + b + 1, so the critical case
-    alpha + beta + 1 = 0 needs no branch, and at ab = 0 every ratio is
-    exactly 1, so c_n^2 carries no accumulated rounding.
-
-    Accepts a scalar or integer array n; returns the matching shape.
-    """
-    a, b = params.alpha, params.beta
-    n_arr = np.atleast_1d(np.asarray(n))
-    index = n_arr.astype(np.intp)
-    if np.any(index != n_arr) or np.any(index < 0):
-        raise ValueError("degrees must be nonnegative integers")
-    deg = np.arange(int(index.max()) + 1, dtype=float)
-    k = deg[2:]
-    # each log ratio from log1p of its distance from 1, except where the
-    # ratio is far from 1 and that distance would cancel; there k + a + b is
-    # formed from s + e = a + b exactly, so it stays accurate as a + b nears -2
-    step = -a * b / ((k + a) * (k + b))
-    s = a + b
-    e = (a - (s - (s - a))) + (b - (s - a))
-    ratio = ((k + s) + e) * k / ((k + a) * (k + b))
-    log_ratio = np.zeros(deg.size)
-    log_ratio[2:] = np.cumsum(np.where(np.abs(step) < 0.5, np.log1p(step), np.log(ratio)))
-    mass = total_mass(params)
-    c2 = (2.0 * deg + a + b + 1.0) / ((a + 1.0) * (b + 1.0) * mass) * np.exp(log_ratio)
-    c2[0] = 1.0 / mass
-    c = np.sqrt(c2)[index]
-    return c if np.ndim(n) else float(c[0])
 
 
 def eval_trig_poly(params: JacobiParams, n: int, theta) -> np.ndarray:
     """Normalized trigonometric Jacobi polynomial c_n P_n(cos theta).
 
     Even in theta, so valid on (-pi, pi); orthonormal against dmu+ on (0, pi).
-    Read from a three-row ring of recurrence_rows, so it holds the bits of
-    row n of trig_poly_table.
+    Row n of trig_poly_table(params, n, theta), so it holds the bits of row n
+    of every longer table.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    theta = np.asarray(theta, dtype=float)
-    ring = np.empty((3, 1) + theta.shape)
-    return recurrence_rows(ring, np.cos(theta), [(params, 1.0)], n + 1)[n % 3, 0]
+    # a copy, so that the result does not keep the whole table alive
+    return trig_poly_table(params, n, theta)[n].copy()
 
 
 def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:

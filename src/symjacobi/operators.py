@@ -53,7 +53,7 @@ def semigroup_apply(
 ) -> np.ndarray:
     """Coefficients of the subordinated semigroup at time t."""
     _check_parity(parity, restricted)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     c = np.asarray(coeffs, dtype=float)
     lam = mode_eigenvalues(params, c.size, parity)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from symjacobi.core import JacobiParams, _recurrence_coeffs, eigenvalue, eval_trig_poly_deriv
+from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly_deriv
 from symjacobi.estimates import _exact_quotients
 
 _CLAMP = 1e-12
@@ -134,9 +134,10 @@ def jacobi_table(nmax: int, alpha: float, beta: float, x) -> np.ndarray:
 def _jacobi_rows(out: np.ndarray, alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     """Fill row k of out with P_k^(alpha,beta)(x), in place, and return out.
 
-    The steps round as the expressions of eval_jacobi do (sums and products
-    in commuted order are the same floats), so each row is bitwise equal to
-    eval_jacobi."""
+    The classical recurrence a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} from
+    P_0 = 1 and P_1 = (alpha + 1) + (alpha + beta + 2)(x - 1)/2, well defined
+    for all alpha, beta > -1 (a1 never vanishes for k >= 2).  Row k reads
+    only the rows below it, so it holds the same bits in every longer table."""
     out[0, ...] = 1.0
     if out.shape[0] == 1:
         return out
@@ -158,6 +159,17 @@ def _jacobi_rows(out: np.ndarray, alpha: float, beta: float, x: np.ndarray) -> n
         row -= scratch
         row /= a1
     return out
+
+
+def _recurrence_coeffs(k, alpha: float, beta: float):
+    """Coefficients of a1 P_k = (a2 + a3 x) P_{k-1} - a4 P_{k-2} for k >= 2
+    (a degree or an array of degrees)."""
+    s = 2.0 * k + alpha + beta
+    a1 = 2.0 * k * (k + alpha + beta) * (s - 2.0)
+    a2 = (s - 1.0) * (alpha * alpha - beta * beta)
+    a3 = (s - 1.0) * s * (s - 2.0)
+    a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * s
+    return a1, a2, a3, a4
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ ORACLE_NAMES = (
     "jacobi_operator_apply",
     "jacobi_table",
     "_jacobi_rows",
+    "_recurrence_coeffs",
     "reduce_symmetrized",
     "combine_symmetrized",
     "ball_comparable",

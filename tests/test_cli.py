@@ -1,9 +1,12 @@
-"""CLI contract tests: CSV layouts, JSON report schema, exit codes, and
-byte-level determinism of the verification reports."""
+"""CLI contract tests: CSV layouts, JSON report schema, exit codes,
+byte-level determinism of the verification reports, and the console-script
+lines of the CI workflow."""
 
 import argparse
 import csv
 import json
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -19,6 +22,9 @@ from symjacobi.estimates import EstimateReport
 from symjacobi.kernels import AccuracyWarning, semigroup_mass
 
 DATA = Path(__file__).parent / "data"
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+# a console-script line of the workflow: `symjacobi ...` or `"$venv/symjacobi" ...`
+SCRIPT_LINE = re.compile(r'^(?:symjacobi|"\$venv/symjacobi")\s+(.*)$')
 
 
 def read_table(path):
@@ -331,6 +337,14 @@ class TestOperatorTable:
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [float(row.split(",")[1]) for row in rows] == [1.0, 0.0, 0.0, 0.0]
 
+    def test_semigroup_at_nan_time_fails(self, capsys):
+        """operator --t nan is an error naming the value, with no rows
+        written."""
+        assert main(["operator", "--op", "semigroup", "--t", "nan", "--nmax", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "time must be nonnegative, got nan" in captured.err
+        assert captured.out == ""
+
     def test_reads_own_output_and_header_rows(self, tmp_path):
         """A coefficient table written by the tool (echo line, n,value header)
         reads back as the same coefficients."""
@@ -583,3 +597,15 @@ class TestApCheck:
         rc = main(["ap-check", "--r", "-0.5", "--s", "0", "--p", "1"])
         assert rc == 0
         assert "predicts: member" in capsys.readouterr().out
+
+
+def test_workflow_console_script_lines_run(capsys):
+    """Every console-script line of the CI workflow, in both jobs, exits 0
+    through cli.main, so a renamed flag or command fails here and not only
+    on the CI runner."""
+    lines = [m.group(1) for line in WORKFLOW.read_text().splitlines()
+             if (m := SCRIPT_LINE.match(line.strip()))]
+    assert len(lines) >= 11
+    for line in lines:
+        assert main(shlex.split(line)) == 0, line
+        capsys.readouterr()

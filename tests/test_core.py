@@ -1,9 +1,10 @@
-"""Tests for the Jacobi polynomial core: recurrence, normalization, spectrum.
+"""Tests for the Jacobi polynomial core: the normalized recurrence, its
+single-degree rows, the classical-recurrence oracle, and the spectrum.
 
 Reference values were frozen from a 40-digit mpmath session (hypergeometric
 evaluation of the polynomials, gamma-function normalizers, numerical
-differentiation for the derivative rule), independent of the recurrence
-implemented here.
+differentiation for the derivative rule), independent of the recurrences
+checked here.
 """
 
 import mpmath
@@ -15,10 +16,8 @@ from oracles import jacobi_operator_apply, jacobi_table
 from symjacobi.core import (
     JacobiParams,
     eigenvalue,
-    eval_jacobi,
     eval_trig_poly,
     eval_trig_poly_deriv,
-    norm_const,
     spectrum,
     total_mass,
     trig_poly_table,
@@ -73,7 +72,7 @@ class TestEvalJacobi:
 
     def test_frozen_values(self):
         for n, a, b, x, ref in self.FROZEN:
-            assert_allclose(eval_jacobi(n, a, b, x), ref, rtol=1e-13)
+            assert_allclose(jacobi_table(n, a, b, x)[n], ref, rtol=1e-13)
 
     def test_value_at_one(self):
         """P_n(1) = binom(n + alpha, n)."""
@@ -81,15 +80,15 @@ class TestEvalJacobi:
 
         for a, b in PARAM_PAIRS:
             for n in [0, 1, 2, 7, 20]:
-                assert_allclose(eval_jacobi(n, a, b, 1.0), binom(n + a, n), rtol=1e-12)
+                assert_allclose(jacobi_table(n, a, b, 1.0)[n], binom(n + a, n), rtol=1e-12)
 
     def test_symmetry(self):
         """P_n^{(a,b)}(-x) = (-1)^n P_n^{(b,a)}(x)."""
         x = np.linspace(-1, 1, 31)
         for n in [0, 1, 4, 9]:
             assert_allclose(
-                eval_jacobi(n, 0.5, 2.0, -x),
-                (-1.0) ** n * eval_jacobi(n, 2.0, 0.5, x),
+                jacobi_table(n, 0.5, 2.0, -x)[n],
+                (-1.0) ** n * jacobi_table(n, 2.0, 0.5, x)[n],
                 rtol=1e-12,
                 atol=1e-14,
             )
@@ -98,7 +97,7 @@ class TestEvalJacobi:
         x = np.linspace(-1, 1, 17)
         tab = jacobi_table(10, 0.5, 2.0, x)
         for n in range(11):
-            assert_allclose(tab[n], eval_jacobi(n, 0.5, 2.0, x), rtol=1e-13)
+            assert_allclose(tab[n], jacobi_table(n, 0.5, 2.0, x)[n], rtol=1e-13)
 
     def test_against_scipy(self):
         from scipy.special import eval_jacobi as scipy_jacobi
@@ -107,57 +106,12 @@ class TestEvalJacobi:
         for a, b in PARAM_PAIRS:
             for n in [0, 1, 3, 10, 25]:
                 assert_allclose(
-                    eval_jacobi(n, a, b, x), scipy_jacobi(n, a, b, x), rtol=1e-10, atol=1e-12
+                    jacobi_table(n, a, b, x)[n], scipy_jacobi(n, a, b, x), rtol=1e-10, atol=1e-12
                 )
 
     def test_bad_degree(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            eval_jacobi(-1, 0.0, 0.0, 0.5)
-
-
-class TestNormConst:
-    # (n, alpha, beta, value) frozen from mpmath at 40 digits
-    FROZEN = [
-        (0, -0.5, -0.5, 0.56418958354775628695),
-        (1, -0.5, -0.5, 1.5957691216057307118),
-        (4, -0.5, -0.5, 2.9179778223647647301),
-        (0, 0.0, 0.0, 1.0),
-        (3, 0.5, 2.0, 3.4287388351987382009),
-        (7, 3.0, -0.5, 3.8366720062227541597),
-        (0, 1.5, 2.0, 4.4370598373247120319),
-    ]
-
-    def test_frozen_values(self):
-        for n, a, b, ref in self.FROZEN:
-            assert_allclose(norm_const(JacobiParams(a, b), n), ref, rtol=1e-13)
-
-    def test_critical_n0(self):
-        """At alpha + beta = -1 the n = 0 constant is 1/sqrt(Gamma(a+1)Gamma(b+1))."""
-        from scipy.special import gamma
-
-        p = JacobiParams(-0.25, -0.75)
-        assert_allclose(
-            norm_const(p, 0), 1.0 / np.sqrt(gamma(0.75) * gamma(0.25)), rtol=1e-13
-        )
-
-    def test_n0_is_inverse_sqrt_mass(self):
-        """c_0 = total_mass^{-1/2} for every parameter pair."""
-        for a, b in PARAM_PAIRS + [(1.5, 2.0)]:
-            p = JacobiParams(a, b)
-            assert_allclose(norm_const(p, 0), total_mass(p) ** -0.5, rtol=1e-13)
-
-    def test_vectorized(self):
-        p = JacobiParams(0.5, 2.0)
-        ns = np.arange(6)
-        vec = norm_const(p, ns)
-        assert vec.shape == (6,)
-        for n in ns:
-            assert_allclose(vec[n], norm_const(p, int(n)), rtol=1e-14)
-
-    @pytest.mark.parametrize("n", [-1, 2.5, [0, 3, -2]])
-    def test_rejects_non_degrees(self, n):
-        with pytest.raises(ValueError, match="nonnegative integers"):
-            norm_const(JacobiParams(0.5, 2.0), n)
+            jacobi_table(-1, 0.0, 0.0, 0.5)
 
 
 class TestTrigPoly:
@@ -191,15 +145,17 @@ class TestTrigPoly:
         p = JacobiParams(3.0, -0.5)
         th = np.linspace(0.2, 2.8, 9)
         tab = trig_poly_table(p, 8, th)
-        assert tab.shape == (9,)[:0] + (9, 9) or tab.shape == (9, 9)
+        # a row of a longer table holds the single-degree row's bits, the
+        # prefix property that ModeRows' row reuse relies on
+        assert tab.shape == (9, 9)
         for n in range(9):
-            assert_allclose(tab[n], eval_trig_poly(p, n, th), rtol=1e-12)
+            assert np.array_equal(tab[n], eval_trig_poly(p, n, th))
 
 
 # degrees and angles of the high-degree check, and at each parameter pair the
 # worst error, relative to the row's largest value, of the classical
-# recurrence scaled by norm_const, which built these rows before the
-# normalized recurrence did
+# recurrence scaled by a ratio recurrence for c_n, which built these rows
+# before the normalized recurrence did
 HIGH_DEGREES = (100, 1000, 2047, 4096)
 HIGH_THETAS = (0.05, 0.7, 1.6, 2.5, 3.1)
 CLASSICAL_ERRORS = {(0.5, 2.0): 3.0e-13, (0.0, 0.0): 1.4e-12, (6.0, 2.0): 1.1e-11, (-0.9, 3.0): 3.5e-10}

@@ -96,6 +96,12 @@ class TestSemigroup:
         with pytest.raises(ValueError, match="nonnegative"):
             semigroup_apply(JacobiParams(0.0, 0.0), -0.1, np.ones(2))
 
+    def test_nan_time_rejected(self):
+        """A NaN time is refused, naming it, not carried into all-NaN
+        coefficients."""
+        with pytest.raises(ValueError, match="time must be nonnegative, got nan"):
+            semigroup_apply(JacobiParams(0.0, 0.0), np.nan, np.ones(2))
+
 
 class TestMaximal:
     def test_constant_fixed_in_critical_case(self):

@@ -8,7 +8,6 @@ and above 10.  Every test is derandomized with an explicit example budget,
 so a run is deterministic.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from symjacobi.basis import analyze, mode_eigenvalues, phi_table, synthesize
 from symjacobi.cli import MASS_NODES
-from symjacobi.core import JacobiParams, norm_const
+from symjacobi.core import JacobiParams
 from symjacobi.kernels import poisson_kernel_series, semigroup_mass
 from symjacobi.operators import gfun_bound, gfun_mode_factors, riesz_apply, semigroup_apply
 from symjacobi.quadrature import mu_full_rule, mu_plus_rule
@@ -181,37 +180,3 @@ def test_semigroup_mass(params, t):
     assert_allclose(semigroup_mass(params, t), want, rtol=1e-15)
     assert_allclose(semigroup_mass(params, t), 0.5 * np.exp(-t * np.sqrt(params.lam0)), rtol=1e-14)
     assert semigroup_mass(params, np.inf) == (0.5 if params.critical else 0.0)
-
-
-# degrees of the norm_const check: the first few, around powers of two, and
-# the top of the 4096-mode range, where lgamma differences lost 7.5e-12
-NORM_DEGREES = list(range(9)) + [63, 64, 255, 1000, 2047, 4000, 4096]
-
-
-def _norm_const_mp(alpha, beta, n):
-    """c_n from Gamma functions in 40-digit mpmath, at the exact float
-    arguments; n = 0 through (a + b + 1) Gamma(a + b + 1) = Gamma(a + b + 2)."""
-    with mpmath.workdps(40):
-        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-        if n == 0:
-            log_c2 = mpmath.loggamma(a + b + 2) - mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1)
-        else:
-            log_c2 = (
-                mpmath.log(2 * n + a + b + 1) + mpmath.loggamma(n + a + b + 1)
-                + mpmath.loggamma(n + 1) - mpmath.loggamma(n + a + 1) - mpmath.loggamma(n + b + 1)
-            )
-        return mpmath.exp(log_c2 / 2)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(params=PARAMS)
-@_examples()
-@example(JacobiParams(0.5, 2.0))
-@example(JacobiParams(-0.9999999, -0.99999991))
-def test_norm_const_matches_mpmath(params):
-    """c_n within 1e-13 relative of mpmath up to degree 4096, the critical
-    line and the corner where a + b nears -2 included."""
-    got = norm_const(params, np.arange(NORM_DEGREES[-1] + 1))
-    for n in NORM_DEGREES:
-        want = _norm_const_mp(params.alpha, params.beta, n)
-        assert abs(float((got[n] - want) / want)) <= 1e-13, (params, n)
