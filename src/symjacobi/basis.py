@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     JacobiParams,
     eigenvalue,
+    last_row,
     recurrence_rows,
     sin_product_derivative,
     trig_poly_table,
@@ -69,11 +70,11 @@ def _families(params: JacobiParams, theta: np.ndarray) -> list:
 
 def eval_phi(params: JacobiParams, n: int, theta) -> np.ndarray:
     """Evaluate the basis function Phi_n on (-pi, pi): row n of
-    phi_table(params, n, theta), so it holds the bits of every longer table."""
+    phi_table(params, n, theta), so it holds the bits of every longer table;
+    built by core.last_row, one block of points at a time."""
     if n < 0:
         raise ValueError(f"basis index must be nonnegative, got {n}")
-    # a copy, so that the result does not keep the whole table alive
-    return phi_table(params, n, theta)[n].copy()
+    return last_row(lambda th: phi_table(params, n, th), n + 1, theta)
 
 
 def phi_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
@@ -142,12 +143,38 @@ class ModeRows:
     the leading rows of a longer table, and each is built `headroom` modes
     longer than its first request, for the one or two more modes that a
     lowering asks of it.  The other tables are a few products of these and
-    are built per request, so the store holds only polynomial tables."""
+    are built per request, so the store holds only polynomial tables.
+    ModeRows.pair gives the rows at two coordinate arrays from one store."""
 
     def __init__(self, theta, headroom: int = 0):
         self.theta = np.asarray(theta, dtype=float)
         self.headroom = headroom
         self._polys = {}
+        self._shared = None
+
+    @classmethod
+    def pair(cls, theta, phi, headroom: int = 0):
+        """ModeRows at the 1-d arrays theta and phi whose polynomial tables
+        are one table over both, built by one recurrence per parameter set,
+        each reading its own columns (the recurrence is elementwise, so the
+        bits are those of separate tables)."""
+        theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+        owner = cls(np.concatenate([theta, phi]), headroom)
+        halves = cls(theta, headroom), cls(phi, headroom)
+        for rows, cols in zip(halves, (slice(0, theta.size), slice(theta.size, None))):
+            rows._shared = (owner, cols)
+        return halves
+
+    def _poly(self, params: JacobiParams, n_modes: int) -> np.ndarray:
+        """The polynomial table of params with at least n_modes rows."""
+        if self._shared is not None:
+            owner, cols = self._shared
+            return owner._poly(params, n_modes)[:, cols]
+        table = self._polys.get(params)
+        if table is None or table.shape[0] < n_modes:
+            table = trig_poly_table(params, n_modes + self.headroom - 1, self.theta)
+            self._polys[params] = table
+        return table
 
     def __call__(self, params: JacobiParams, n_modes: int, parity: str, order=0, lowered=False):
         theta = self.theta
@@ -161,11 +188,7 @@ class ModeRows:
             return fac.reshape(fac.shape + (1,) * theta.ndim) * rows
         if parity == "even":
             if order == 0:
-                table = self._polys.get(params)
-                if table is None or table.shape[0] < n_modes:
-                    table = trig_poly_table(params, n_modes + self.headroom - 1, theta)
-                    self._polys[params] = table
-                return table[:n_modes]
+                return self._poly(params, n_modes)[:n_modes]
             n = np.arange(n_modes)
             fac = -0.5 * np.sqrt(n * (n + params.alpha + params.beta + 1.0))
             rows = np.zeros((n_modes,) + theta.shape)

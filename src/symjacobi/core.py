@@ -14,7 +14,8 @@ are evaluated by one orthonormal three-term recurrence in x = cos theta,
 whose coefficients are the entries of the Jacobi matrix (the matrix the
 Gauss rules diagonalize), so its rows come out normalized with no pass over
 them.  The same loop runs one family or several stacked ones into a table,
-and a single degree is read as its row of that table.
+and a single degree is read as its row of that table, built over blocks of
+points of about SWEEP_BYTES each.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# sweeps whose working values grow with their points or pairs take blocks of
+# about this many bytes: the single-degree evaluators (a block's table) and
+# the estimate ladders' FamilyBatch.values (a block's moments)
+SWEEP_BYTES = 4 << 20
 
 __all__ = [
     "JacobiParams",
@@ -154,12 +160,26 @@ def eval_trig_poly(params: JacobiParams, n: int, theta) -> np.ndarray:
 
     Even in theta, so valid on (-pi, pi); orthonormal against dmu+ on (0, pi).
     Row n of trig_poly_table(params, n, theta), so it holds the bits of row n
-    of every longer table.
+    of every longer table; built by last_row, one block of points at a time.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    # a copy, so that the result does not keep the whole table alive
-    return trig_poly_table(params, n, theta)[n].copy()
+    return last_row(lambda th: trig_poly_table(params, n, th), n + 1, theta)
+
+
+def last_row(table_of, n_rows: int, theta) -> np.ndarray:
+    """The last of the n_rows rows of table_of(points), at each theta and in
+    theta's shape.  The raveled theta is swept in blocks of points whose
+    table takes about SWEEP_BYTES, so the call holds one block's table, not
+    the whole one.  A table built elementwise in theta, as the recurrence
+    tables are, gives each point the bits of one whole-array table."""
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.ravel()
+    out = np.empty(flat.size)
+    step = max(1, SWEEP_BYTES // (8 * n_rows))
+    for i in range(0, flat.size, step):
+        out[i : i + step] = table_of(flat[i : i + step])[n_rows - 1]
+    return out.reshape(theta.shape)[()]
 
 
 def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:

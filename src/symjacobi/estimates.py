@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import JacobiParams
 from .basis import ModeRows
 from .kernels import mode_sum_rows, q_fn, q_theta
@@ -281,7 +282,9 @@ class FamilyBatch:
     moments are built once and reused by every assembly, and the mode-sum
     tails of a pass share their mode-row tables (basis.ModeRows), each built
     once.  values() reduces them to every per-pair quantity the ladders read,
-    at the working or at a doubled quadrature resolution.  The Laplace-type
+    at the working or at a doubled quadrature resolution, sweeping the pairs
+    in blocks of unordered pairs sized by core.SWEEP_BYTES, so its memory is
+    bounded by the block, not by the number of pairs.  The Laplace-type
     family uses the time profile PROFILE_SIGN, and the atomic family the
     (times, weights) pair STOCK_ATOMS."""
 
@@ -329,7 +332,7 @@ class FamilyBatch:
         )
         # the tails share their row tables; the longest sums (earliest tail
         # time) go first, so the shorter ones read leading rows
-        th_rows, ph_rows = (ModeRows(pairs[:, i], headroom=ROW_HEADROOM) for i in (0, 1))
+        th_rows, ph_rows = ModeRows.pair(pairs[:, 0], pairs[:, 1], headroom=ROW_HEADROOM)
         out = {}
         for kid, slot, spec, has_head, t_tail in sorted(plan, key=lambda e: e[4].min()):
             tail = mode_sum_rows(self.params, spec, t_tail, th_rows, ph_rows)
@@ -338,7 +341,8 @@ class FamilyBatch:
 
     def _reduce(self, kid, head, tail):
         """Profile pair -> per-pair B-norm (the absolute integral for scalar
-        kernels).  For sup kernels also returns the argmax times."""
+        kernels).  For sup kernels also returns the argmax times.  Each
+        pair's value depends on its own columns only (see _column_sums)."""
         fam = _FAMILY[kid]
         kind = fam["kind"]
         if kind == "sup":
@@ -348,23 +352,23 @@ class FamilyBatch:
             return f_all[idx, np.arange(f_all.shape[1])], t_all[idx]
         if kind == "l2":
             pw = fam["power"]
-            acc = (self.w_head * self.t_head**pw) @ head**2
-            acc = acc + (self.w_tail * self.t_tail**pw) @ tail**2
+            acc = _column_sums(self.w_head * self.t_head**pw, head**2)
+            acc = acc + _column_sums(self.w_tail * self.t_tail**pw, tail**2)
             return np.sqrt(acc), None
         if kind == "int":
             pw = fam["power"]
-            vals = (self.w_head * self.t_head**pw) @ head + (
-                self.w_tail * self.t_tail**pw
-            ) @ tail
+            vals = _column_sums(self.w_head * self.t_head**pw, head) + _column_sums(
+                self.w_tail * self.t_tail**pw, tail
+            )
             return np.abs(vals), None
         if kind == "mult":
             ph = PROFILE_SIGN.fn
-            vals = -((self.w_head * ph(self.t_head)) @ head) - (
-                (self.w_mult * ph(self.t_mult)) @ tail
+            vals = -_column_sums(self.w_head * ph(self.t_head), head) - _column_sums(
+                self.w_mult * ph(self.t_mult), tail
             )
             return np.abs(vals), None
         if kind == "atoms":
-            return np.abs(STOCK_ATOMS[1] @ tail), None
+            return np.abs(_column_sums(STOCK_ATOMS[1], tail)), None
         raise RuntimeError(f"unknown kind {kind!r}")
 
     def values(self, pairs: np.ndarray, refine: int = 1) -> dict:
@@ -374,8 +378,43 @@ class FamilyBatch:
         (scalar kernels), and "smth" / "smph" the B-norm of K(theta, phi)
         minus K at the theta- or phi-moved point of _smoothness_pairs
         (vector kernels; nan where the moved point leaves (0, pi)), whose
-        moved pairs get the vector kernels' profiles only."""
+        moved pairs get the vector kernels' profiles only.
+
+        The pairs are swept in blocks of unordered pairs (_pair_blocks), so a
+        call holds the moments, row tables and profiles of one block at a
+        time.  A pair, its swap and their moved pairs share a block, so each
+        is computed once, and each pair's values are bitwise those of one
+        call over all the pairs: every step is per pair, and the reductions
+        are per column (_column_sums)."""
         pairs = np.atleast_2d(pairs)
+        out = {}
+        for cols in self._pair_blocks(pairs):
+            for q, v in self._block_values(pairs[cols], refine).items():
+                out.setdefault(q, np.empty(pairs.shape[0]))[cols] = v
+        return out
+
+    def _pair_blocks(self, pairs):
+        """Index arrays of the pairs, one per block: runs of the unordered
+        pairs {theta, phi}, as many per block as keep the block's moments
+        about core.SWEEP_BYTES (its row tables and profiles take about as
+        much again).  An unordered pair stands for its two orders and their
+        four moved pairs, each with plain and shifted moments (three
+        exponents, six monomials) at every head time.  The runs go by octave
+        of the distance |theta - phi|, then by the smaller angle: the grading
+        floor of a pair's rule follows its distance, so the pairs of a block
+        share rules, which the rule cache then serves."""
+        unordered, which = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+        lo, hi = unordered.T
+        rank = np.empty(lo.size, dtype=int)
+        rank[np.lexsort((lo, np.frexp(hi - lo)[1]))] = np.arange(lo.size)
+        per_pair = 8 * 6 * 2 * 3 * 6 * self.t_head.size
+        block = rank[which.ravel()] // max(1, core.SWEEP_BYTES // per_pair)
+        order = np.argsort(block, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
+
+    def _block_values(self, pairs, refine):
+        """values() of one block, in one pass over its pairs and one over
+        their moved pairs."""
         sca_ids = [k for k in self.kernel_ids if "Gth" in _FAMILY[k]]
         vec_ids = [k for k in self.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
         prof = self.profiles(pairs, ("F", "Gth", "Gph") if sca_ids else ("F",), refine)
@@ -414,6 +453,26 @@ class FamilyBatch:
         return out
 
 
+def _column_sums(w, m):
+    """w @ m for a (times, pairs) array m, one BLAS matrix-vector product per
+    tile of 64 columns, the last tile zero-padded.  A single product over all
+    columns rounds its last few (the columns past the kernel's row tiles) on
+    another path, so a column's sum would depend on where it sits; on whole
+    tiles every column takes the same path, and its sum depends on its own
+    values only.  64 is a whole number of the row tiles of the usual dgemv
+    kernels (4, 8 and 16)."""
+    n, p = m.shape
+    whole = p - p % 64
+    out = np.empty(p)
+    if whole:  # the tiles as a (tiles, times, 64) view, one product each
+        out[:whole] = (w @ m[:, :whole].reshape(n, -1, 64).transpose(1, 0, 2)).ravel()
+    if whole < p:
+        last = np.zeros((n, 64))
+        last[:, : p - whole] = m[:, whole:]
+        out[whole:] = (w @ last)[: p - whole]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # shared argmax helpers
 
@@ -446,31 +505,28 @@ def _smoothness_pairs(pairs):
 # lemma samplers
 
 
-def _nested_count(level: int) -> int:
-    """Samples of _nested_samples at a level, NESTED_BASE * 2^(level - 1):
-    the leading rows of any deeper level."""
-    return NESTED_BASE * 2 ** (level - 1)
+def _uniform_chunks(seed: int, count: int, ranges):
+    """count uniform draws on each range (lo, hi) of ranges, the draws of
+    default_rng(seed) one range after another, yielded in chunks of at most
+    EXACT_CHUNK as one array per range: range i's draws come from a
+    PCG64(seed) stream advanced by i count."""
+    streams = [
+        np.random.Generator(np.random.PCG64(seed).advance(i * count)) for i in range(len(ranges))
+    ]
+    for start in range(0, count, EXACT_CHUNK):
+        n = min(EXACT_CHUNK, count - start)
+        yield tuple(s.uniform(lo, hi, n) for s, (lo, hi) in zip(streams, ranges))
 
 
-def _nested_samples(seed: int, level: int) -> np.ndarray:
-    """Random (theta, phi, u, v) tuples, nested across levels: level 1 has
-    NESTED_BASE of them, and level l extends level l-1 by a freshly seeded
-    block, so sample sets only grow."""
-    blocks = []
-    for lv in range(1, level + 1):
-        count = NESTED_BASE if lv == 1 else NESTED_BASE * 2 ** (lv - 2)
-        rng = np.random.default_rng(seed + lv)
-        blocks.append(
-            np.column_stack(
-                [
-                    rng.uniform(0.0, np.pi, count),
-                    rng.uniform(0.0, np.pi, count),
-                    rng.uniform(-1.0, 1.0, count),
-                    rng.uniform(-1.0, 1.0, count),
-                ]
-            )
-        )
-    return np.concatenate(blocks, axis=0)
+def _fold_sup(best, quot, points):
+    """The running (sup, argmax point) best after one more chunk of
+    quotients quot at the points (a tuple of arrays); a tie keeps best, the
+    earlier chunk's argmax, so a sweep gives np.argmax's first argmax."""
+    if quot.size:
+        k = int(np.argmax(quot))
+        if quot[k] > best[0]:
+            return quot[k], tuple(p[k] for p in points)
+    return best
 
 
 def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), prefac=None, refine=1):
@@ -525,7 +581,10 @@ def lemma_levels(params: JacobiParams, which: str, levels) -> tuple:
     bitwise the single-level report.  The pair grids and the random sample
     sets are nested, so the quotients are evaluated once, on the union of the
     pair grids or on the deepest sample set, and each level reads its own
-    subset in its own order (a sup's first argmax included)."""
+    subset in its own order (a sup's first argmax included).  The Trig and
+    Comp samples are drawn and swept chunk by chunk (_uniform_chunks), so
+    the sweep holds one chunk at a time, and a level's report is the running
+    sup (_fold_sup) where its samples end."""
     levels = tuple(levels)
     if which in ("Bridge1", "Bridge2", "L43Star"):
         args = _bridge_args(which)
@@ -547,25 +606,30 @@ def lemma_levels(params: JacobiParams, which: str, levels) -> tuple:
         return tuple(reports)
 
     if which in ("Trig", "Comp"):
-        th, ph, u, v = _nested_samples(20 if which == "Trig" else 21, max(levels)).T
-        counts = [_nested_count(level) for level in levels]
-        if which == "Trig":
-            q = q_fn(th, ph, u, v)
-            qth = q_theta(th, ph, u, v)
-            ratio = np.abs(qth) / np.sqrt(np.maximum(q, 1e-300))
-        else:
-            keep = np.abs(th - ph) > 1e-12
-            counts = [int(np.count_nonzero(keep[:n])) for n in counts]
-            th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
-            tht = th + (ph - th) / 4.0  # |theta - theta~| = |theta - phi| / 4
-            q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
-            q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
-            ratio = np.maximum(q1 / q2, q2 / q1)
-        reports = []
-        for level, n in zip(levels, counts):
-            k = int(np.argmax(ratio[:n]))
-            reports.append(EstimateReport(which, level, float(ratio[k]), n, (th[k], ph[k])))
-        return tuple(reports)
+        # level 1 has NESTED_BASE samples, drawn by default_rng(seed + 1), and
+        # level l > 1 adds NESTED_BASE 2^(l - 2) drawn by default_rng(seed + l),
+        # so sample sets only grow; a sample is (theta, phi) in (0, pi)^2 and
+        # (u, v) in (-1, 1)^2
+        seed = 20 if which == "Trig" else 21
+        ranges = ((0.0, np.pi), (0.0, np.pi), (-1.0, 1.0), (-1.0, 1.0))
+        best, count, at_end = (-np.inf, None), 0, {}
+        for level in range(1, max(levels) + 1):
+            added = NESTED_BASE * 2 ** max(level - 2, 0)
+            for th, ph, u, v in _uniform_chunks(seed + level, added, ranges):
+                if which == "Trig":
+                    q = q_fn(th, ph, u, v)
+                    ratio = np.abs(q_theta(th, ph, u, v)) / np.sqrt(np.maximum(q, 1e-300))
+                else:
+                    keep = np.abs(th - ph) > 1e-12
+                    th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
+                    tht = th + (ph - th) / 4.0  # |theta - theta~| = |theta - phi| / 4
+                    q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
+                    q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
+                    ratio = np.maximum(q1 / q2, q2 / q1)
+                best = _fold_sup(best, ratio, (th, ph))
+                count += ratio.size
+            at_end[level] = EstimateReport(which, level, float(best[0]), count, best[1])
+        return tuple(at_end[level] for level in levels)
 
     if which == "Asympt":
         return tuple(_asympt_report(params, level) for level in levels)
@@ -600,22 +664,13 @@ def exact_lemma_report(n_samples: int = 1_000_000, seed: int = 0):
     """Sweep of both exact quotients over random admissible samples, in
     chunks of EXACT_CHUNK; returns the two reports.  theta, phi and the
     relative offset of theta~ are the first, second and third n_samples
-    uniform draws of default_rng(seed), taken chunk by chunk from three
-    PCG64(seed) streams advanced by 0, n_samples and 2 n_samples."""
-    streams = [
-        np.random.Generator(np.random.PCG64(seed).advance(i * n_samples)) for i in range(3)
-    ]
+    uniform draws of default_rng(seed) (_uniform_chunks)."""
     best = [(-np.inf, None), (-np.inf, None)]
-    for start in range(0, n_samples, EXACT_CHUNK):
-        n = min(EXACT_CHUNK, n_samples - start)
-        th = streams[0].uniform(0.0, np.pi, n)
-        ph = streams[1].uniform(0.0, np.pi, n)
-        tht = th + streams[2].uniform(-0.5, 0.5, n) * np.abs(th - ph)
-        tht = np.clip(tht, 1e-12, np.pi - 1e-12)
-        for i, quot in enumerate(_exact_quotients(th, ph, tht)):
-            k = int(np.argmax(quot))
-            if quot[k] > best[i][0]:  # a tie keeps the earlier chunk's argmax
-                best[i] = (quot[k], (th[k], ph[k]))
+    ranges = ((0.0, np.pi), (0.0, np.pi), (-0.5, 0.5))
+    for th, ph, offset in _uniform_chunks(seed, n_samples, ranges):
+        tht = np.clip(th + offset * np.abs(th - ph), 1e-12, np.pi - 1e-12)
+        quots = _exact_quotients(th, ph, tht)
+        best = [_fold_sup(b, quot, (th, ph)) for b, quot in zip(best, quots)]
     return tuple(
         EstimateReport(eid, 1, float(sup), n_samples, arg)
         for eid, (sup, arg) in zip(("EstimatesA", "EstimatesB"), best)
@@ -775,10 +830,12 @@ def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1,
     The level grids are nested with bitwise-identical coordinates, so each
     level evaluates only its new pairs with FamilyBatch.values and appends
     them to per-quantity arrays; a level's reports read those arrays through
-    one index array.  Each argmax value must reproduce at doubled quadrature
-    resolution: per kernel and level, the argmax pairs not refined before go
-    through one FamilyBatch.values(..., refine=2) call of a single-kernel
-    batch.  One level gives the single-level check:
+    one index array.  values sweeps the new pairs in blocks of unordered
+    pairs, so a level holds one block's moments, row tables and profiles at
+    a time, beside the per-quantity arrays (a few floats per pair).  Each
+    argmax value must reproduce at doubled quadrature resolution: per kernel
+    and level, the argmax pairs not refined before go through one
+    FamilyBatch.values(..., refine=2) call of a single-kernel batch.  One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
     batch = FamilyBatch(params, kernel_ids)
     ones = {kid: FamilyBatch(params, (kid,)) for kid in batch.kernel_ids}

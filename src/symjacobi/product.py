@@ -184,6 +184,13 @@ def _signature(a, b, A, B, floor):
     return ku, kv, int(min(max(np.floor(np.log2(A) - np.log2(B)), -kv - 3), ku + 3))
 
 
+def _pair_mesh(a, b, theta, phi, shifts, refine):
+    """A, B and q_floor of the pair, and the mesh signature of its rule for
+    dPi_a(u) dPi_b(v) at the shifts and refine step."""
+    A, B, q_floor = _scales(theta, phi)
+    return A, B, q_floor, _signature(a, b, A, B, _grading_floor(q_floor, shifts, refine))
+
+
 def corner_rule(a: float, b: float, A: float, B: float, floor: float, nodes: int):
     """Corner-graded rule for dPi_a(u) dPi_b(v) at the scales A, B, graded
     down to the floor.  Returns (1 - u, 1 - v, weights times the monomials
@@ -291,7 +298,7 @@ def _both_families(a: float, b: float, ku: int, kv: int, d: int, n: int):
 
 
 def pair_moments(
-    a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1, shifted=False
+    a, b, theta, phi, shifts, power=None, n_j=3, nodes=None, refine=1, shifted=False, mesh=None
 ):
     """Moments of (shift + q)^(-power-j), j < n_j, against the six monomial
     families for one point pair, all time shifts at once: (n_j, n_t, 6).
@@ -307,25 +314,29 @@ def pair_moments(
 
     The leading shifts below CONT_EPS q_floor may come from the binomial
     series of the module docstring, the others from the direct chain of
-    powers (s + q)^-p times 1 / (s + q) per step."""
+    powers (s + q)^-p times 1 / (s + q) per step.
+
+    mesh, when given, is the pair's _pair_mesh for (a, b), which
+    block_moments has already computed to sort its pairs."""
+    shifts = np.asarray(shifts, dtype=float)
     if shifted and min(a, b) + 0.5 <= SHARED_GAP:
         shifted_power = None if power is None else power + 2.0
         return (
-            pair_moments(a, b, theta, phi, shifts, power, n_j, nodes, refine),
+            pair_moments(a, b, theta, phi, shifts, power, n_j, nodes, refine, mesh=mesh),
             pair_moments(a + 1.0, b + 1.0, theta, phi, shifts, shifted_power, n_j, nodes, refine),
         )
-    A, B, q_floor = _scales(theta, phi)
-    shifts = np.asarray(shifts, dtype=float)
-    floor = _grading_floor(q_floor, shifts, refine)
+    if mesh is None:
+        mesh = _pair_mesh(a, b, theta, phi, shifts, refine)
+    A, B, q_floor, signature = mesh
     if nodes is None:  # with shifted=True, the shifted family's (the larger) count
         nodes = nodes_for(a + 1.0, b + 1.0, refine) if shifted else nodes_for(a, b, refine)
-    mesh = (float(a), float(b), *_signature(a, b, A, B, floor), nodes)
-    xu, xv, fams = _corner_rule(*mesh)
+    rule = (float(a), float(b), *signature, nodes)
+    xu, xv, fams = _corner_rule(*rule)
     p = a + b + 2.0 if power is None else power
     q = q_floor + A * xu + B * xv
     outs = [np.empty((n_j, shifts.size, 6)) for _ in range(1 + shifted)]
     if shifted:  # their power p + 2 + j is the plain chain two steps on
-        wide = _both_families(*mesh)
+        wide = _both_families(*rule)
         cols = [wide[:, :6], wide[:, 6:]]
     else:
         wide, cols = fams, [fams]
@@ -427,20 +438,20 @@ def block_moments(
 
     Each unordered pair is computed once, whatever its order or repeats in
     the block, and the pairs are visited in mesh order, so the rules of
-    consecutive pairs come from the cache.  Pair i's slice is bitwise the
+    consecutive pairs come from the cache; each pair's mesh, computed for
+    that order, is handed to pair_moments.  Pair i's slice is bitwise the
     result of pair_moments at (theta[i], phi[i])."""
     pairs, inverse = np.unique(
         np.column_stack([np.minimum(theta, phi), np.maximum(theta, phi)]),
         axis=0, return_inverse=True,
     )
     shifts = np.asarray(shifts, dtype=float)
-    meshes = []
-    for lo, hi in pairs:
-        A, B, q_floor = _scales(lo, hi)
-        meshes.append(_signature(a, b, A, B, _grading_floor(q_floor, shifts, refine)))
+    meshes = [_pair_mesh(a, b, lo, hi, shifts, refine) for lo, hi in pairs]
     outs = [np.empty((n_j, shifts.size, len(pairs), 6)) for _ in range(1 + shifted)]
-    for i in sorted(range(len(pairs)), key=meshes.__getitem__):
-        m = pair_moments(a, b, *pairs[i], shifts, power, n_j, nodes, refine, shifted)
+    for i in sorted(range(len(pairs)), key=lambda i: meshes[i][3]):
+        m = pair_moments(
+            a, b, *pairs[i], shifts, power, n_j, nodes, refine, shifted, mesh=meshes[i]
+        )
         for out, mi in zip(outs, m if shifted else (m,)):
             out[:, :, i] = mi
     outs = tuple(out.take(inverse.ravel(), axis=2) for out in outs)

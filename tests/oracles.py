@@ -5,16 +5,19 @@ computes exactly: the first-order calculus of the symmetrized basis by
 central differences, the second-order Jacobi operator on a uniform grid, the
 table of plain Jacobi polynomials by their classical recurrence, the
 split of full-basis coefficients into the two half-line families, the
-two-sided ball-measure comparison expression, and the pointwise exact lemma
-quotients.  The package itself does not call them.
+two-sided ball-measure comparison expression, the pointwise exact lemma
+quotients, and the Trig and Comp lemma sups over their whole sample sets at
+once.  The package itself does not call them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from symjacobi import estimates
 from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly_deriv
-from symjacobi.estimates import _exact_quotients
+from symjacobi.estimates import EstimateReport, _exact_quotients
+from symjacobi.kernels import q_fn, q_theta
 
 _CLAMP = 1e-12
 
@@ -265,3 +268,51 @@ def lemma_estimates_exact(theta: float, phi: float, theta_tilde: float | None = 
     if 2.0 * abs(theta - theta_tilde) > abs(theta - phi):
         raise ValueError("theta~ violates 2|theta - theta~| <= |theta - phi|")
     return _exact_quotients(theta, phi, theta_tilde)
+
+
+def nested_samples(seed: int, level: int) -> np.ndarray:
+    """Random (theta, phi, u, v) tuples, nested across levels: level 1 has
+    NESTED_BASE of them, and level l extends level l-1 by a freshly seeded
+    block, so sample sets only grow.  The whole-array form of the samples
+    that lemma_levels draws chunk by chunk."""
+    blocks = []
+    for lv in range(1, level + 1):
+        count = estimates.NESTED_BASE if lv == 1 else estimates.NESTED_BASE * 2 ** (lv - 2)
+        rng = np.random.default_rng(seed + lv)
+        blocks.append(
+            np.column_stack(
+                [
+                    rng.uniform(0.0, np.pi, count),
+                    rng.uniform(0.0, np.pi, count),
+                    rng.uniform(-1.0, 1.0, count),
+                    rng.uniform(-1.0, 1.0, count),
+                ]
+            )
+        )
+    return np.concatenate(blocks, axis=0)
+
+
+def nested_lemma_reports(which: str, levels) -> tuple:
+    """The Trig or Comp reports of lemma_levels from the whole sample set of
+    the deepest level at once: each level's sup and first argmax over the
+    leading NESTED_BASE 2^(level - 1) samples (those with theta != phi for
+    Comp, which counts only them)."""
+    th, ph, u, v = nested_samples(20 if which == "Trig" else 21, max(levels)).T
+    counts = [estimates.NESTED_BASE * 2 ** (level - 1) for level in levels]
+    if which == "Trig":
+        q = q_fn(th, ph, u, v)
+        qth = q_theta(th, ph, u, v)
+        ratio = np.abs(qth) / np.sqrt(np.maximum(q, 1e-300))
+    else:
+        keep = np.abs(th - ph) > 1e-12
+        counts = [int(np.count_nonzero(keep[:n])) for n in counts]
+        th, ph, u, v = th[keep], ph[keep], u[keep], v[keep]
+        tht = th + (ph - th) / 4.0
+        q1 = np.maximum(q_fn(th, ph, u, v), 1e-300)
+        q2 = np.maximum(q_fn(tht, ph, u, v), 1e-300)
+        ratio = np.maximum(q1 / q2, q2 / q1)
+    reports = []
+    for level, n in zip(levels, counts):
+        k = int(np.argmax(ratio[:n]))
+        reports.append(EstimateReport(which, level, float(ratio[k]), n, (th[k], ph[k])))
+    return tuple(reports)

@@ -46,6 +46,9 @@ ORACLE_NAMES = (
     "combine_symmetrized",
     "ball_comparable",
     "lemma_estimates_exact",
+    "nested_samples",
+    "_nested_samples",
+    "nested_lemma_reports",
 )
 
 

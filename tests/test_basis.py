@@ -30,6 +30,7 @@ from symjacobi.basis import (
     sym_eigenvalue,
     synthesize,
 )
+from symjacobi import core
 from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly
 from symjacobi.quadrature import mu_full_rule, mu_plus_rule
 
@@ -105,6 +106,26 @@ class TestEvalPhi:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 512 * th.size * 8
+
+    def test_high_index_in_point_blocks(self, monkeypatch):
+        """eval_phi at index 1000 on 10 000 points peaks near one block's
+        table (SWEEP_BYTES), not the whole one, returns the input's shape,
+        and holds the whole table's row bitwise, in blocks that end inside
+        the array too."""
+        p = JacobiParams(0.5, -0.25)
+        th = np.linspace(-3.1, 3.1, 10_000).reshape(100, 100)
+        eval_phi(p, 1000, th[:1])
+        tracemalloc.start()
+        try:
+            got = eval_phi(p, 1000, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * core.SWEEP_BYTES
+        assert got.shape == th.shape
+        assert np.array_equal(got, phi_table(p, 1000, th)[1000])
+        monkeypatch.setattr(core, "SWEEP_BYTES", 8 * 1001 * 37)
+        assert np.array_equal(eval_phi(p, 1000, th), got)
 
     def test_orthonormality(self):
         """<Phi_n, Phi_m> over dmu = delta_{nm} for n, m <= 16."""

@@ -7,12 +7,15 @@ differentiation for the derivative rule), independent of the recurrences
 checked here.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import jacobi_operator_apply, jacobi_table
+from symjacobi import core
 from symjacobi.core import (
     JacobiParams,
     eigenvalue,
@@ -150,6 +153,28 @@ class TestTrigPoly:
         assert tab.shape == (9, 9)
         for n in range(9):
             assert np.array_equal(tab[n], eval_trig_poly(p, n, th))
+
+    def test_high_degree_in_point_blocks(self, monkeypatch):
+        """At degree 1000 on 10 000 points, eval_trig_poly peaks near one
+        block's table (SWEEP_BYTES), not the whole 80 MB table, returns the
+        input's shape, and holds the whole table's row n bitwise."""
+        p = JacobiParams(0.5, 2.0)
+        th = np.linspace(0.01, 3.13, 10_000).reshape(100, 100)
+        eval_trig_poly(p, 1000, th[:1])
+        tracemalloc.start()
+        try:
+            got = eval_trig_poly(p, 1000, th)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * core.SWEEP_BYTES
+        assert got.shape == th.shape
+        assert np.array_equal(got, trig_poly_table(p, 1000, th)[1000])
+        # blocks that end inside the array, and a 0-d input
+        monkeypatch.setattr(core, "SWEEP_BYTES", 8 * 1001 * 37)
+        assert np.array_equal(eval_trig_poly(p, 1000, th), got)
+        assert np.ndim(eval_trig_poly(p, 1000, th[3, 7])) == 0
+        assert eval_trig_poly(p, 1000, th[3, 7]) == got[3, 7]
 
 
 # degrees and angles of the high-degree check, and at each parameter pair the

@@ -6,12 +6,14 @@ against the series route where both apply; closed forms (axis-rule moments,
 the constant weight, the p = 1 power weight) serve as independent oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import lemma_estimates_exact
-from symjacobi import basis, estimates, product
+from oracles import lemma_estimates_exact, nested_lemma_reports, nested_samples
+from symjacobi import basis, core, estimates, product
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -24,7 +26,6 @@ from symjacobi.estimates import (
     _assert_monotone,
     _dyadic_log,
     _FAMILY,
-    _nested_samples,
     _reproduce_or_raise,
     _time_panels,
     ap_constant,
@@ -71,8 +72,8 @@ class TestGrids:
 
     def test_nested_samples_prefix(self, monkeypatch):
         monkeypatch.setattr(estimates, "NESTED_BASE", 500)
-        s1 = _nested_samples(7, 1)
-        s2 = _nested_samples(7, 2)
+        s1 = nested_samples(7, 1)
+        s2 = nested_samples(7, 2)
         assert s2.shape[0] == 2 * s1.shape[0]
         assert np.array_equal(s2[: s1.shape[0]], s1)
 
@@ -440,6 +441,41 @@ class TestLadderStore:
         for kid in kids:
             assert 0 < calls.count((kid,)) <= 2 * len(levels)
 
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED])
+    def test_blocked_values_equal_one_block(self, params, monkeypatch):
+        """A level swept in many blocks of unordered pairs gives, pair by
+        pair, bitwise the values of one block holding the whole level, from
+        as many moment calls: a pair, its swap and their moved pairs share a
+        block, so each is computed once."""
+        batch = FamilyBatch(params)
+        pairs = pair_grid(2)
+        calls = TestSwapReuse._count_moments(monkeypatch)
+        monkeypatch.setattr(core, "SWEEP_BYTES", 1 << 40)
+        assert len(batch._pair_blocks(pairs)) == 1
+        whole = batch.values(pairs)
+        n_whole = len(calls)
+        # about 40 unordered pairs per block
+        monkeypatch.setattr(core, "SWEEP_BYTES", 40 * 8 * 6 * 2 * 3 * 6 * batch.t_head.size)
+        assert len(batch._pair_blocks(pairs)) > 10
+        blocked = batch.values(pairs)
+        assert len(calls) - n_whole == n_whole
+        assert blocked.keys() == whole.keys()
+        for key, v in whole.items():
+            assert np.array_equal(blocked[key], v, equal_nan=True), key
+
+    def test_ladders_peak_in_bounded_memory(self):
+        """The ladders hold one block of a level's pairs at a time: levels
+        1-2 at (0.5, 2) peak at about 23 MiB under tracemalloc, below 32 MiB
+        (42 MiB when a level was one block; levels 1-4 went from 207 MiB to
+        about 28 MiB)."""
+        tracemalloc.start()
+        try:
+            run_standard_ladders(SKEWED, levels=(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestLemmaSamplers:
     def test_trig_bound_and_monotone(self):
@@ -506,6 +542,25 @@ class TestLemmaSamplers:
         sweeps = [n for n, refine in calls if refine == 1]
         assert sweeps == [pair_grid(2).shape[0]]
         assert 1 <= len(calls) - 1 <= 2
+
+    @pytest.mark.parametrize("which", ["Trig", "Comp"])
+    def test_chunked_samples_equal_the_whole_set(self, which):
+        """Drawn and swept chunk by chunk, the Trig and Comp reports equal
+        those of the whole sample set at once: sup, count and argmax.  No
+        level's count, 100 000 2^(l - 1), is a multiple of the chunk."""
+        assert all(estimates.NESTED_BASE * 2**lv % estimates.EXACT_CHUNK for lv in range(3))
+        levels = (1, 2, 3)
+        assert lemma_levels(SKEWED, which, levels) == nested_lemma_reports(which, levels)
+
+    @pytest.mark.parametrize("which", ["Trig", "Comp"])
+    def test_level_ends_inside_a_chunk_sweep(self, which, monkeypatch):
+        """Several chunks per level, each level's samples ending inside a
+        chunk, and the levels asked out of order: still the whole-set
+        reports."""
+        monkeypatch.setattr(estimates, "NESTED_BASE", 1000)
+        monkeypatch.setattr(estimates, "EXACT_CHUNK", 300)
+        levels = (3, 1, 2)
+        assert lemma_levels(SKEWED, which, levels) == nested_lemma_reports(which, levels)
 
 
 class TestExactLemmas:
