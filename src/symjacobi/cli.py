@@ -268,15 +268,16 @@ def _check_entry(estimate_id, level, sup, argmax, threshold, failures, **extra) 
     return entry
 
 
-def _ladder_entry(estimate_id, reports, verdict, failures, expected="stable", **extra) -> dict:
-    if verdict != expected:
-        failures.append(f"{estimate_id}: verdict {verdict}, expected {expected}")
+def _ladder_entry(estimate_id, ladder, failures, **extra) -> dict:
+    """The entry of an estimates.LadderResult, which fails unless stable."""
+    if ladder.verdict != "stable":
+        failures.append(f"{estimate_id}: verdict {ladder.verdict}, expected stable")
     entry = {
         "estimate_id": estimate_id,
         "levels": [
-            _level_dict(r.grid_level, r.empirical_sup, r.argmax_point) for r in reports
+            _level_dict(r.grid_level, r.empirical_sup, r.argmax_point) for r in ladder.reports
         ],
-        "verdict": verdict,
+        "verdict": ladder.verdict,
     }
     entry.update(extra)
     return entry
@@ -446,11 +447,7 @@ def _suite_estimates(args):
     if params.kernel_valid:
         ladders = run_standard_ladders(params, levels=levels)
         for (kid, eid), res in sorted(ladders.items()):
-            entries.append(
-                _ladder_entry(
-                    eid, res.reports, res.verdict, failures, kernel_id=kid, **thresholds
-                )
-            )
+            entries.append(_ladder_entry(eid, res, failures, kernel_id=kid, **thresholds))
     else:
         keys = [(k, e) for k in VECTOR_KERNELS for e in ("Growth", "SmoothTheta", "SmoothPhi")]
         keys += [(k, e) for k in SCALAR_KERNELS for e in ("Growth", "Gradient")]
@@ -460,9 +457,8 @@ def _suite_estimates(args):
         if which in PRODUCT_LEMMA_IDS and not params.kernel_valid:
             entries.append(_skipped_entry(which))
             continue
-        reports = lemma_levels(params, which, levels)
-        verdict = ladder_verdict([r.empirical_sup for r in reports])
-        entries.append(_ladder_entry(which, reports, verdict, failures, **thresholds))
+        res = lemma_levels(params, which, levels)
+        entries.append(_ladder_entry(which, res, failures, **thresholds))
 
     for rep in exact_lemma_report(n_samples=1_000_000, seed=args.seed):
         entries.append(

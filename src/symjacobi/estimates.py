@@ -22,6 +22,7 @@ time integrals run over [T_HEAD_LO, T_TAIL_HI].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,34 @@ class WeightSpec:
 # grids
 
 
+def _grid_levels(levels) -> tuple:
+    """levels as a tuple, each checked to be an integer >= 1."""
+    levels = tuple(levels)
+    for level in levels:
+        if not isinstance(level, (int, np.integer)) or level < 1:
+            raise ValueError(f"grid level must be an integer >= 1, got {level!r}")
+    return levels
+
+
+def _pair_union(levels) -> tuple:
+    """The union of the pair grids of levels, sorted, and per level the rows
+    of the union that give its grid in pair_grid's order."""
+    grids = [pair_grid(level) for level in levels]
+    union, rows = np.unique(np.vstack(grids), axis=0, return_inverse=True)
+    return union, np.split(rows.ravel(), np.cumsum([g.shape[0] for g in grids[:-1]]))
+
+
+def _refine_rows(memo, union, rows, refine) -> list:
+    """memo[row] for each union row of rows: the {quantity: value} of refine
+    at the row's pair.  The rows not in memo go through one refine(pairs)
+    call, which returns {quantity: array over the pairs}."""
+    todo = [row for row in dict.fromkeys(rows) if row not in memo]
+    if todo:
+        out = refine(union[todo])
+        memo.update((row, {q: v[j] for q, v in out.items()}) for j, row in enumerate(todo))
+    return [memo[row] for row in rows]
+
+
 def _dyadic_interior(level: int) -> np.ndarray:
     """Nested theta grid: interior dyadic points of (0, pi), density 2^level."""
     n = 2 ** (level + 2)
@@ -172,6 +201,7 @@ def pair_grid(level: int) -> np.ndarray:
     of the margin itself, so anchors close to an endpoint add a fine
     distance grid over [margin, 4 margin], and the margin anchor also runs
     a doubled-density full-range grid to pin down its distance profile."""
+    _grid_levels((level,))
     th = _dyadic_interior(level)
     d = _dyadic_log(level, MIN_DISTANCE, np.pi - MIN_DISTANCE)
     t_all = np.repeat(th, d.size * 2)
@@ -529,39 +559,25 @@ def _fold_sup(best, quot, points):
     return best
 
 
-def _bridge_ratio(params, pairs, power_extra, dist_power, shift=(0.0, 0.0), prefac=None, refine=1):
-    """Sup of the product-measure integral of q^-(power) times the ball and
-    distance factors."""
+def _bridge_ratio(params, pairs, which, refine=1):
+    """Per pair, the quotient of Bridge1, Bridge2 or L43Star (with the
+    exponents L43_EXPONENTS): the product-measure integral of q^-(power)
+    times the ball and distance factors."""
+    shift, prefac = (0.0, 0.0), 1.0
+    power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
+    if which == "L43Star":
+        g1, g2, kappa, k1, k2 = L43_EXPONENTS
+        power_extra, dist_power = 1.5 + g1 + g2 + kappa, 0.0
+        shift = (g1 + kappa + k1, g2 + kappa + k2)
+        s = np.sin(pairs[:, 0] / 2.0) + np.sin(pairs[:, 1] / 2.0)
+        c = np.cos(pairs[:, 0] / 2.0) + np.cos(pairs[:, 1] / 2.0)
+        prefac = s ** (2.0 * g1) * c ** (2.0 * g2)
     a = params.alpha + shift[0]
     b = params.beta + shift[1]
     power = params.alpha + params.beta + power_extra
     out = block_moments(a, b, pairs[:, 0], pairs[:, 1], np.zeros(1), power, n_j=1, refine=refine)
-    out = out[0, 0, :, 0]
     d, mb = _ball_factors(params, pairs)
-    ratios = out * mb * d**dist_power
-    if prefac is not None:
-        ratios = ratios * prefac(pairs)
-    return out, ratios
-
-
-def _bridge_args(which):
-    """_bridge_ratio's keywords for Bridge1, Bridge2 or L43Star."""
-    if which != "L43Star":
-        power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
-        return dict(power_extra=power_extra, dist_power=dist_power)
-    g1, g2, kappa, k1, k2 = L43_EXPONENTS
-
-    def prefac(prs):
-        s = np.sin(prs[:, 0] / 2.0) + np.sin(prs[:, 1] / 2.0)
-        c = np.cos(prs[:, 0] / 2.0) + np.cos(prs[:, 1] / 2.0)
-        return s ** (2.0 * g1) * c ** (2.0 * g2)
-
-    return dict(
-        power_extra=1.5 + g1 + g2 + kappa,
-        dist_power=0.0,
-        shift=(g1 + kappa + k1, g2 + kappa + k2),
-        prefac=prefac,
-    )
+    return out[0, 0, :, 0] * mb * d**dist_power * prefac
 
 
 def lemma_samplers(params: JacobiParams, which: str, grid_level: int) -> EstimateReport:
@@ -573,39 +589,34 @@ def lemma_samplers(params: JacobiParams, which: str, grid_level: int) -> Estimat
     under moving theta a quarter distance) and Asympt (the
     hyperbolic-prefactor bound).
     """
-    return lemma_levels(params, which, (grid_level,))[0]
+    return lemma_levels(params, which, (grid_level,)).reports[0]
 
 
-def lemma_levels(params: JacobiParams, which: str, levels) -> tuple:
-    """lemma_samplers at each of the levels, one report per level, each
-    bitwise the single-level report.  The pair grids and the random sample
-    sets are nested, so the quotients are evaluated once, on the union of the
-    pair grids or on the deepest sample set, and each level reads its own
-    subset in its own order (a sup's first argmax included).  The Trig and
-    Comp samples are drawn and swept chunk by chunk (_uniform_chunks), so
-    the sweep holds one chunk at a time, and a level's report is the running
-    sup (_fold_sup) where its samples end."""
-    levels = tuple(levels)
+def lemma_levels(params: JacobiParams, which: str, levels) -> LadderResult:
+    """The ladder of lemma_samplers over the levels, each report bitwise the
+    single-level one.  The quotients are evaluated once, on the union of the
+    nested pair grids (_pair_union) or on the deepest nested sample set, and
+    each level reads its own subset in its own order (a sup's first argmax
+    included).  The Trig and Comp samples are drawn and swept chunk by chunk
+    (_uniform_chunks), and a level's report is the running sup (_fold_sup)
+    where its samples end."""
+    levels = _grid_levels(levels)
     if which in ("Bridge1", "Bridge2", "L43Star"):
-        args = _bridge_args(which)
-        grids = [pair_grid(level) for level in levels]
-        union = np.unique(np.vstack(grids), axis=0)
-        keys = union[:, 0] + 1j * union[:, 1]  # sorted, as the rows are
-        _, ratios = _bridge_ratio(params, union, **args)
-        refined, reports = {}, []
-        for level, pairs in zip(levels, grids):
-            level_ratios = ratios[np.searchsorted(keys, pairs[:, 0] + 1j * pairs[:, 1])]
-            k = int(np.argmax(level_ratios))
-            key = (pairs[k, 0], pairs[k, 1])
-            if key not in refined:
-                refined[key] = _bridge_ratio(params, pairs[k : k + 1], refine=2, **args)[1][0]
-            _reproduce_or_raise(level_ratios[k], refined[key], REPRODUCE_TOL, which)
-            reports.append(
-                EstimateReport(which, level, float(level_ratios[k]), pairs.shape[0], key)
-            )
-        return tuple(reports)
+        union, level_rows = _pair_union(levels)
+        ratios = _bridge_ratio(params, union, which=which)
+        memo, reports = {}, []
 
-    if which in ("Trig", "Comp"):
+        def refine(prs):
+            return {which: _bridge_ratio(params, prs, which=which, refine=2)}
+
+        for level, rows in zip(levels, level_rows):
+            k = int(rows[np.argmax(ratios[rows])])
+            (ref,) = _refine_rows(memo, union, [k], refine)
+            _reproduce_or_raise(ratios[k], ref[which], REPRODUCE_TOL, which)
+            arg = tuple(union[k])
+            reports.append(EstimateReport(which, level, float(ratios[k]), rows.size, arg))
+
+    elif which in ("Trig", "Comp"):
         # level 1 has NESTED_BASE samples, drawn by default_rng(seed + 1), and
         # level l > 1 adds NESTED_BASE 2^(l - 2) drawn by default_rng(seed + l),
         # so sample sets only grow; a sample is (theta, phi) in (0, pi)^2 and
@@ -629,12 +640,13 @@ def lemma_levels(params: JacobiParams, which: str, levels) -> tuple:
                 best = _fold_sup(best, ratio, (th, ph))
                 count += ratio.size
             at_end[level] = EstimateReport(which, level, float(best[0]), count, best[1])
-        return tuple(at_end[level] for level in levels)
+        reports = [at_end[level] for level in levels]
 
-    if which == "Asympt":
-        return tuple(_asympt_report(params, level) for level in levels)
-
-    raise ValueError(f"unknown lemma sampler {which!r}")
+    elif which == "Asympt":
+        reports = [_asympt_report(params, level) for level in levels]
+    else:
+        raise ValueError(f"unknown lemma sampler {which!r}")
+    return _ladder_result(reports, which)
 
 
 def _asympt_report(params, grid_level):
@@ -642,7 +654,11 @@ def _asympt_report(params, grid_level):
     t = np.exp(np.linspace(np.log(1e-6), np.log(100.0), n + 1))
     q = np.exp(np.linspace(np.log(1e-6), np.log(2.0), n + 1))
     power = params.alpha + params.beta + 4.5
-    lhs = np.sinh(t[:, None] / 2.0) / (2.0 * np.sinh(t[:, None] / 4.0) ** 2 + q[None, :]) ** power
+    # from alpha + beta of about 10 the denominator overflows to inf at the
+    # largest times, which gives the quotient's limit there, 0
+    with np.errstate(over="ignore"):
+        denom = (2.0 * np.sinh(t[:, None] / 4.0) ** 2 + q[None, :]) ** power
+    lhs = np.sinh(t[:, None] / 2.0) / denom
     ratio = lhs * q[None, :] ** (power - 0.5)
     k = np.unravel_index(np.argmax(ratio), ratio.shape)
     return EstimateReport(
@@ -721,8 +737,9 @@ def ap_constant(
     against the symmetric measure.
 
     For p > 1 this is [avg w][avg w^(-p'/p)]^(p/p'); for p = 1 the second
-    factor is the essential sup of 1/w over the interval, which for a
-    double-power weight sits at an endpoint or at the singular points."""
+    factor is the essential sup of 1/w over the closed interval: +inf where
+    w vanishes in it, else the largest 1/w at an endpoint or at an interior
+    maximum."""
     if p is None:
         p = weight.p
     _check_exponent(p)
@@ -742,8 +759,7 @@ def ap_constant(
     dual_pow = 0.0 if p == 1 else -1.0 / (p - 1.0)
     for i in range(n_cells):
         lo, hi = cell_edges[i], cell_edges[i + 1]
-        sing = {s for s in singular if s in (lo, hi)}
-        x, wq = _cell_rule(lo, hi, sing)
+        x, wq = _cell_rule(lo, hi, singular)
         dens = density(x)
         wv = weight.values(x)
         mu_cells[i] = wq @ dens
@@ -765,20 +781,18 @@ def ap_constant(
             md = (d_pre[ends] - d_pre[starts]) / (m_pre[ends] - m_pre[starts])
             quot = mw * md ** (p - 1.0)
         else:
-            # essential sup of 1/w over the interval: check endpoints and
-            # any interior singular point of the weight
-            inv_sup = np.zeros(starts.size)
-            for j, (s_idx, e_idx) in enumerate(zip(starts, ends)):
-                lo, hi = cell_edges[s_idx], cell_edges[e_idx]
-                cands = [lo + 1e-12, hi - 1e-12]
-                if lo <= 0.0 <= hi:
-                    cands.append(0.0)
-                vals = []
-                for c in cands:
-                    wc = weight.values(np.array([c]))[0]
-                    vals.append(np.inf if wc == 0.0 else 1.0 / wc)
-                inv_sup[j] = max(vals)
-            quot = mw * inv_sup
+            # essential sup of 1/w over the closed interval: the largest 1/w at
+            # the endpoints and at +-2 arctan(sqrt(r / s)) clipped into it, where
+            # 1/w peaks for r, s < 0 (for r > 0 or s > 0 the point is a zero of w
+            # or an endpoint); cos(theta/2) is taken as sin((pi - |theta|)/2),
+            # which is exactly 0 at +-pi, so a zero of w gives +inf
+            lo, hi = cell_edges[starts], cell_edges[ends]
+            peak = 2.0 * np.arctan2(np.sqrt(max(0.0, -weight.r)), np.sqrt(max(0.0, -weight.s)))
+            c = np.array([lo, hi, np.clip(peak, lo, hi), np.clip(-peak, lo, hi)])
+            with np.errstate(divide="ignore"):
+                inv = np.abs(np.sin(c / 2.0)) ** -weight.r
+                inv = inv * np.sin((np.pi - np.abs(c)) / 2.0) ** -weight.s
+            quot = mw * inv.max(axis=0)
         best = max(best, float(np.max(quot)))
     return best
 
@@ -799,9 +813,11 @@ class LadderResult:
 
 def ladder_verdict(sups, divergence_factor=DIVERGENCE_FACTOR) -> str:
     """stable: last-step relative growth below STABILITY_THRESHOLD;
-    diverging: growth above the factor at each of the last three steps;
-    else inconclusive."""
+    diverging: a last sup of +inf, or growth above the factor at each of the
+    last three steps; else inconclusive."""
     sups = list(sups)
+    if sups and sups[-1] == np.inf:
+        return "diverging"
     if len(sups) < 2 or sups[-2] == 0.0:
         return "inconclusive"
     growth = [b / a if a > 0 else np.inf for a, b in zip(sups[:-1], sups[1:])]
@@ -820,6 +836,14 @@ def _assert_monotone(sups, label):
             )
 
 
+def _ladder_result(reports, label) -> LadderResult:
+    """The ladder of reports, whose sups read by rising level may not fall
+    (_assert_monotone) and give the verdict (ladder_verdict)."""
+    sups = [r.empirical_sup for r in sorted(reports, key=lambda r: r.grid_level)]
+    _assert_monotone(sups, label)
+    return LadderResult(tuple(reports), ladder_verdict(sups))
+
+
 def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1, 2, 3, 4)) -> dict:
     """All applicable standard-estimate ladders for the given kernel
     families, sharing one product-rule pass per grid point.
@@ -827,74 +851,48 @@ def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1,
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
     The multiplier families use PROFILE_SIGN and STOCK_ATOMS.
-    The level grids are nested with bitwise-identical coordinates, so each
-    level evaluates only its new pairs with FamilyBatch.values and appends
-    them to per-quantity arrays; a level's reports read those arrays through
-    one index array.  values sweeps the new pairs in blocks of unordered
-    pairs, so a level holds one block's moments, row tables and profiles at
-    a time, beside the per-quantity arrays (a few floats per pair).  Each
-    argmax value must reproduce at doubled quadrature resolution: per kernel
-    and level, the argmax pairs not refined before go through one
-    FamilyBatch.values(..., refine=2) call of a single-kernel batch.  One level gives the single-level check:
+    One FamilyBatch.values call evaluates the union of the nested level
+    grids (_pair_union), sweeping it in blocks of unordered pairs, and each
+    level reads its rows of the per-quantity arrays.  Each argmax value must
+    reproduce at doubled quadrature resolution: per kernel and level, the
+    argmax pairs not refined before go through one
+    FamilyBatch.values(..., refine=2) call of a single-kernel batch (_refine_rows).
+    One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
     batch = FamilyBatch(params, kernel_ids)
-    ones = {kid: FamilyBatch(params, (kid,)) for kid in batch.kernel_ids}
-    # pairs as complex keys theta + i phi, in the order of the stored values
-    known, store = np.empty(0, complex), {}
-    refined = {kid: {} for kid in batch.kernel_ids}
-    collected = {}
-
-    for level in levels:
-        pairs = pair_grid(level)
-        keys = pairs[:, 0] + 1j * pairs[:, 1]
-        new = ~np.isin(keys, known)
-        if new.any():
-            fresh = batch.values(pairs[new])
-            store = {q: np.concatenate([store.get(q, ()), v]) for q, v in fresh.items()}
-            known = np.concatenate([known, keys[new]])
-        order = np.argsort(known)
-        at = order[np.searchsorted(known, keys, sorter=order)]
-        vals = {q: v[at] for q, v in store.items()}
-        d, mb = _ball_factors(params, pairs)
-        th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(pairs)
-        n = pairs.shape[0]
-
-        for kid in batch.kernel_ids:
-            # (estimate_id, quantity, ratios, sample count) per ladder
-            ladders = [("Growth", "norm", vals[("norm", kid)] * mb, n)]
-            if ("grad", kid) in vals:
-                ladders.append(("Gradient", "grad", vals[("grad", kid)] * d * mb, n))
-            if ("smth", kid) in vals:
-                for eid, q, moved, ok, col in (
-                    ("SmoothTheta", "smth", th_moved, ok_th, 0),
-                    ("SmoothPhi", "smph", ph_moved, ok_ph, 1),
-                ):
-                    sep = np.abs(moved - pairs[:, col])
-                    with np.errstate(invalid="ignore"):
-                        ratios = np.where(ok, vals[(q, kid)] * d * mb / sep, -np.inf)
-                    ladders.append((eid, q, ratios, int(ok.sum())))
-            argmax = [int(np.argmax(ratios)) for _, _, ratios, _ in ladders]
-
-            memo = refined[kid]
-            todo = [k for k in dict.fromkeys(argmax) if keys[k] not in memo]
-            if todo:
-                ref = ones[kid].values(pairs[todo], refine=2)
-                for j, k in enumerate(todo):
-                    memo[keys[k]] = {q: v[j] for q, v in ref.items()}
-            for (eid, q, ratios, count), k in zip(ladders, argmax):
+    union, level_rows = _pair_union(levels)
+    vals = batch.values(union)
+    d, mb = _ball_factors(params, union)
+    th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(union)
+    every = np.ones(union.shape[0], dtype=bool)
+    reports = {}
+    for kid in batch.kernel_ids:
+        # (estimate_id, quantity, ratios, pairs that count) per ladder
+        ladders = [("Growth", "norm", vals[("norm", kid)] * mb, every)]
+        if ("grad", kid) in vals:
+            ladders.append(("Gradient", "grad", vals[("grad", kid)] * d * mb, every))
+        if ("smth", kid) in vals:
+            for eid, q, moved, ok, col in (
+                ("SmoothTheta", "smth", th_moved, ok_th, 0),
+                ("SmoothPhi", "smph", ph_moved, ok_ph, 1),
+            ):
+                sep = np.abs(moved - union[:, col])
+                with np.errstate(invalid="ignore"):
+                    ratios = np.where(ok, vals[(q, kid)] * d * mb / sep, -np.inf)
+                ladders.append((eid, q, ratios, ok))
+        refine = functools.partial(FamilyBatch(params, (kid,)).values, refine=2)
+        memo = {}
+        for level, rows in zip(levels, level_rows):
+            argmax = [int(rows[np.argmax(ratios[rows])]) for _, _, ratios, _ in ladders]
+            refs = _refine_rows(memo, union, argmax, refine)
+            for (eid, q, ratios, ok), k, ref in zip(ladders, argmax, refs):
                 _reproduce_or_raise(
-                    vals[(q, kid)][k], memo[keys[k]][(q, kid)], REPRODUCE_TOL, f"{eid}[{kid}]"
+                    vals[(q, kid)][k], ref[(q, kid)], REPRODUCE_TOL, f"{eid}[{kid}]"
                 )
-                arg = (pairs[k, 0], pairs[k, 1])
+                arg = tuple(union[k])
                 if eid == "Growth" and ("tstar", kid) in vals:
                     arg += (vals[("tstar", kid)][k],)
-                collected.setdefault((kid, eid), []).append(
-                    EstimateReport(eid, level, float(ratios[k]), count, arg)
+                reports.setdefault((kid, eid), []).append(
+                    EstimateReport(eid, level, float(ratios[k]), int(ok[rows].sum()), arg)
                 )
-
-    out = {}
-    for key, reports in collected.items():
-        sups = [r.empirical_sup for r in reports]
-        _assert_monotone(sups, f"{key[0]}/{key[1]}")
-        out[key] = LadderResult(tuple(reports), ladder_verdict(sups))
-    return out
+    return {key: _ladder_result(reps, "/".join(key)) for key, reps in reports.items()}

@@ -18,7 +18,7 @@ from symjacobi import cli
 from symjacobi.basis import mode_eigenvalues
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
-from symjacobi.estimates import EstimateReport
+from symjacobi.estimates import EstimateReport, LadderResult
 from symjacobi.kernels import AccuracyWarning, semigroup_mass
 
 DATA = Path(__file__).parent / "data"
@@ -571,7 +571,7 @@ class TestVerifyReports:
         entry = _check_entry("BasisOrthonormality", 1, 2.0, (0, 0), 1.0, failures)
         assert entry["verdict"] == "diverging" and len(failures) == 1
         rep = EstimateReport("Growth", 1, 1.0, 10, (0.5, 0.6))
-        entry = _ladder_entry("Growth", [rep], "inconclusive", failures)
+        entry = _ladder_entry("Growth", LadderResult((rep,), "inconclusive"), failures)
         assert entry["levels"][0]["argmax"] == [0.5, 0.6]
         assert len(failures) == 2
         entry = _check_entry("BasisRoundtrip", 1, np.inf, (0,), 1.0, failures)
@@ -597,6 +597,17 @@ class TestApCheck:
         rc = main(["ap-check", "--r", "-0.5", "--s", "0", "--p", "1"])
         assert rc == 0
         assert "predicts: member" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("r, s", [("0.5", "0"), ("0", "0.25")])
+    def test_p_one_weight_with_a_zero_diverges(self, capsys, r, s):
+        """Outside the A_1 window by a zero of w (theta = 0 for r > 0, +-pi
+        for s > 0), the constants are +inf at every depth and the ladder
+        diverges, as the window predicts."""
+        rc = main(["ap-check", "--r", r, "--s", s, "--p", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ladder verdict: diverging" in out
+        assert out.count(": inf\n") == 4
 
 
 def test_workflow_console_script_lines_run(capsys):

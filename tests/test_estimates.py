@@ -7,6 +7,7 @@ the constant weight, the p = 1 power weight) serve as independent oracles.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,30 @@ class TestGrids:
         assert t.min() > 0.5 and t.max() < 60.0
         for b in (np.pi, 2 * np.pi):
             assert not np.any(np.abs(t - b) < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pair_grid(0),
+        lambda: lemma_samplers(SQUARE, "Bridge1", 0),
+        lambda: lemma_samplers(SQUARE, "Asympt", 0),
+        lambda: lemma_samplers(SQUARE, "Trig", 0),
+        lambda: lemma_levels(SQUARE, "Comp", (2, 0)),
+        lambda: run_standard_ladders(ATOMIC, ("poisson",), levels=(0,)),
+        lambda: run_standard_ladders(ATOMIC, ("poisson",), levels=(1, 0)),
+    ],
+    ids=["pair_grid", "Bridge1", "Asympt", "Trig", "Comp-levels", "ladders", "ladders-1-0"],
+)
+def test_level_below_one_is_named(call):
+    """Every entry point to the nested grids rejects level 0 by name."""
+    with pytest.raises(ValueError, match="grid level must be an integer >= 1, got 0"):
+        call()
+
+
+def test_level_must_be_an_integer():
+    with pytest.raises(ValueError, match="got 1.5"):
+        lemma_samplers(SQUARE, "Asympt", 1.5)
 
 
 class TestAxisRule:
@@ -321,6 +346,12 @@ class TestLadderLogic:
         assert ladder_verdict([1.0, 1.2, 1.5, 1.9]) == "inconclusive"
         assert ladder_verdict([1.0]) == "inconclusive"
 
+    def test_infinite_sup_diverges(self):
+        """An infinite constant diverges, with no NaN growth to make the
+        ladder inconclusive."""
+        assert ladder_verdict([np.inf] * 4) == "diverging"
+        assert ladder_verdict([1.0, np.inf]) == "diverging"
+
     def test_assert_monotone_guard(self):
         """Nested grids can only raise a sup; a drop beyond rounding raises."""
         _assert_monotone([1.0, 1.0, 1.5], "flat then up")
@@ -502,6 +533,15 @@ class TestLemmaSamplers:
         assert r2.empirical_sup >= r1.empirical_sup * (1 - 1e-12)
         assert r1.estimate_id == which
 
+    def test_asympt_overflow_is_silent(self):
+        """From alpha + beta = 10 the Asympt denominator overflows at the
+        largest times; the quotient's limit there is 0, and no warning
+        reaches the caller."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = lemma_levels(JacobiParams(8.0, 7.5), "Asympt", (1,)).reports[0]
+        assert np.isfinite(rep.empirical_sup) and rep.empirical_sup > 0.0
+
     def test_l43_custom_exponents(self, monkeypatch):
         monkeypatch.setattr(estimates, "L43_EXPONENTS", (0.5, 1.0, 0.5, 0.0, 0.5))
         rep = lemma_samplers(SQUARE, "L43Star", 1)
@@ -521,7 +561,7 @@ class TestLemmaSamplers:
     def test_nested_levels_equal_single_levels(self, params, which):
         """Evaluated once on the deepest samples, each level's report is
         bitwise the single-level sampler's: sup, argmax and sample count."""
-        levels = lemma_levels(params, which, (1, 2))
+        levels = lemma_levels(params, which, (1, 2)).reports
         assert [r.grid_level for r in levels] == [1, 2]
         for rep in levels:
             alone = lemma_samplers(params, which, rep.grid_level)
@@ -550,7 +590,7 @@ class TestLemmaSamplers:
         level's count, 100 000 2^(l - 1), is a multiple of the chunk."""
         assert all(estimates.NESTED_BASE * 2**lv % estimates.EXACT_CHUNK for lv in range(3))
         levels = (1, 2, 3)
-        assert lemma_levels(SKEWED, which, levels) == nested_lemma_reports(which, levels)
+        assert lemma_levels(SKEWED, which, levels).reports == nested_lemma_reports(which, levels)
 
     @pytest.mark.parametrize("which", ["Trig", "Comp"])
     def test_level_ends_inside_a_chunk_sweep(self, which, monkeypatch):
@@ -560,7 +600,7 @@ class TestLemmaSamplers:
         monkeypatch.setattr(estimates, "NESTED_BASE", 1000)
         monkeypatch.setattr(estimates, "EXACT_CHUNK", 300)
         levels = (3, 1, 2)
-        assert lemma_levels(SKEWED, which, levels) == nested_lemma_reports(which, levels)
+        assert lemma_levels(SKEWED, which, levels).reports == nested_lemma_reports(which, levels)
 
 
 class TestExactLemmas:
@@ -616,6 +656,25 @@ class TestMuckenhoupt:
         on the full interval is avg(w) * sup(1/w) = 4/3."""
         c = ap_constant(WeightSpec(-0.5, 0.0, p=1.0), SQUARE)
         assert_allclose(c, 4.0 / 3.0, rtol=1e-6)
+
+    @pytest.mark.parametrize("r, s", [(0.5, 0.0), (0.0, 0.25), (0.5, 0.25)])
+    def test_a1_weight_with_a_zero_is_infinite(self, r, s):
+        """A zero of w in a closed interval makes its A_1 quotient +inf, at
+        every depth: theta = 0 for r > 0, theta = +-pi for s > 0."""
+        for n in (0, 3, 6):
+            assert ap_constant(WeightSpec(r, s, p=1.0), SQUARE, n_intervals=n) == np.inf
+
+    def test_a1_interior_maximum(self):
+        """For r, s < 0, 1/w peaks inside (0, pi) at 2 arctan(sqrt(r / s)),
+        so every A_1 quotient is at least 1 (avg w >= ess inf w), depth 0
+        included."""
+        w = WeightSpec(-1.0, -0.5, p=1.0)
+        consts = [ap_constant(w, SQUARE, n_intervals=n) for n in range(5)]
+        assert min(consts) >= 1.0
+        # at depth 0: avg w times sup 1/w = sin(x) cos(x)^(1/2), tan(x)^2 = 2
+        x = np.arccos(np.arange(-1.0, 1.0, 1e-6) + 5e-7) / 2.0
+        avg = np.mean(np.sin(x) ** -1.0 * np.cos(x) ** -0.5)
+        assert_allclose(consts[0], avg * (2 / 3) ** 0.5 * (1 / 3) ** 0.25, rtol=1e-3)
 
     def test_member_window(self):
         assert ap_member(WeightSpec(1.0, -1.0), SQUARE)
