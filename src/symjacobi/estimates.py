@@ -23,6 +23,8 @@ time integrals run over [T_HEAD_LO, T_TAIL_HI].
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,9 +316,11 @@ class FamilyBatch:
     once.  values() reduces them to every per-pair quantity the ladders read,
     at the working or at a doubled quadrature resolution, sweeping the pairs
     in blocks of unordered pairs sized by core.SWEEP_BYTES, so its memory is
-    bounded by the block, not by the number of pairs.  The Laplace-type
-    family uses the time profile PROFILE_SIGN, and the atomic family the
-    (times, weights) pair STOCK_ATOMS."""
+    bounded by the block, not by the number of pairs.  The blocks run in
+    min(blocks, usable CPUs) forked worker processes, so a sweep holds
+    workers x one block, or in this process in the cases _sweep_workers
+    names.  The Laplace-type family uses the time profile PROFILE_SIGN, and
+    the atomic family the (times, weights) pair STOCK_ATOMS."""
 
     def __init__(self, params: JacobiParams, kernel_ids=KERNEL_IDS):
         if not params.kernel_valid:
@@ -415,13 +419,42 @@ class FamilyBatch:
         time.  A pair, its swap and their moved pairs share a block, so each
         is computed once, and each pair's values are bitwise those of one
         call over all the pairs: every step is per pair, and the reductions
-        are per column (_column_sums)."""
+        are per column (_column_sums).  So the blocks are independent jobs:
+        with more than one block and usable CPU they go one per task to a
+        pool of min(blocks, usable CPUs) forked workers, and the sweep holds
+        workers x one block; with one block (every refine-2 pass), one CPU,
+        no "fork" start method, another thread running or in a daemonic
+        process they run in this process (_sweep_workers)."""
         pairs = np.atleast_2d(pairs)
+        blocks = self._pair_blocks(pairs)
         out = {}
-        for cols in self._pair_blocks(pairs):
-            for q, v in self._block_values(pairs[cols], refine).items():
+        for vals, cols in zip(self._sweep([pairs[c] for c in blocks], refine), blocks):
+            for q, v in vals.items():
                 out.setdefault(q, np.empty(pairs.shape[0]))[cols] = v
         return out
+
+    def _sweep(self, blocks, refine):
+        """_block_values of each block, in order: in this process, or with
+        more than one worker (_sweep_workers) in a pool of forked processes
+        that take the blocks one per task in the sweep's order.  No worker
+        outlives the call, also when one raises."""
+        workers = _sweep_workers(len(blocks))
+        if workers < 2:
+            for pairs in blocks:
+                yield self._block_values(pairs, refine)
+            return
+        import multiprocessing
+
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        tasks = [(self, pairs, refine) for pairs in blocks]
+        try:
+            yield from pool.imap(_sweep_block, tasks, chunksize=1)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
 
     def _pair_blocks(self, pairs):
         """Index arrays of the pairs, one per block: runs of the unordered
@@ -481,6 +514,35 @@ class FamilyBatch:
                     )
                 out[(tag, kid)] = diff
         return out
+
+
+def _sweep_block(task):
+    """One block's values in a sweep worker: task is (batch, pairs, refine)."""
+    batch, pairs, refine = task
+    return batch._block_values(pairs, refine)
+
+
+def _sweep_workers(n_blocks: int) -> int:
+    """Worker processes for a sweep of n_blocks blocks: min(n_blocks, usable
+    CPUs).  It is 1, the in-process loop, with one block (every refine-2
+    pass), with one usable CPU, where the platform cannot fork, while
+    another thread runs (a fork could then deadlock) and in a daemonic
+    process, which may not have children."""
+    if n_blocks < 2:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or threading.active_count() > 1:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return min(n_blocks, cpus)
 
 
 def _column_sums(w, m):
@@ -852,11 +914,14 @@ def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1,
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
     The multiplier families use PROFILE_SIGN and STOCK_ATOMS.
     One FamilyBatch.values call evaluates the union of the nested level
-    grids (_pair_union), sweeping it in blocks of unordered pairs, and each
-    level reads its rows of the per-quantity arrays.  Each argmax value must
-    reproduce at doubled quadrature resolution: per kernel and level, the
-    argmax pairs not refined before go through one
-    FamilyBatch.values(..., refine=2) call of a single-kernel batch (_refine_rows).
+    grids (_pair_union), sweeping it in blocks of unordered pairs on
+    min(blocks, usable CPUs) forked workers (in this process in the cases
+    _sweep_workers names), and each level reads its rows of the
+    per-quantity arrays.  Each argmax value must reproduce at doubled
+    quadrature resolution: per kernel and level, the argmax pairs not
+    refined before go through one FamilyBatch.values(..., refine=2) call of
+    a single-kernel batch (_refine_rows), a single block swept in this
+    process.
     One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
     batch = FamilyBatch(params, kernel_ids)

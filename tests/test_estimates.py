@@ -6,6 +6,9 @@ against the series route where both apply; closed forms (axis-rule moments,
 the constant weight, the p = 1 power weight) serve as independent oracles.
 """
 
+import multiprocessing
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -480,6 +483,8 @@ class TestLadderStore:
         block, so each is computed once."""
         batch = FamilyBatch(params)
         pairs = pair_grid(2)
+        # forked workers' moment calls are not counted here
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_blocks: 1)
         calls = TestSwapReuse._count_moments(monkeypatch)
         monkeypatch.setattr(core, "SWEEP_BYTES", 1 << 40)
         assert len(batch._pair_blocks(pairs)) == 1
@@ -494,11 +499,13 @@ class TestLadderStore:
         for key, v in whole.items():
             assert np.array_equal(blocked[key], v, equal_nan=True), key
 
-    def test_ladders_peak_in_bounded_memory(self):
+    def test_ladders_peak_in_bounded_memory(self, monkeypatch):
         """The ladders hold one block of a level's pairs at a time: levels
         1-2 at (0.5, 2) peak at about 23 MiB under tracemalloc, below 32 MiB
         (42 MiB when a level was one block; levels 1-4 went from 207 MiB to
-        about 28 MiB)."""
+        about 28 MiB).  The sweep runs in this process, which tracemalloc
+        sees; a pooled sweep holds one block per worker."""
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_blocks: 1)
         tracemalloc.start()
         try:
             run_standard_ladders(SKEWED, levels=(1, 2))
@@ -506,6 +513,107 @@ class TestLadderStore:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @staticmethod
+    def _small_blocks(monkeypatch, batch, pairs):
+        """Shrink the blocks to about 40 unordered pairs; returns their count."""
+        monkeypatch.setattr(core, "SWEEP_BYTES", 40 * 8 * 6 * 2 * 3 * 6 * batch.t_head.size)
+        n_blocks = len(batch._pair_blocks(pairs))
+        assert n_blocks > 2
+        return n_blocks
+
+    @staticmethod
+    def _assert_same_values(got, want):
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert np.array_equal(got[key], v, equal_nan=True), key
+
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED, JacobiParams(8.0, 7.5)])
+    def test_pooled_sweep_equals_in_process(self, params, monkeypatch):
+        """Two forked workers, on any number of CPUs, give key by key the
+        bits of the in-process sweep, and no child outlives a call."""
+        batch = FamilyBatch(params)
+        pairs = pair_grid(2)
+        self._small_blocks(monkeypatch, batch, pairs)
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_blocks: 1)
+        alone = batch.values(pairs)
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_blocks: 2)
+        pooled = batch.values(pairs)
+        assert not multiprocessing.active_children()
+        self._assert_same_values(pooled, alone)
+
+    def test_pooled_sweep_passes_on_a_worker_error(self, monkeypatch):
+        """A block that raises in a worker raises the same exception type in
+        the caller, and no child is left."""
+        batch = FamilyBatch(SQUARE)
+        pairs = pair_grid(1)
+        self._small_blocks(monkeypatch, batch, pairs)
+        marked = pairs[batch._pair_blocks(pairs)[1][0]]
+        inner = FamilyBatch._block_values
+
+        def failing(self, prs, refine):
+            if (prs == marked).all(axis=1).any():
+                raise ZeroDivisionError("block fault")
+            return inner(self, prs, refine)
+
+        monkeypatch.setattr(FamilyBatch, "_block_values", failing)
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_blocks: 2)
+        with pytest.raises(ZeroDivisionError, match="block fault"):
+            batch.values(pairs)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("case", ["one block", "one CPU", "no fork", "thread", "daemon"])
+    def test_sweep_falls_back_in_process(self, case, monkeypatch):
+        """Each fallback alone gives one worker, the in-process loop, where
+        two usable CPUs would give two; under a running thread and in a
+        daemonic process, values gives the bits of the pooled sweep."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        batch = FamilyBatch(SKEWED)
+        pairs = pair_grid(1)
+        n_blocks = self._small_blocks(monkeypatch, batch, pairs)
+        assert estimates._sweep_workers(n_blocks) == 2
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if case in ("one block", "one CPU", "no fork"):
+            assert estimates._sweep_workers(1 if case == "one block" else n_blocks) == 1
+            return
+        with monkeypatch.context() as patch:
+            patch.setattr(estimates, "_sweep_workers", lambda n: 2)
+            pooled = batch.values(pairs)
+        if case == "thread":
+            stop = threading.Event()
+            other = threading.Thread(target=stop.wait)
+            other.start()
+            try:
+                workers = estimates._sweep_workers(n_blocks)
+                vals = batch.values(pairs)
+            finally:
+                stop.set()
+                other.join(60)
+            assert not other.is_alive()
+        else:
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+
+            def run():
+                send.send((estimates._sweep_workers(n_blocks), batch.values(pairs)))
+
+            child = ctx.Process(target=run, daemon=True)
+            child.start()
+            send.close()  # a child that dies unsent then reads as EOF here
+            try:
+                assert recv.poll(300)
+                workers, vals = recv.recv()
+            finally:
+                recv.close()
+                child.join(60)
+            assert child.exitcode == 0
+        assert workers == 1
+        assert not multiprocessing.active_children()
+        self._assert_same_values(vals, pooled)
 
 
 class TestLemmaSamplers:
