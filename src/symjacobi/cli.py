@@ -33,16 +33,15 @@ from .basis import analyze, mode_eigenvalues, phi_table, synthesize
 from .core import JacobiParams
 from .estimates import (
     DIVERGENCE_FACTOR,
+    KERNEL_IDS,
     SCALAR_KERNELS,
     STABILITY_THRESHOLD,
     VECTOR_KERNELS,
     WeightSpec,
     ap_constant,
     ap_member,
-    exact_lemma_report,
     ladder_verdict,
-    lemma_levels,
-    run_standard_ladders,
+    run_estimate_suite,
 )
 from .kernels import (
     poisson_kernel_dk_auto,
@@ -444,8 +443,11 @@ def _suite_estimates(args):
         "stability_threshold": STABILITY_THRESHOLD,
         "divergence_factor": DIVERGENCE_FACTOR,
     }
+    lemmas = [w for w in LEMMA_IDS if params.kernel_valid or w not in PRODUCT_LEMMA_IDS]
+    ladders, lemma_ladders, exact = run_estimate_suite(
+        params, levels, KERNEL_IDS if params.kernel_valid else (), lemmas, (1_000_000, args.seed)
+    )
     if params.kernel_valid:
-        ladders = run_standard_ladders(params, levels=levels)
         for (kid, eid), res in sorted(ladders.items()):
             entries.append(_ladder_entry(eid, res, failures, kernel_id=kid, **thresholds))
     else:
@@ -454,13 +456,12 @@ def _suite_estimates(args):
         entries += [_skipped_entry(eid, kernel_id=kid) for kid, eid in sorted(keys)]
 
     for which in LEMMA_IDS:
-        if which in PRODUCT_LEMMA_IDS and not params.kernel_valid:
+        if which in lemma_ladders:
+            entries.append(_ladder_entry(which, lemma_ladders[which], failures, **thresholds))
+        else:
             entries.append(_skipped_entry(which))
-            continue
-        res = lemma_levels(params, which, levels)
-        entries.append(_ladder_entry(which, res, failures, **thresholds))
 
-    for rep in exact_lemma_report(n_samples=1_000_000, seed=args.seed):
+    for rep in exact:
         entries.append(
             _check_entry(
                 rep.estimate_id, rep.grid_level, rep.empirical_sup,

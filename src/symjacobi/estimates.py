@@ -153,17 +153,6 @@ def _pair_union(levels) -> tuple:
     return union, np.split(rows.ravel(), np.cumsum([g.shape[0] for g in grids[:-1]]))
 
 
-def _refine_rows(memo, union, rows, refine) -> list:
-    """memo[row] for each union row of rows: the {quantity: value} of refine
-    at the row's pair.  The rows not in memo go through one refine(pairs)
-    call, which returns {quantity: array over the pairs}."""
-    todo = [row for row in dict.fromkeys(rows) if row not in memo]
-    if todo:
-        out = refine(union[todo])
-        memo.update((row, {q: v[j] for q, v in out.items()}) for j, row in enumerate(todo))
-    return [memo[row] for row in rows]
-
-
 def _dyadic_interior(level: int) -> np.ndarray:
     """Nested theta grid: interior dyadic points of (0, pi), density 2^level."""
     n = 2 ** (level + 2)
@@ -316,11 +305,13 @@ class FamilyBatch:
     once.  values() reduces them to every per-pair quantity the ladders read,
     at the working or at a doubled quadrature resolution, sweeping the pairs
     in blocks of unordered pairs sized by core.SWEEP_BYTES, so its memory is
-    bounded by the block, not by the number of pairs.  The blocks run in
-    min(blocks, usable CPUs) forked worker processes, so a sweep holds
-    workers x one block, or in this process in the cases _sweep_workers
-    names.  The Laplace-type family uses the time profile PROFILE_SIGN, and
-    the atomic family the (times, weights) pair STOCK_ATOMS."""
+    bounded by the block, not by the number of pairs.  The blocks are tasks
+    of a task queue (_Tasks): the one of run_estimate_suite, where the union
+    sweep and every refine-2 pass run beside the lemma ladders, or, for a
+    values() call on its own, one of the call's own.  A pooled sweep holds
+    workers x one block.  The Laplace-type family uses the time profile
+    PROFILE_SIGN, and the atomic family the (times, weights) pair
+    STOCK_ATOMS."""
 
     def __init__(self, params: JacobiParams, kernel_ids=KERNEL_IDS):
         if not params.kernel_valid:
@@ -419,42 +410,30 @@ class FamilyBatch:
         time.  A pair, its swap and their moved pairs share a block, so each
         is computed once, and each pair's values are bitwise those of one
         call over all the pairs: every step is per pair, and the reductions
-        are per column (_column_sums).  So the blocks are independent jobs:
-        with more than one block and usable CPU they go one per task to a
-        pool of min(blocks, usable CPUs) forked workers, and the sweep holds
-        workers x one block; with one block (every refine-2 pass), one CPU,
-        no "fork" start method, another thread running or in a daemonic
-        process they run in this process (_sweep_workers)."""
+        are per column (_column_sums).  So the blocks are independent tasks:
+        a call opens a task queue (_Tasks) with _sweep_workers(blocks)
+        workers, a pool of forked processes with more than one block and
+        usable CPU, else this process (one block, one CPU, no "fork" start
+        method, another thread running, or a daemonic process)."""
         pairs = np.atleast_2d(pairs)
+        with _Tasks(_sweep_workers(len(self._pair_blocks(pairs)))) as tasks:
+            return self._sweep(tasks, pairs, refine)()
+
+    def _sweep(self, tasks, pairs, refine):
+        """Queue the blocks of pairs on tasks, one task each in the sweep's
+        order; returns the function that waits for them and merges their
+        values into the arrays values() returns."""
         blocks = self._pair_blocks(pairs)
-        out = {}
-        for vals, cols in zip(self._sweep([pairs[c] for c in blocks], refine), blocks):
-            for q, v in vals.items():
-                out.setdefault(q, np.empty(pairs.shape[0]))[cols] = v
-        return out
+        results = [tasks.submit(_sweep_block, self, pairs[cols], refine) for cols in blocks]
 
-    def _sweep(self, blocks, refine):
-        """_block_values of each block, in order: in this process, or with
-        more than one worker (_sweep_workers) in a pool of forked processes
-        that take the blocks one per task in the sweep's order.  No worker
-        outlives the call, also when one raises."""
-        workers = _sweep_workers(len(blocks))
-        if workers < 2:
-            for pairs in blocks:
-                yield self._block_values(pairs, refine)
-            return
-        import multiprocessing
+        def merge():
+            out = {}
+            for cols, result in zip(blocks, results):
+                for q, v in result().items():
+                    out.setdefault(q, np.empty(pairs.shape[0]))[cols] = v
+            return out
 
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        tasks = [(self, pairs, refine) for pairs in blocks]
-        try:
-            yield from pool.imap(_sweep_block, tasks, chunksize=1)
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
+        return merge
 
     def _pair_blocks(self, pairs):
         """Index arrays of the pairs, one per block: runs of the unordered
@@ -516,19 +495,20 @@ class FamilyBatch:
         return out
 
 
-def _sweep_block(task):
-    """One block's values in a sweep worker: task is (batch, pairs, refine)."""
-    batch, pairs, refine = task
+def _sweep_block(batch, pairs, refine):
+    """One block's values, as a task of a sweep."""
     return batch._block_values(pairs, refine)
 
 
-def _sweep_workers(n_blocks: int) -> int:
-    """Worker processes for a sweep of n_blocks blocks: min(n_blocks, usable
-    CPUs).  It is 1, the in-process loop, with one block (every refine-2
-    pass), with one usable CPU, where the platform cannot fork, while
-    another thread runs (a fork could then deadlock) and in a daemonic
-    process, which may not have children."""
-    if n_blocks < 2:
+def _sweep_workers(n_tasks: int) -> int:
+    """Worker processes for a task queue that starts with n_tasks tasks:
+    min(n_tasks, usable CPUs).  It is 1, this process, with one task (a
+    union of one block, every refine-2 pass on its own), with one usable
+    CPU, where the platform cannot fork, while another thread runs (a fork
+    could then deadlock) and in a daemonic process, which may not have
+    children.  Forked workers start from this process's imports and caches;
+    each runs numpy's BLAS with the thread count it inherits."""
+    if n_tasks < 2:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -542,7 +522,42 @@ def _sweep_workers(n_blocks: int) -> int:
         return 1
     if multiprocessing.current_process().daemon:
         return 1
-    return min(n_blocks, cpus)
+    return min(n_tasks, cpus)
+
+
+class _Tasks:
+    """A queue of independent tasks, used as a context manager.  submit(fn,
+    *args) returns a function that gives fn(*args), or raises its
+    exception.  With more than one worker a pool of that many forked
+    processes takes the tasks in the order they were submitted; with one,
+    each task runs in this process when its result is first asked for, so
+    the tasks run in the order a sequential run would take them and stop
+    at its first error.  No worker outlives the block: the pool is closed
+    and joined after it, and terminated and joined when it raises or is
+    interrupted."""
+
+    def __init__(self, workers: int):
+        self._pool = None
+        if workers > 1:
+            import multiprocessing
+
+            self._pool = multiprocessing.get_context("fork").Pool(workers)
+
+    def submit(self, fn, *args):
+        if self._pool is None:
+            return functools.partial(fn, *args)
+        return self._pool.apply_async(fn, args).get
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if self._pool is not None:
+            if kind is None:
+                self._pool.close()
+            else:
+                self._pool.terminate()
+            self._pool.join()
 
 
 def _column_sums(w, m):
@@ -621,10 +636,10 @@ def _fold_sup(best, quot, points):
     return best
 
 
-def _bridge_ratio(params, pairs, which, refine=1):
-    """Per pair, the quotient of Bridge1, Bridge2 or L43Star (with the
-    exponents L43_EXPONENTS): the product-measure integral of q^-(power)
-    times the ball and distance factors."""
+def _bridge_terms(params, pairs, which):
+    """The shift of (alpha, beta), the power of q and the per-pair factor
+    beside the ball measure in the quotient of Bridge1, Bridge2 or L43Star
+    (with the exponents L43_EXPONENTS)."""
     shift, prefac = (0.0, 0.0), 1.0
     power_extra, dist_power = (1.5, 0.0) if which == "Bridge1" else (2.0, 1.0)
     if which == "L43Star":
@@ -634,12 +649,44 @@ def _bridge_ratio(params, pairs, which, refine=1):
         s = np.sin(pairs[:, 0] / 2.0) + np.sin(pairs[:, 1] / 2.0)
         c = np.cos(pairs[:, 0] / 2.0) + np.cos(pairs[:, 1] / 2.0)
         prefac = s ** (2.0 * g1) * c ** (2.0 * g2)
-    a = params.alpha + shift[0]
-    b = params.beta + shift[1]
-    power = params.alpha + params.beta + power_extra
-    out = block_moments(a, b, pairs[:, 0], pairs[:, 1], np.zeros(1), power, n_j=1, refine=refine)
-    d, mb = _ball_factors(params, pairs)
-    return out[0, 0, :, 0] * mb * d**dist_power * prefac
+    d = np.abs(pairs[:, 0] - pairs[:, 1])
+    return shift, params.alpha + params.beta + power_extra, d**dist_power * prefac
+
+
+def _bridge_ratio(params, pairs, which, refine=1):
+    """Per pair, the quotients of the product lemmas in which, a tuple of
+    Bridge1, Bridge2 and L43Star, one array each: the product-measure
+    integral of q^-(power) times the ball measure and the factor of
+    _bridge_terms.  The lemmas of one call read one rule per pair, so they
+    must share their shift: Bridge1 and Bridge2 do, L43Star has its own."""
+    terms = [_bridge_terms(params, pairs, w) for w in which]
+    shift = terms[0][0]
+    moments = block_moments(
+        params.alpha + shift[0], params.beta + shift[1], pairs[:, 0], pairs[:, 1], np.zeros(1),
+        tuple(power for _, power, _ in terms), n_j=1, refine=refine,
+    )
+    _, mb = _ball_factors(params, pairs)
+    return tuple(m[0, 0, :, 0] * mb * factor for m, (_, _, factor) in zip(moments, terms))
+
+
+def _product_ladders(params, which, levels) -> tuple:
+    """The ladders of the product lemmas in which (see _bridge_ratio), in
+    order, from one sweep of the union of the pair grids (_pair_union):
+    each level reads its own rows, and each lemma refines the argmax pairs
+    of all its levels in one refine-2 call."""
+    union, level_rows = _pair_union(levels)
+    ladders = []
+    for w, ratios in zip(which, _bridge_ratio(params, union, which=which)):
+        argmax = [int(rows[np.argmax(ratios[rows])]) for rows in level_rows]
+        todo = list(dict.fromkeys(argmax))
+        (refined,) = _bridge_ratio(params, union[todo], which=(w,), refine=2)
+        refined = dict(zip(todo, refined))
+        reports = []
+        for level, rows, k in zip(levels, level_rows, argmax):
+            _reproduce_or_raise(ratios[k], refined[k], REPRODUCE_TOL, w)
+            reports.append(EstimateReport(w, level, float(ratios[k]), rows.size, tuple(union[k])))
+        ladders.append(_ladder_result(reports, w))
+    return tuple(ladders)
 
 
 def lemma_samplers(params: JacobiParams, which: str, grid_level: int) -> EstimateReport:
@@ -661,24 +708,12 @@ def lemma_levels(params: JacobiParams, which: str, levels) -> LadderResult:
     each level reads its own subset in its own order (a sup's first argmax
     included).  The Trig and Comp samples are drawn and swept chunk by chunk
     (_uniform_chunks), and a level's report is the running sup (_fold_sup)
-    where its samples end."""
+    where its samples end.  The argmax pairs of a product lemma are refined
+    once, in one refine-2 call for all the levels."""
     levels = _grid_levels(levels)
     if which in ("Bridge1", "Bridge2", "L43Star"):
-        union, level_rows = _pair_union(levels)
-        ratios = _bridge_ratio(params, union, which=which)
-        memo, reports = {}, []
-
-        def refine(prs):
-            return {which: _bridge_ratio(params, prs, which=which, refine=2)}
-
-        for level, rows in zip(levels, level_rows):
-            k = int(rows[np.argmax(ratios[rows])])
-            (ref,) = _refine_rows(memo, union, [k], refine)
-            _reproduce_or_raise(ratios[k], ref[which], REPRODUCE_TOL, which)
-            arg = tuple(union[k])
-            reports.append(EstimateReport(which, level, float(ratios[k]), rows.size, arg))
-
-    elif which in ("Trig", "Comp"):
+        return _product_ladders(params, (which,), levels)[0]
+    if which in ("Trig", "Comp"):
         # level 1 has NESTED_BASE samples, drawn by default_rng(seed + 1), and
         # level l > 1 adds NESTED_BASE 2^(l - 2) drawn by default_rng(seed + l),
         # so sample sets only grow; a sample is (theta, phi) in (0, pi)^2 and
@@ -913,24 +948,77 @@ def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1,
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
     The multiplier families use PROFILE_SIGN and STOCK_ATOMS.
-    One FamilyBatch.values call evaluates the union of the nested level
-    grids (_pair_union), sweeping it in blocks of unordered pairs on
-    min(blocks, usable CPUs) forked workers (in this process in the cases
-    _sweep_workers names), and each level reads its rows of the
-    per-quantity arrays.  Each argmax value must reproduce at doubled
-    quadrature resolution: per kernel and level, the argmax pairs not
-    refined before go through one FamilyBatch.values(..., refine=2) call of
-    a single-kernel batch (_refine_rows), a single block swept in this
-    process.
+    One FamilyBatch sweep evaluates the union of the nested level grids
+    (_pair_union), and each level reads its rows of the per-quantity
+    arrays.  Each argmax value must reproduce at doubled quadrature
+    resolution: per kernel, the argmax pairs of all its levels go through
+    one refine-2 pass of a single-kernel batch.  The sweep's blocks and the
+    refine-2 passes are tasks of one queue, run by forked workers
+    (run_estimate_suite).
     One level gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
-    batch = FamilyBatch(params, kernel_ids)
-    union, level_rows = _pair_union(levels)
-    vals = batch.values(union)
+    return run_estimate_suite(params, levels, kernel_ids)[0]
+
+
+def run_estimate_suite(params: JacobiParams, levels, kernel_ids=KERNEL_IDS, lemmas=(), exact=None):
+    """The standard ladders of kernel_ids (run_standard_ladders; none when
+    it is empty), the ladder of each lemma in lemmas (lemma_levels) and,
+    when exact is (n_samples, seed), exact_lemma_report(n_samples, seed),
+    from one task queue (_Tasks).  Returns (ladders, {lemma: LadderResult},
+    exact reports or None).
+
+    The queue takes, in this order: the blocks of the kernels' union sweep;
+    the lemma ladders, Bridge1 and Bridge2 as one task where they stand
+    side by side (they build the same rules, so one sweep of the union
+    serves both); the exact reports; and, as soon as the union is merged,
+    one refine-2 pass per kernel over the argmax pairs of all its levels.
+    It has _sweep_workers(tasks before the refine-2 passes) workers.  This
+    process merges the results and checks the kernel ladders, and it
+    raises the error a sequential run would raise first: the kernels', then
+    the lemmas' in order, then the exact reports'."""
+    levels = _grid_levels(levels)
+    groups = []
+    for w in lemmas:
+        if groups and {groups[-1][-1], w} == {"Bridge1", "Bridge2"}:
+            groups[-1] += (w,)
+        else:
+            groups.append((w,))
+    batch = FamilyBatch(params, kernel_ids) if kernel_ids else None
+    n_tasks = len(groups) + (exact is not None)
+    if batch is not None:
+        union, level_rows = _pair_union(levels)
+        n_tasks += len(batch._pair_blocks(union))
+    with _Tasks(_sweep_workers(n_tasks)) as tasks:
+        if batch is not None:
+            merge = batch._sweep(tasks, union, 1)
+        lemma_results = [tasks.submit(_lemma_task, params, g, levels) for g in groups]
+        exact_result = None if exact is None else tasks.submit(exact_lemma_report, *exact)
+        ladders = {}
+        if batch is not None:
+            ladders = _kernel_ladders(tasks, batch, levels, union, level_rows, merge())
+        lemma_ladders = {}
+        for g, result in zip(groups, lemma_results):
+            lemma_ladders.update(zip(g, result()))
+        return ladders, lemma_ladders, None if exact is None else exact_result()
+
+
+def _lemma_task(params, which, levels) -> tuple:
+    """The ladders of the lemmas in which, as one task: Bridge1 and Bridge2
+    together from one sweep (_product_ladders), another lemma alone."""
+    if len(which) > 1:
+        return _product_ladders(params, which, levels)
+    return (lemma_levels(params, which[0], levels),)
+
+
+def _kernel_ladders(tasks, batch, levels, union, level_rows, vals) -> dict:
+    """The ladders of run_standard_ladders from vals, the batch's values on
+    the union.  Queues one refine-2 pass per kernel on tasks, over the
+    argmax pairs of all its levels, then checks the kernels in order."""
+    params = batch.params
     d, mb = _ball_factors(params, union)
     th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(union)
     every = np.ones(union.shape[0], dtype=bool)
-    reports = {}
+    plans = []
     for kid in batch.kernel_ids:
         # (estimate_id, quantity, ratios, pairs that count) per ladder
         ladders = [("Growth", "norm", vals[("norm", kid)] * mb, every)]
@@ -945,14 +1033,18 @@ def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1,
                 with np.errstate(invalid="ignore"):
                     ratios = np.where(ok, vals[(q, kid)] * d * mb / sep, -np.inf)
                 ladders.append((eid, q, ratios, ok))
-        refine = functools.partial(FamilyBatch(params, (kid,)).values, refine=2)
-        memo = {}
-        for level, rows in zip(levels, level_rows):
-            argmax = [int(rows[np.argmax(ratios[rows])]) for _, _, ratios, _ in ladders]
-            refs = _refine_rows(memo, union, argmax, refine)
-            for (eid, q, ratios, ok), k, ref in zip(ladders, argmax, refs):
+        # per level, the argmax row of each ladder
+        argmax = [[int(rows[np.argmax(r[rows])]) for _, _, r, _ in ladders] for rows in level_rows]
+        todo = list(dict.fromkeys(k for ks in argmax for k in ks))
+        refined = FamilyBatch(params, (kid,))._sweep(tasks, union[todo], 2)
+        plans.append((kid, ladders, argmax, todo, refined))
+    reports = {}
+    for kid, ladders, argmax, todo, refined in plans:
+        ref, at = refined(), {k: j for j, k in enumerate(todo)}
+        for level, rows, ks in zip(levels, level_rows, argmax):
+            for (eid, q, ratios, ok), k in zip(ladders, ks):
                 _reproduce_or_raise(
-                    vals[(q, kid)][k], ref[(q, kid)], REPRODUCE_TOL, f"{eid}[{kid}]"
+                    vals[(q, kid)][k], ref[(q, kid)][at[k]], REPRODUCE_TOL, f"{eid}[{kid}]"
                 )
                 arg = tuple(union[k])
                 if eid == "Growth" and ("tstar", kid) in vals:

@@ -434,7 +434,9 @@ def block_moments(
 ):
     """pair_moments for a block of P pairs (theta[i], phi[i]), given as two
     arrays of length P (a scalar counts as one pair): (n_j, n_t, P, 6), or
-    (plain, shifted) with shifted=True.
+    (plain, shifted) with shifted=True.  power may also be a tuple of
+    powers, which gives a tuple of those results, one per power, all from
+    one rule per pair.
 
     Each unordered pair is computed once, whatever its order or repeats in
     the block, and the pairs are visited in mesh order, so the rules of
@@ -446,16 +448,20 @@ def block_moments(
         axis=0, return_inverse=True,
     )
     shifts = np.asarray(shifts, dtype=float)
+    powers = power if isinstance(power, tuple) else (power,)
     meshes = [_pair_mesh(a, b, lo, hi, shifts, refine) for lo, hi in pairs]
-    outs = [np.empty((n_j, shifts.size, len(pairs), 6)) for _ in range(1 + shifted)]
+    shape = (n_j, shifts.size, len(pairs), 6)
+    outs = [[np.empty(shape) for _ in range(1 + shifted)] for _ in powers]
     for i in sorted(range(len(pairs)), key=lambda i: meshes[i][3]):
-        m = pair_moments(
-            a, b, *pairs[i], shifts, power, n_j, nodes, refine, shifted, mesh=meshes[i]
-        )
-        for out, mi in zip(outs, m if shifted else (m,)):
-            out[:, :, i] = mi
-    outs = tuple(out.take(inverse.ravel(), axis=2) for out in outs)
-    return outs if shifted else outs[0]
+        for pw, per_power in zip(powers, outs):
+            m = pair_moments(
+                a, b, *pairs[i], shifts, pw, n_j, nodes, refine, shifted, mesh=meshes[i]
+            )
+            for out, mi in zip(per_power, m if shifted else (m,)):
+                out[:, :, i] = mi
+    outs = [tuple(out.take(inverse.ravel(), axis=2) for out in per_power) for per_power in outs]
+    outs = [per_power if shifted else per_power[0] for per_power in outs]
+    return tuple(outs) if isinstance(power, tuple) else outs[0]
 
 
 class PairHead:

@@ -6,8 +6,11 @@ against the series route where both apply; closed forms (axis-rule moments,
 the constant weight, the p = 1 power weight) serve as independent oracles.
 """
 
+import contextlib
+import json
 import multiprocessing
 import os
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -18,6 +21,7 @@ from numpy.testing import assert_allclose
 
 from oracles import lemma_estimates_exact, nested_lemma_reports, nested_samples
 from symjacobi import basis, core, estimates, product
+from symjacobi.cli import LEMMA_IDS, main
 from symjacobi.core import JacobiParams, total_mass
 from symjacobi.estimates import (
     MIN_DISTANCE,
@@ -40,6 +44,7 @@ from symjacobi.estimates import (
     lemma_levels,
     lemma_samplers,
     pair_grid,
+    run_estimate_suite,
     run_standard_ladders,
 )
 from symjacobi.kernels import mode_sum
@@ -458,8 +463,11 @@ class TestLadderStore:
             run_standard_ladders(ATOMIC, ("poisson",), levels=(1,))
 
     def test_refined_checks_batched_per_kernel_and_level(self, monkeypatch):
-        """At most two refine-2 profiles calls (the pairs and their moved
-        points) per kernel per level, each on a single-kernel batch."""
+        """One refine-2 pass per kernel over the argmax pairs of all its
+        levels: at most two profiles calls (the pairs and their moved
+        points), on a single-kernel batch.  The passes run in this process,
+        which counts them; pooled, they run in forked workers."""
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
         calls = []
         inner = FamilyBatch.profiles
 
@@ -473,7 +481,7 @@ class TestLadderStore:
         run_standard_ladders(ATOMIC, kids, levels=levels)
         assert calls and set(calls) <= {(kid,) for kid in kids}
         for kid in kids:
-            assert 0 < calls.count((kid,)) <= 2 * len(levels)
+            assert 0 < calls.count((kid,)) <= 2
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED])
     def test_blocked_values_equal_one_block(self, params, monkeypatch):
@@ -616,6 +624,130 @@ class TestLadderStore:
         self._assert_same_values(vals, pooled)
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this thread when the block runs longer than
+    seconds, so that a pool wait that never returns fails the test; forked
+    workers do not inherit the alarm."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSuitePool:
+    """One task queue runs the whole estimates suite: the kernels' union
+    blocks, the lemma ladders, the exact reports and the refine-2 passes."""
+
+    SUITE = ["verify", "--suite", "estimates", "--level", "2", "--seed", "3"]
+
+    @staticmethod
+    def _report(monkeypatch, path, argv, workers=None):
+        """The report bytes of argv, with estimates._sweep_workers pinned to
+        workers or, with None, left free; and the worker counts it gave."""
+        counts, free = [], estimates._sweep_workers
+
+        def recorded(n_tasks):
+            counts.append(free(n_tasks) if workers is None else workers)
+            return counts[-1]
+
+        with monkeypatch.context() as patch, _deadline(600):
+            patch.setattr(estimates, "_sweep_workers", recorded)
+            main(argv + ["--out", str(path)])
+        assert not multiprocessing.active_children()
+        return path.read_bytes(), counts
+
+    @pytest.mark.parametrize("alpha, beta", [("0", "0"), ("0.5", "2")])
+    def test_pooled_suite_report_equals_in_process(self, alpha, beta, tmp_path, monkeypatch):
+        """The estimates report has the same bytes from the suite's pool as
+        from this process alone; on more than one usable CPU the free run
+        takes a pool."""
+        argv = self.SUITE + ["--alpha", alpha, "--beta", beta]
+        alone, counts = self._report(monkeypatch, tmp_path / "alone.json", argv, workers=1)
+        assert counts == [1]
+        pooled, counts = self._report(monkeypatch, tmp_path / "pooled.json", argv)
+        assert len(counts) == 1
+        if estimates._sweep_workers(2) > 1:
+            assert counts[0] > 1
+        assert pooled == alone
+
+    def test_pooled_ladders_equal_in_process_at_large_alpha_beta(self, monkeypatch):
+        """run_standard_ladders at (8, 7.5), levels 1-3, gives equal ladders
+        with the sweep in this process and left free."""
+        params = JacobiParams(8.0, 7.5)
+        with monkeypatch.context() as patch, _deadline(900):
+            patch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
+            alone = run_standard_ladders(params, levels=(1, 2, 3))
+        with _deadline(900):
+            pooled = run_standard_ladders(params, levels=(1, 2, 3))
+        assert not multiprocessing.active_children()
+        assert pooled == alone
+
+    @pytest.mark.parametrize("faults", [("lemma",), ("refine",), ("lemma", "refine")])
+    def test_pooled_suite_raises_the_in_process_error(self, faults, tmp_path, monkeypatch):
+        """An EstimateAccuracyError raised in the L43Star lemma task, or one
+        that the square_odd refine-2 task causes (its values drift, so the
+        check in this process raises), gives the report error of the
+        in-process suite: with both, the kernel's, which a sequential run
+        meets first.  No child outlives either run."""
+        if "lemma" in faults:
+            lemma = estimates.lemma_levels
+
+            def failing(params, which, levels):
+                if which == "L43Star":
+                    raise EstimateAccuracyError("L43Star: injected fault")
+                return lemma(params, which, levels)
+
+            monkeypatch.setattr(estimates, "lemma_levels", failing)
+        if "refine" in faults:
+            block = FamilyBatch._block_values
+
+            def drifting(self, pairs, refine):
+                out = block(self, pairs, refine)
+                if refine == 2 and self.kernel_ids == ("square_odd",):
+                    out = {key: v * 1.01 for key, v in out.items()}
+                return out
+
+            monkeypatch.setattr(FamilyBatch, "_block_values", drifting)
+        errors = []
+        for workers in (1, 2):
+            text, _ = self._report(monkeypatch, tmp_path / f"{workers}.json", self.SUITE, workers)
+            report = json.loads(text)
+            assert report["passed"] is False and report["results"] == []
+            errors.append(report["error"])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("suite estimates: EstimateAccuracyError: ")
+        assert ("[square_odd]" if "refine" in faults else "L43Star: injected") in errors[0]
+
+    def test_interrupt_leaves_no_child(self, monkeypatch):
+        """A BaseException raised in this process at the suite's first
+        kernel check, while the lemma tasks still run in the pool, reaches
+        the caller, and no child outlives it."""
+
+        class Interrupt(BaseException):
+            pass
+
+        parent, check = os.getpid(), estimates._reproduce_or_raise
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise Interrupt
+            return check(*args)
+
+        monkeypatch.setattr(estimates, "_reproduce_or_raise", interrupted)
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_tasks: 2)
+        with _deadline(600), pytest.raises(Interrupt):
+            run_estimate_suite(SQUARE, (1, 2), lemmas=LEMMA_IDS, exact=(1_000_000, 3))
+        assert not multiprocessing.active_children()
+
+
 class TestLemmaSamplers:
     def test_trig_bound_and_monotone(self):
         """|d_theta q| / sqrt(q) stays below 1/sqrt(2) on growing samples."""
@@ -690,6 +822,23 @@ class TestLemmaSamplers:
         sweeps = [n for n, refine in calls if refine == 1]
         assert sweeps == [pair_grid(2).shape[0]]
         assert 1 <= len(calls) - 1 <= 2
+
+    @pytest.mark.parametrize("params", [SQUARE, SKEWED])
+    def test_bridges_share_one_sweep(self, params):
+        """Bridge1 and Bridge2 take one sweep that builds each pair's rule
+        once, as many as either alone, and their ratios and ladders are
+        bitwise those of each alone."""
+        union, _ = estimates._pair_union((1, 2))
+        builds, alone = [], []
+        for which in (("Bridge1",), ("Bridge2",), ("Bridge1", "Bridge2")):
+            product._corner_rule.cache_clear()
+            alone += estimates._bridge_ratio(params, union, which=which)
+            builds.append(product._corner_rule.cache_info().misses)
+        assert builds[0] == builds[1] == builds[2]
+        for one, both in zip(alone[:2], alone[2:]):
+            assert np.array_equal(one, both)
+        both = estimates._product_ladders(params, ("Bridge1", "Bridge2"), (1, 2))
+        assert both == tuple(lemma_levels(params, w, (1, 2)) for w in ("Bridge1", "Bridge2"))
 
     @pytest.mark.parametrize("which", ["Trig", "Comp"])
     def test_chunked_samples_equal_the_whole_set(self, which):
