@@ -34,6 +34,8 @@ from .core import JacobiParams
 from .estimates import (
     DIVERGENCE_FACTOR,
     KERNEL_IDS,
+    LEMMA_IDS,
+    PRODUCT_LEMMA_IDS,
     SCALAR_KERNELS,
     STABILITY_THRESHOLD,
     VECTOR_KERNELS,
@@ -72,9 +74,6 @@ SCHEMA_VERSION = "1"
 # criterion; sustained growth above this smaller factor flags divergence.
 AP_DIVERGENCE_FACTOR = 1.2
 
-LEMMA_IDS = ("Bridge1", "Bridge2", "L43Star", "Trig", "Comp", "Asympt")
-# lemma samplers that integrate against the product-formula measures
-PRODUCT_LEMMA_IDS = ("Bridge1", "Bridge2", "L43Star")
 PRODUCT_SKIP_REASON = "product-formula measures need alpha, beta >= -1/2"
 SUITES = ("basis", "kernels", "operators", "estimates", "ap")
 # Gauss nodes of the dmu+ and dmu rules that integrate the kernel masses
@@ -154,6 +153,11 @@ def cmd_kernel(args) -> int:
         header.append("rel_diff")
         h_dk = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
         cols.append(np.abs(half - h_dk) / np.maximum(np.abs(half), 1e-300))
+    for name, col in zip(header[1:], cols):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            at = f"(theta, phi) = ({_fmt(th.flat[bad[0]])}, {_fmt(ph.flat[bad[0]])})"
+            raise ValueError(f"column {name} is not finite at {at}")
     rows = [[_fmt(t)] + [_fmt(c) for c in vals] for vals in zip(*(c.ravel() for c in cols))]
     echo = _echo_line(args, "kernel", t=_fmt(t), route=args.route)
     _write_csv(args.out, echo, header, rows)

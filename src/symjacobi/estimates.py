@@ -36,24 +36,15 @@ from .kernels import mode_sum_rows, q_fn, q_theta
 from .product import HeadKernels, block_moments
 from .quadrature import ball_measure, composite_gauss
 
-ESTIMATE_IDS = (
-    "Growth",
-    "Gradient",
-    "SmoothTheta",
-    "SmoothPhi",
-    "Bridge1",
-    "Bridge2",
-    "L43Star",
-    "Trig",
-    "Comp",
-    "EstimatesA",
-    "EstimatesB",
-    "Asympt",
-)
-
 VECTOR_KERNELS = ("poisson", "poisson_reflected", "square_even", "square_odd")
 SCALAR_KERNELS = ("riesz_even", "riesz_odd", "multiplier_laplace", "multiplier_atomic")
 KERNEL_IDS = VECTOR_KERNELS + SCALAR_KERNELS
+PRODUCT_LEMMA_IDS = ("Bridge1", "Bridge2", "L43Star")
+LEMMA_IDS = PRODUCT_LEMMA_IDS + ("Trig", "Comp", "Asympt")
+# the kernel ladders', the lemmas' and the exact lemmas' estimate ids
+ESTIMATE_IDS = (
+    ("Growth", "Gradient", "SmoothTheta", "SmoothPhi") + LEMMA_IDS + ("EstimatesA", "EstimatesB")
+)
 
 # distances below this are excluded: the diagonal singularity makes both the
 # mode sum and the product rule lose digits faster than the ladder gains them
@@ -298,29 +289,31 @@ STOCK_ATOMS = (np.array([0.4, 1.1, 2.7]), np.array([0.6, -0.3, 0.4]))
 
 
 class FamilyBatch:
-    """Shared evaluator: computes the needed profiles for several kernel
-    families in one pass per point pair, so the expensive product-rule
-    moments are built once and reused by every assembly, and the mode-sum
-    tails of a pass share their mode-row tables (basis.ModeRows), each built
-    once.  values() reduces them to every per-pair quantity the ladders read,
-    at the working or at a doubled quadrature resolution, sweeping the pairs
-    in blocks of unordered pairs sized by core.SWEEP_BYTES, so its memory is
-    bounded by the block, not by the number of pairs.  The blocks are tasks
-    of a task queue (_Tasks): the one of run_estimate_suite, where the union
-    sweep and every refine-2 pass run beside the lemma ladders, or, for a
-    values() call on its own, one of the call's own.  A pooled sweep holds
-    workers x one block.  The Laplace-type family uses the time profile
+    """Shared evaluator of the pair-grid ladders, of the kernel families
+    (KERNEL_IDS) and product lemmas (PRODUCT_LEMMA_IDS) in ids: it computes
+    the needed profiles for several kernel families in one pass per point
+    pair, so the expensive product-rule moments are built once and reused
+    by every assembly, and the mode-sum tails of a pass share their
+    mode-row tables (basis.ModeRows), each built once.  values() reduces
+    them, and the lemmas' quotients, to every per-pair quantity the ladders
+    read, at the working or at a doubled quadrature resolution, sweeping the
+    pairs in blocks of unordered pairs sized by core.SWEEP_BYTES, so its
+    memory is bounded by the block, not by the number of pairs.  The blocks
+    are tasks of a task queue (_Tasks): run_estimate_suite's or, for a
+    values() call on its own, the call's own.  A pooled sweep holds workers
+    x one block.  The Laplace-type family uses the time profile
     PROFILE_SIGN, and the atomic family the (times, weights) pair
     STOCK_ATOMS."""
 
-    def __init__(self, params: JacobiParams, kernel_ids=KERNEL_IDS):
+    def __init__(self, params: JacobiParams, ids=KERNEL_IDS):
         if not params.kernel_valid:
             raise ValueError("harness kernels need alpha, beta >= -1/2")
-        unknown = [k for k in kernel_ids if k not in KERNEL_IDS]
+        unknown = [i for i in ids if i not in KERNEL_IDS + PRODUCT_LEMMA_IDS]
         if unknown:
-            raise ValueError(f"unknown kernel_id {unknown[0]!r}")
+            raise ValueError(f"unknown kernel_id or product lemma {unknown[0]!r}")
         self.params = params
-        self.kernel_ids = tuple(kernel_ids)
+        self.kernel_ids = tuple(i for i in ids if i in KERNEL_IDS)
+        self.lemmas = tuple(i for i in ids if i in PRODUCT_LEMMA_IDS)
         self.t_head, self.w_head = _time_panels(T_HEAD_LO, T_SPLIT, NODES_PER_TIME_PANEL)
         self.t_tail, self.w_tail = _time_panels(T_SPLIT, T_TAIL_HI, NODES_PER_TIME_PANEL)
         if any(_FAMILY[k]["kind"] == "mult" for k in self.kernel_ids):
@@ -400,21 +393,19 @@ class FamilyBatch:
         """Every per-pair quantity of the ladders, (quantity, kernel_id) ->
         array over the pairs: "norm" is the B-norm (signless), "tstar" its
         argmax time (sup kernels only), "grad" |d_theta K| + |d_phi K|
-        (scalar kernels), and "smth" / "smph" the B-norm of K(theta, phi)
-        minus K at the theta- or phi-moved point of _smoothness_pairs
-        (vector kernels; nan where the moved point leaves (0, pi)), whose
-        moved pairs get the vector kernels' profiles only.
+        (scalar kernels), "smth" / "smph" the B-norm of K(theta, phi) minus
+        K at the theta- or phi-moved point of _smoothness_pairs (vector
+        kernels; nan where the moved point leaves (0, pi)), whose moved pairs
+        get the vector kernels' profiles only, and ("ratio", lemma) the
+        quotient of each product lemma (_bridge_ratio).
 
         The pairs are swept in blocks of unordered pairs (_pair_blocks), so a
         call holds the moments, row tables and profiles of one block at a
         time.  A pair, its swap and their moved pairs share a block, so each
         is computed once, and each pair's values are bitwise those of one
         call over all the pairs: every step is per pair, and the reductions
-        are per column (_column_sums).  So the blocks are independent tasks:
-        a call opens a task queue (_Tasks) with _sweep_workers(blocks)
-        workers, a pool of forked processes with more than one block and
-        usable CPU, else this process (one block, one CPU, no "fork" start
-        method, another thread running, or a daemonic process)."""
+        are per column (_column_sums).  So the blocks are independent tasks,
+        of a queue (_Tasks) with _sweep_workers(blocks) workers."""
         pairs = np.atleast_2d(pairs)
         with _Tasks(_sweep_workers(len(self._pair_blocks(pairs)))) as tasks:
             return self._sweep(tasks, pairs, refine)()
@@ -455,12 +446,18 @@ class FamilyBatch:
         return np.split(order, np.flatnonzero(np.diff(block[order])) + 1)
 
     def _block_values(self, pairs, refine):
-        """values() of one block, in one pass over its pairs and one over
+        """values() of one block: the lemmas' quotients in one call, then
+        the kernels' quantities in one pass over the pairs and one over
         their moved pairs."""
+        out = {}
+        if self.lemmas:
+            ratios = _bridge_ratio(self.params, pairs, self.lemmas, refine)
+            out.update(zip([("ratio", w) for w in self.lemmas], ratios))
+        if not self.kernel_ids:
+            return out
         sca_ids = [k for k in self.kernel_ids if "Gth" in _FAMILY[k]]
         vec_ids = [k for k in self.kernel_ids if _FAMILY[k]["kind"] in ("sup", "l2")]
         prof = self.profiles(pairs, ("F", "Gth", "Gph") if sca_ids else ("F",), refine)
-        out = {}
         for kid in self.kernel_ids:
             out[("norm", kid)], tstar = self._reduce(kid, *prof[(kid, "F")])
             if tstar is not None:
@@ -657,62 +654,40 @@ def _bridge_ratio(params, pairs, which, refine=1):
     """Per pair, the quotients of the product lemmas in which, a tuple of
     Bridge1, Bridge2 and L43Star, one array each: the product-measure
     integral of q^-(power) times the ball measure and the factor of
-    _bridge_terms.  The lemmas of one call read one rule per pair, so they
-    must share their shift: Bridge1 and Bridge2 do, L43Star has its own."""
+    _bridge_terms.  The lemmas that share a shift read one rule per pair:
+    Bridge1 and Bridge2 do, L43Star has its own."""
     terms = [_bridge_terms(params, pairs, w) for w in which]
-    shift = terms[0][0]
-    moments = block_moments(
-        params.alpha + shift[0], params.beta + shift[1], pairs[:, 0], pairs[:, 1], np.zeros(1),
-        tuple(power for _, power, _ in terms), n_j=1, refine=refine,
-    )
     _, mb = _ball_factors(params, pairs)
-    return tuple(m[0, 0, :, 0] * mb * factor for m, (_, _, factor) in zip(moments, terms))
-
-
-def _product_ladders(params, which, levels) -> tuple:
-    """The ladders of the product lemmas in which (see _bridge_ratio), in
-    order, from one sweep of the union of the pair grids (_pair_union):
-    each level reads its own rows, and each lemma refines the argmax pairs
-    of all its levels in one refine-2 call."""
-    union, level_rows = _pair_union(levels)
-    ladders = []
-    for w, ratios in zip(which, _bridge_ratio(params, union, which=which)):
-        argmax = [int(rows[np.argmax(ratios[rows])]) for rows in level_rows]
-        todo = list(dict.fromkeys(argmax))
-        (refined,) = _bridge_ratio(params, union[todo], which=(w,), refine=2)
-        refined = dict(zip(todo, refined))
-        reports = []
-        for level, rows, k in zip(levels, level_rows, argmax):
-            _reproduce_or_raise(ratios[k], refined[k], REPRODUCE_TOL, w)
-            reports.append(EstimateReport(w, level, float(ratios[k]), rows.size, tuple(union[k])))
-        ladders.append(_ladder_result(reports, w))
-    return tuple(ladders)
-
-
-def lemma_samplers(params: JacobiParams, which: str, grid_level: int) -> EstimateReport:
-    """Empirical sup of the left-to-right quotient of the comparison lemmas.
-
-    which selects among Bridge1, Bridge2 (the two product-integral bounds),
-    L43Star (their weighted generalization, with the exponents
-    L43_EXPONENTS), Trig (|d_theta q| against sqrt(q)), Comp (stability of q
-    under moving theta a quarter distance) and Asympt (the
-    hyperbolic-prefactor bound).
-    """
-    return lemma_levels(params, which, (grid_level,)).reports[0]
+    out = [None] * len(which)
+    for shift in dict.fromkeys(shift for shift, _, _ in terms):
+        idx = [i for i, term in enumerate(terms) if term[0] == shift]
+        moments = block_moments(
+            params.alpha + shift[0], params.beta + shift[1], pairs[:, 0], pairs[:, 1],
+            np.zeros(1), tuple(terms[i][1] for i in idx), n_j=1, refine=refine,
+        )
+        for i, m in zip(idx, moments):
+            out[i] = m[0, 0, :, 0] * mb * terms[i][2]
+    return tuple(out)
 
 
 def lemma_levels(params: JacobiParams, which: str, levels) -> LadderResult:
-    """The ladder of lemma_samplers over the levels, each report bitwise the
-    single-level one.  The quotients are evaluated once, on the union of the
-    nested pair grids (_pair_union) or on the deepest nested sample set, and
-    each level reads its own subset in its own order (a sup's first argmax
-    included).  The Trig and Comp samples are drawn and swept chunk by chunk
+    """The ladder of a comparison lemma over the levels: per level the
+    empirical sup of its left-to-right quotient, bitwise the single-level
+    report.  which is Bridge1 or Bridge2 (the two product-integral bounds),
+    L43Star (their weighted generalization, with the exponents
+    L43_EXPONENTS), Trig (|d_theta q| against sqrt(q)), Comp (stability of q
+    under moving theta a quarter distance) or Asympt (the
+    hyperbolic-prefactor bound).
+
+    A product lemma is a pair-grid ladder of run_estimate_suite.  The other
+    quotients are evaluated once, on the deepest nested sample set, and each
+    level reads its own subset in its own order (a sup's first argmax
+    included): the Trig and Comp samples are drawn and swept chunk by chunk
     (_uniform_chunks), and a level's report is the running sup (_fold_sup)
-    where its samples end.  The argmax pairs of a product lemma are refined
-    once, in one refine-2 call for all the levels."""
+    where its samples end."""
     levels = _grid_levels(levels)
-    if which in ("Bridge1", "Bridge2", "L43Star"):
-        return _product_ladders(params, (which,), levels)[0]
+    if which in PRODUCT_LEMMA_IDS:
+        return run_estimate_suite(params, levels, (), (which,))[1][which]
     if which in ("Trig", "Comp"):
         # level 1 has NESTED_BASE samples, drawn by default_rng(seed + 1), and
         # level l > 1 adds NESTED_BASE 2^(l - 2) drawn by default_rng(seed + l),
@@ -943,113 +918,99 @@ def _ladder_result(reports, label) -> LadderResult:
 
 def run_standard_ladders(params: JacobiParams, kernel_ids=KERNEL_IDS, levels=(1, 2, 3, 4)) -> dict:
     """All applicable standard-estimate ladders for the given kernel
-    families, sharing one product-rule pass per grid point.
+    families: the kernel ladders of run_estimate_suite.
 
     Returns {(kernel_id, estimate_id): LadderResult}.  Vector kernels get
     Growth, SmoothTheta and SmoothPhi; scalar kernels Growth and Gradient.
-    The multiplier families use PROFILE_SIGN and STOCK_ATOMS.
-    One FamilyBatch sweep evaluates the union of the nested level grids
-    (_pair_union), and each level reads its rows of the per-quantity
-    arrays.  Each argmax value must reproduce at doubled quadrature
-    resolution: per kernel, the argmax pairs of all its levels go through
-    one refine-2 pass of a single-kernel batch.  The sweep's blocks and the
-    refine-2 passes are tasks of one queue, run by forked workers
-    (run_estimate_suite).
-    One level gives the single-level check:
+    The multiplier families use PROFILE_SIGN and STOCK_ATOMS.  One level
+    gives the single-level check:
     run_standard_ladders(params, (kid,), levels=(level,))[(kid, eid)].reports[0]."""
     return run_estimate_suite(params, levels, kernel_ids)[0]
 
 
 def run_estimate_suite(params: JacobiParams, levels, kernel_ids=KERNEL_IDS, lemmas=(), exact=None):
     """The standard ladders of kernel_ids (run_standard_ladders; none when
-    it is empty), the ladder of each lemma in lemmas (lemma_levels) and,
+    it is empty), the ladder of each lemma in lemmas (see lemma_levels) and,
     when exact is (n_samples, seed), exact_lemma_report(n_samples, seed),
     from one task queue (_Tasks).  Returns (ladders, {lemma: LadderResult},
     exact reports or None).
 
-    The queue takes, in this order: the blocks of the kernels' union sweep;
-    the lemma ladders, Bridge1 and Bridge2 as one task where they stand
-    side by side (they build the same rules, so one sweep of the union
-    serves both); the exact reports; and, as soon as the union is merged,
-    one refine-2 pass per kernel over the argmax pairs of all its levels.
-    It has _sweep_workers(tasks before the refine-2 passes) workers.  This
-    process merges the results and checks the kernel ladders, and it
-    raises the error a sequential run would raise first: the kernels', then
-    the lemmas' in order, then the exact reports'."""
+    The queue takes, in this order: the blocks of one FamilyBatch sweep of
+    the union of the level grids for the kernels and the product lemmas;
+    the other lemma ladders; the exact reports; and, as soon as the union is
+    merged, the refine-2 passes of _union_ladders.  It has
+    _sweep_workers(tasks before the refine-2 passes) workers.  This process
+    merges the results and checks the pair-grid ladders, and it raises the
+    error a sequential run would raise first: the kernels', then the
+    lemmas' in order, then the exact reports'."""
     levels = _grid_levels(levels)
-    groups = []
-    for w in lemmas:
-        if groups and {groups[-1][-1], w} == {"Bridge1", "Bridge2"}:
-            groups[-1] += (w,)
-        else:
-            groups.append((w,))
-    batch = FamilyBatch(params, kernel_ids) if kernel_ids else None
-    n_tasks = len(groups) + (exact is not None)
+    products = tuple(w for w in lemmas if w in PRODUCT_LEMMA_IDS)
+    others = [w for w in lemmas if w not in products]
+    batch = FamilyBatch(params, tuple(kernel_ids) + products) if kernel_ids or products else None
+    n_tasks = len(others) + (exact is not None)
     if batch is not None:
         union, level_rows = _pair_union(levels)
         n_tasks += len(batch._pair_blocks(union))
     with _Tasks(_sweep_workers(n_tasks)) as tasks:
         if batch is not None:
             merge = batch._sweep(tasks, union, 1)
-        lemma_results = [tasks.submit(_lemma_task, params, g, levels) for g in groups]
+        checks = {w: tasks.submit(lemma_levels, params, w, levels) for w in others}
         exact_result = None if exact is None else tasks.submit(exact_lemma_report, *exact)
-        ladders = {}
         if batch is not None:
-            ladders = _kernel_ladders(tasks, batch, levels, union, level_rows, merge())
-        lemma_ladders = {}
-        for g, result in zip(groups, lemma_results):
-            lemma_ladders.update(zip(g, result()))
+            checks.update(_union_ladders(tasks, batch, levels, union, level_rows, merge()))
+        ladders = {(kid, eid): res for kid in kernel_ids for eid, res in checks[kid]().items()}
+        lemma_ladders = {w: checks[w]()[w] if w in products else checks[w]() for w in lemmas}
         return ladders, lemma_ladders, None if exact is None else exact_result()
 
 
-def _lemma_task(params, which, levels) -> tuple:
-    """The ladders of the lemmas in which, as one task: Bridge1 and Bridge2
-    together from one sweep (_product_ladders), another lemma alone."""
-    if len(which) > 1:
-        return _product_ladders(params, which, levels)
-    return (lemma_levels(params, which[0], levels),)
-
-
-def _kernel_ladders(tasks, batch, levels, union, level_rows, vals) -> dict:
-    """The ladders of run_standard_ladders from vals, the batch's values on
-    the union.  Queues one refine-2 pass per kernel on tasks, over the
-    argmax pairs of all its levels, then checks the kernels in order."""
+def _union_ladders(tasks, batch, levels, union, level_rows, vals) -> dict:
+    """The ladders of the batch's kernels and product lemmas from vals, its
+    values on the union.  Queues on tasks one refine-2 pass per kernel and
+    per lemma over the argmax pairs of all its levels, and returns per
+    kernel or lemma the function that waits for it, checks that each argmax
+    value reproduces and gives {estimate_id: LadderResult}."""
     params = batch.params
     d, mb = _ball_factors(params, union)
     th_moved, ok_th, ph_moved, ok_ph = _smoothness_pairs(union)
     every = np.ones(union.shape[0], dtype=bool)
-    plans = []
-    for kid in batch.kernel_ids:
+
+    def check(owner, ladders, argmax, todo, refined):
+        ref, at = refined(), {k: j for j, k in enumerate(todo)}
+        reports = {}
+        for level, rows, ks in zip(levels, level_rows, argmax):
+            for (eid, q, ratios, ok), k in zip(ladders, ks):
+                label = owner if eid == owner else f"{eid}[{owner}]"
+                value, again = vals[(q, owner)][k], ref[(q, owner)][at[k]]
+                _reproduce_or_raise(value, again, REPRODUCE_TOL, label)
+                arg = tuple(union[k])
+                if eid == "Growth" and ("tstar", owner) in vals:
+                    arg += (vals[("tstar", owner)][k],)
+                reports.setdefault((eid, label), []).append(
+                    EstimateReport(eid, level, float(ratios[k]), int(ok[rows].sum()), arg)
+                )
+        return {eid: _ladder_result(reps, label) for (eid, label), reps in reports.items()}
+
+    checks = {}
+    for owner in batch.kernel_ids + batch.lemmas:
         # (estimate_id, quantity, ratios, pairs that count) per ladder
-        ladders = [("Growth", "norm", vals[("norm", kid)] * mb, every)]
-        if ("grad", kid) in vals:
-            ladders.append(("Gradient", "grad", vals[("grad", kid)] * d * mb, every))
-        if ("smth", kid) in vals:
+        if owner in batch.lemmas:
+            ladders = [(owner, "ratio", vals[("ratio", owner)], every)]
+        else:
+            ladders = [("Growth", "norm", vals[("norm", owner)] * mb, every)]
+        if ("grad", owner) in vals:
+            ladders.append(("Gradient", "grad", vals[("grad", owner)] * d * mb, every))
+        if ("smth", owner) in vals:
             for eid, q, moved, ok, col in (
                 ("SmoothTheta", "smth", th_moved, ok_th, 0),
                 ("SmoothPhi", "smph", ph_moved, ok_ph, 1),
             ):
                 sep = np.abs(moved - union[:, col])
                 with np.errstate(invalid="ignore"):
-                    ratios = np.where(ok, vals[(q, kid)] * d * mb / sep, -np.inf)
+                    ratios = np.where(ok, vals[(q, owner)] * d * mb / sep, -np.inf)
                 ladders.append((eid, q, ratios, ok))
         # per level, the argmax row of each ladder
         argmax = [[int(rows[np.argmax(r[rows])]) for _, _, r, _ in ladders] for rows in level_rows]
         todo = list(dict.fromkeys(k for ks in argmax for k in ks))
-        refined = FamilyBatch(params, (kid,))._sweep(tasks, union[todo], 2)
-        plans.append((kid, ladders, argmax, todo, refined))
-    reports = {}
-    for kid, ladders, argmax, todo, refined in plans:
-        ref, at = refined(), {k: j for j, k in enumerate(todo)}
-        for level, rows, ks in zip(levels, level_rows, argmax):
-            for (eid, q, ratios, ok), k in zip(ladders, ks):
-                _reproduce_or_raise(
-                    vals[(q, kid)][k], ref[(q, kid)][at[k]], REPRODUCE_TOL, f"{eid}[{kid}]"
-                )
-                arg = tuple(union[k])
-                if eid == "Growth" and ("tstar", kid) in vals:
-                    arg += (vals[("tstar", kid)][k],)
-                reports.setdefault((kid, eid), []).append(
-                    EstimateReport(eid, level, float(ratios[k]), int(ok[rows].sum()), arg)
-                )
-    return {key: _ladder_result(reps, "/".join(key)) for key, reps in reports.items()}
+        refined = FamilyBatch(params, (owner,))._sweep(tasks, union[todo], 2)
+        checks[owner] = functools.partial(check, owner, ladders, argmax, todo, refined)
+    return checks

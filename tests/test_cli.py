@@ -235,6 +235,26 @@ class TestKernelTable:
         captured = capsys.readouterr()
         assert captured.out == "" and "t=1500.0" in captured.err
 
+    @pytest.mark.parametrize("out", [None, "kernel.csv"])
+    def test_nonfinite_column_fails_before_writing(self, capsys, tmp_path, out):
+        """At alpha = -1 + 2^-53 the mass rule has a NaN node, so the mass
+        column is NaN: the table is refused with the column and the first
+        (theta, phi) point named, and no row is written."""
+        argv = ["kernel", "--alpha", "-0.9999999999999999", "--beta", "-0.5",
+                "--level", "0", "--t", "1"]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "column mass is not finite at (theta, phi) = "
+            "(-1.5707963267948966, -1.5707963267948966)"
+        ) in captured.err
+        assert out is None or not (tmp_path / out).exists()
+
     def test_both_route_reports_difference(self, tmp_path):
         out = tmp_path / "kernel.csv"
         rc = main(["kernel", "--level", "1", "--route", "both", "--out", str(out)])

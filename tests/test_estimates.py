@@ -42,7 +42,6 @@ from symjacobi.estimates import (
     ladder_verdict,
     VECTOR_KERNELS,
     lemma_levels,
-    lemma_samplers,
     pair_grid,
     run_estimate_suite,
     run_standard_ladders,
@@ -100,9 +99,9 @@ class TestGrids:
     "call",
     [
         lambda: pair_grid(0),
-        lambda: lemma_samplers(SQUARE, "Bridge1", 0),
-        lambda: lemma_samplers(SQUARE, "Asympt", 0),
-        lambda: lemma_samplers(SQUARE, "Trig", 0),
+        lambda: lemma_levels(SQUARE, "Bridge1", (0,)).reports[0],
+        lambda: lemma_levels(SQUARE, "Asympt", (0,)).reports[0],
+        lambda: lemma_levels(SQUARE, "Trig", (0,)).reports[0],
         lambda: lemma_levels(SQUARE, "Comp", (2, 0)),
         lambda: run_standard_ladders(ATOMIC, ("poisson",), levels=(0,)),
         lambda: run_standard_ladders(ATOMIC, ("poisson",), levels=(1, 0)),
@@ -117,7 +116,7 @@ def test_level_below_one_is_named(call):
 
 def test_level_must_be_an_integer():
     with pytest.raises(ValueError, match="got 1.5"):
-        lemma_samplers(SQUARE, "Asympt", 1.5)
+        lemma_levels(SQUARE, "Asympt", (1.5,)).reports[0]
 
 
 class TestAxisRule:
@@ -678,34 +677,89 @@ class TestSuitePool:
             assert counts[0] > 1
         assert pooled == alone
 
+    @staticmethod
+    def _alone_and_pooled(monkeypatch, call):
+        """call() with the task queue pinned to this process and left free,
+        and the worker counts the free run gave; no child outlives either."""
+        counts, free = [], estimates._sweep_workers
+
+        def recorded(n_tasks):
+            counts.append(free(n_tasks))
+            return counts[-1]
+
+        with monkeypatch.context() as patch, _deadline(900):
+            patch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
+            alone = call()
+        with monkeypatch.context() as patch, _deadline(900):
+            patch.setattr(estimates, "_sweep_workers", recorded)
+            pooled = call()
+        assert not multiprocessing.active_children()
+        return alone, pooled, counts
+
     def test_pooled_ladders_equal_in_process_at_large_alpha_beta(self, monkeypatch):
         """run_standard_ladders at (8, 7.5), levels 1-3, gives equal ladders
         with the sweep in this process and left free."""
         params = JacobiParams(8.0, 7.5)
-        with monkeypatch.context() as patch, _deadline(900):
-            patch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
-            alone = run_standard_ladders(params, levels=(1, 2, 3))
-        with _deadline(900):
-            pooled = run_standard_ladders(params, levels=(1, 2, 3))
-        assert not multiprocessing.active_children()
+        alone, pooled, _ = self._alone_and_pooled(
+            monkeypatch, lambda: run_standard_ladders(params, levels=(1, 2, 3))
+        )
         assert pooled == alone
 
-    @pytest.mark.parametrize("faults", [("lemma",), ("refine",), ("lemma", "refine")])
+    def test_pooled_lemma_ladder_equals_in_process(self, monkeypatch):
+        """A product lemma's ladder on its own, lemma_levels(SKEWED,
+        "L43Star", (1, 2)), is equal with its union sweep and refine-2 pass
+        in this process and left free; on more than one usable CPU the free
+        run takes a pool."""
+        alone, pooled, counts = self._alone_and_pooled(
+            monkeypatch, lambda: lemma_levels(SKEWED, "L43Star", (1, 2))
+        )
+        assert len(counts) == 1
+        if estimates._sweep_workers(2) > 1:
+            assert counts[0] > 1
+        assert pooled == alone
+
+    # each fault's error, in the order a sequential run meets them: the
+    # kernels first, then the lemmas in the order of LEMMA_IDS
+    FAULTS = {
+        "refine": "[square_odd]",
+        "drift": "Bridge2: argmax value",
+        "lemma": "L43Star: injected",
+        "task": "Asympt: injected",
+    }
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ("lemma",), ("refine",), ("lemma", "refine"), ("drift",), ("task",),
+            ("drift", "lemma"), ("lemma", "task"), ("drift", "task"),
+            ("refine", "drift", "lemma", "task"),
+        ],
+    )
     def test_pooled_suite_raises_the_in_process_error(self, faults, tmp_path, monkeypatch):
-        """An EstimateAccuracyError raised in the L43Star lemma task, or one
-        that the square_odd refine-2 task causes (its values drift, so the
-        check in this process raises), gives the report error of the
-        in-process suite: with both, the kernel's, which a sequential run
-        meets first.  No child outlives either run."""
-        if "lemma" in faults:
-            lemma = estimates.lemma_levels
+        """Faults in each place the suite runs a ladder give the report error
+        of the in-process suite, the one a sequential run meets first (see
+        FAULTS): an EstimateAccuracyError raised in the L43Star refine-2
+        pass ("lemma") or in the Asympt task ("task"), and refine-2 values
+        that drift by 1%, so that the check in this process raises, of the
+        square_odd kernel ("refine") or of the Bridge2 lemma ("drift").  No
+        child outlives either run."""
+        ratio = estimates._bridge_ratio
 
-            def failing(params, which, levels):
-                if which == "L43Star":
-                    raise EstimateAccuracyError("L43Star: injected fault")
-                return lemma(params, which, levels)
+        def faulty(params, pairs, which, refine=1):
+            if "lemma" in faults and refine == 2 and "L43Star" in which:
+                raise EstimateAccuracyError("L43Star: injected fault")
+            out = ratio(params, pairs, which, refine)
+            if "drift" in faults and refine == 2 and which == ("Bridge2",):
+                out = tuple(v * 1.01 for v in out)
+            return out
 
-            monkeypatch.setattr(estimates, "lemma_levels", failing)
+        monkeypatch.setattr(estimates, "_bridge_ratio", faulty)
+        if "task" in faults:
+
+            def failing(params, grid_level):
+                raise EstimateAccuracyError("Asympt: injected fault")
+
+            monkeypatch.setattr(estimates, "_asympt_report", failing)
         if "refine" in faults:
             block = FamilyBatch._block_values
 
@@ -724,7 +778,32 @@ class TestSuitePool:
             errors.append(report["error"])
         assert errors[0] == errors[1]
         assert errors[0].startswith("suite estimates: EstimateAccuracyError: ")
-        assert ("[square_odd]" if "refine" in faults else "L43Star: injected") in errors[0]
+        first = next(text for fault, text in self.FAULTS.items() if fault in faults)
+        assert first in errors[0]
+
+    @pytest.mark.parametrize("lemmas", [("Asympt", "L43Star"), ("L43Star", "Asympt")])
+    def test_suite_raises_the_first_lemma_error_in_the_given_order(self, lemmas, monkeypatch):
+        """With a fault in a product lemma's refine-2 pass and in another
+        lemma's task, run_estimate_suite raises the error of the lemma
+        given first, pooled and in process, and no child outlives it."""
+        ratio = estimates._bridge_ratio
+
+        def faulty(params, pairs, which, refine=1):
+            if refine == 2:
+                raise EstimateAccuracyError("L43Star: injected fault")
+            return ratio(params, pairs, which, refine)
+
+        def failing(params, grid_level):
+            raise EstimateAccuracyError("Asympt: injected fault")
+
+        monkeypatch.setattr(estimates, "_bridge_ratio", faulty)
+        monkeypatch.setattr(estimates, "_asympt_report", failing)
+        for workers in (1, 2):
+            with monkeypatch.context() as patch, _deadline(600):
+                patch.setattr(estimates, "_sweep_workers", lambda n_tasks: workers)
+                with pytest.raises(EstimateAccuracyError, match=f"{lemmas[0]}: injected"):
+                    run_estimate_suite(SQUARE, (1, 2), (), lemmas)
+            assert not multiprocessing.active_children()
 
     def test_interrupt_leaves_no_child(self, monkeypatch):
         """A BaseException raised in this process at the suite's first
@@ -751,25 +830,25 @@ class TestSuitePool:
 class TestLemmaSamplers:
     def test_trig_bound_and_monotone(self):
         """|d_theta q| / sqrt(q) stays below 1/sqrt(2) on growing samples."""
-        sups = [lemma_samplers(SKEWED, "Trig", lv).empirical_sup for lv in (1, 2)]
+        sups = [lemma_levels(SKEWED, "Trig", (lv,)).reports[0].empirical_sup for lv in (1, 2)]
         assert sups[1] >= sups[0]
         assert sups[1] <= 2.0 ** -0.5 + 1e-12
         assert sups[1] > 0.69
 
     def test_comp_bounded(self):
-        sups = [lemma_samplers(SKEWED, "Comp", lv).empirical_sup for lv in (1, 2)]
+        sups = [lemma_levels(SKEWED, "Comp", (lv,)).reports[0].empirical_sup for lv in (1, 2)]
         assert sups[1] >= sups[0]
         assert 1.0 < sups[1] < 3.0
 
     def test_asympt_bounded(self):
-        sups = [lemma_samplers(SKEWED, "Asympt", lv).empirical_sup for lv in (1, 2)]
+        sups = [lemma_levels(SKEWED, "Asympt", (lv,)).reports[0].empirical_sup for lv in (1, 2)]
         assert sups[1] >= sups[0]
         assert 0.2 < sups[1] < 0.3
 
     @pytest.mark.parametrize("which", ["Bridge1", "Bridge2", "L43Star"])
     def test_bridge_family_monotone(self, which):
-        r1 = lemma_samplers(SQUARE, which, 1)
-        r2 = lemma_samplers(SQUARE, which, 2)
+        r1 = lemma_levels(SQUARE, which, (1,)).reports[0]
+        r2 = lemma_levels(SQUARE, which, (2,)).reports[0]
         assert r2.empirical_sup >= r1.empirical_sup * (1 - 1e-12)
         assert r1.estimate_id == which
 
@@ -784,16 +863,16 @@ class TestLemmaSamplers:
 
     def test_l43_custom_exponents(self, monkeypatch):
         monkeypatch.setattr(estimates, "L43_EXPONENTS", (0.5, 1.0, 0.5, 0.0, 0.5))
-        rep = lemma_samplers(SQUARE, "L43Star", 1)
+        rep = lemma_levels(SQUARE, "L43Star", (1,)).reports[0]
         assert rep.empirical_sup > 0.0
 
     def test_unknown_sampler(self):
         with pytest.raises(ValueError):
-            lemma_samplers(SQUARE, "NoSuchLemma", 1)
+            lemma_levels(SQUARE, "NoSuchLemma", (1,)).reports[0]
 
     def test_determinism(self):
-        a = lemma_samplers(SKEWED, "Trig", 2)
-        b = lemma_samplers(SKEWED, "Trig", 2)
+        a = lemma_levels(SKEWED, "Trig", (2,)).reports[0]
+        b = lemma_levels(SKEWED, "Trig", (2,)).reports[0]
         assert a == b
 
     @pytest.mark.parametrize("which", ["Bridge1", "Bridge2", "L43Star", "Trig", "Comp", "Asympt"])
@@ -804,30 +883,37 @@ class TestLemmaSamplers:
         levels = lemma_levels(params, which, (1, 2)).reports
         assert [r.grid_level for r in levels] == [1, 2]
         for rep in levels:
-            alone = lemma_samplers(params, which, rep.grid_level)
+            alone = lemma_levels(params, which, (rep.grid_level,)).reports[0]
             assert rep == alone and repr(rep) == repr(alone)
 
     def test_nested_levels_evaluate_the_union_once(self, monkeypatch):
-        """The Bridge samplers take one moment sweep over the finest grid and
-        one refine-2 call per distinct argmax, not a sweep per level."""
+        """A product lemma's ladder sweeps the union of the level grids once,
+        its blocks' refine-1 calls covering each pair exactly once, and
+        refines the distinct argmax pairs of its levels in one call."""
         calls = []
         inner = estimates._bridge_ratio
 
-        def counted(params, pairs, **kw):
-            calls.append((pairs.shape[0], kw.get("refine", 1)))
-            return inner(params, pairs, **kw)
+        def counted(params, pairs, which, refine=1):
+            calls.append((pairs, refine))
+            return inner(params, pairs, which, refine)
 
         monkeypatch.setattr(estimates, "_bridge_ratio", counted)
+        monkeypatch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
         lemma_levels(SQUARE, "Bridge1", (1, 2))
-        sweeps = [n for n, refine in calls if refine == 1]
-        assert sweeps == [pair_grid(2).shape[0]]
-        assert 1 <= len(calls) - 1 <= 2
+        swept = np.vstack([pairs for pairs, refine in calls if refine == 1])
+        union = pair_grid(2)
+        assert swept.shape == union.shape
+        assert np.array_equal(np.unique(swept, axis=0), union)
+        refined = [pairs.shape[0] for pairs, refine in calls if refine == 2]
+        assert len(refined) == 1 and 1 <= refined[0] <= 2
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED])
-    def test_bridges_share_one_sweep(self, params):
+    def test_bridges_share_one_sweep(self, params, monkeypatch):
         """Bridge1 and Bridge2 take one sweep that builds each pair's rule
-        once, as many as either alone, and their ratios and ladders are
-        bitwise those of each alone."""
+        once, as many as either alone, and their ratios are bitwise those of
+        each alone, also beside L43Star, which has a shift of its own.  In
+        the suite they share each block's call, and their ladders are those
+        of each alone."""
         union, _ = estimates._pair_union((1, 2))
         builds, alone = [], []
         for which in (("Bridge1",), ("Bridge2",), ("Bridge1", "Bridge2")):
@@ -837,8 +923,22 @@ class TestLemmaSamplers:
         assert builds[0] == builds[1] == builds[2]
         for one, both in zip(alone[:2], alone[2:]):
             assert np.array_equal(one, both)
-        both = estimates._product_ladders(params, ("Bridge1", "Bridge2"), (1, 2))
-        assert both == tuple(lemma_levels(params, w, (1, 2)) for w in ("Bridge1", "Bridge2"))
+        (l43,) = estimates._bridge_ratio(params, union, which=("L43Star",))
+        mixed = estimates._bridge_ratio(params, union, which=("Bridge2", "L43Star", "Bridge1"))
+        for one, got in zip((alone[1], l43, alone[0]), mixed):
+            assert np.array_equal(one, got)
+        calls, inner = [], estimates._bridge_ratio
+
+        def recorded(params, pairs, which, refine=1):
+            calls.append((which, refine))
+            return inner(params, pairs, which, refine)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimates, "_bridge_ratio", recorded)
+            patch.setattr(estimates, "_sweep_workers", lambda n_tasks: 1)
+            both = run_estimate_suite(params, (1, 2), (), ("Bridge1", "Bridge2"))[1]
+        assert {which for which, refine in calls if refine == 1} == {("Bridge1", "Bridge2")}
+        assert both == {w: lemma_levels(params, w, (1, 2)) for w in ("Bridge1", "Bridge2")}
 
     @pytest.mark.parametrize("which", ["Trig", "Comp"])
     def test_chunked_samples_equal_the_whole_set(self, which):
