@@ -140,11 +140,14 @@ class ModeRows:
     comes from the normalized polynomial tables (the even rows of order 0),
     and those are built once per parameter set and kept: row n does not
     depend on how many rows are built, so a request for fewer modes reads
-    the leading rows of a longer table, and each is built `headroom` modes
-    longer than its first request, for the one or two more modes that a
-    lowering asks of it.  The other tables are a few products of these and
-    are built per request, so the store holds only polynomial tables.
-    ModeRows.pair gives the rows at two coordinate arrays from one store."""
+    the leading rows of a longer table.  build() makes the tables of several
+    parameter sets, as reads() lists them for the requests to come, in one
+    stacked recurrence pass; a request that finds its table missing or
+    short builds it alone, `headroom` modes longer than the request, for
+    the one or two more modes that a lowering asks of it.  The other tables
+    are a few products of these and are built per request, so the store
+    holds only polynomial tables.  ModeRows.pair and ModeRows.outer give
+    the rows at two coordinate arrays from one store."""
 
     def __init__(self, theta, headroom: int = 0):
         self.theta = np.asarray(theta, dtype=float)
@@ -152,29 +155,64 @@ class ModeRows:
         self._polys = {}
         self._shared = None
 
+    def _view(self, theta, index):
+        """ModeRows at theta whose polynomial tables are this store's
+        tables indexed by index."""
+        rows = type(self)(theta, self.headroom)
+        rows._shared = (self, index)
+        return rows
+
     @classmethod
     def pair(cls, theta, phi, headroom: int = 0):
         """ModeRows at the 1-d arrays theta and phi whose polynomial tables
-        are one table over both, built by one recurrence per parameter set,
-        each reading its own columns (the recurrence is elementwise, so the
-        bits are those of separate tables)."""
+        are one table over both, each reading its own columns (the
+        recurrence is elementwise, so the bits are those of separate
+        tables)."""
         theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
         owner = cls(np.concatenate([theta, phi]), headroom)
-        halves = cls(theta, headroom), cls(phi, headroom)
-        for rows, cols in zip(halves, (slice(0, theta.size), slice(theta.size, None))):
-            rows._shared = (owner, cols)
-        return halves
+        split = theta.size
+        return owner._view(theta, np.s_[:, :split]), owner._view(phi, np.s_[:, split:])
+
+    @classmethod
+    def outer(cls, theta, headroom: int = 0):
+        """ModeRows at theta[:, None] and at the 1-d array theta, the two
+        sides of the outer grid theta x theta (mode_sum broadcasts the 1-d
+        side along the last axis), from one store over theta."""
+        owner = cls(theta, headroom)
+        return owner._view(owner.theta[:, None], np.s_[:, :, None]), owner
+
+    @staticmethod
+    def reads(params: JacobiParams, parity: str, order=0, lowered=False) -> list:
+        """The parameter sets whose polynomial tables the rows of
+        __call__(params, n_modes, parity, order, lowered) read: an even row
+        of order k > 0 is an odd row of order k - 1, and an odd row of
+        order k reads the shifted family's even rows of orders 0..k."""
+        if lowered or parity == "even":
+            return [params] if order == 0 else ModeRows.reads(params, "odd", order - 1)
+        shifted = params.shifted()
+        return list(dict.fromkeys(
+            p for k in range(order + 1) for p in ModeRows.reads(shifted, "even", k)
+        ))
+
+    def build(self, families, n_modes: int) -> None:
+        """Build the polynomial tables of the parameter sets in families,
+        each n_modes + headroom rows long, in one stacked recurrence pass
+        (core.trig_poly_table), and keep them."""
+        if self._shared is not None:
+            self._shared[0].build(families, n_modes)
+            return
+        tables = trig_poly_table(list(families), n_modes + self.headroom - 1, self.theta)
+        self._polys.update((p, tables[:, f]) for f, p in enumerate(families))
 
     def _poly(self, params: JacobiParams, n_modes: int) -> np.ndarray:
         """The polynomial table of params with at least n_modes rows."""
         if self._shared is not None:
-            owner, cols = self._shared
-            return owner._poly(params, n_modes)[:, cols]
+            owner, index = self._shared
+            return owner._poly(params, n_modes)[index]
         table = self._polys.get(params)
         if table is None or table.shape[0] < n_modes:
-            table = trig_poly_table(params, n_modes + self.headroom - 1, self.theta)
-            self._polys[params] = table
-        return table
+            self.build([params], n_modes)
+        return self._polys[params]
 
     def __call__(self, params: JacobiParams, n_modes: int, parity: str, order=0, lowered=False):
         theta = self.theta

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .basis import analyze, mode_eigenvalues, phi_table, synthesize
+from .basis import ModeRows, analyze, mode_eigenvalues, phi_table, synthesize
 from .core import JacobiParams
 from .estimates import (
     DIVERGENCE_FACTOR,
@@ -46,6 +46,8 @@ from .estimates import (
     run_estimate_suite,
 )
 from .kernels import (
+    mode_sum_rows,
+    n_max_for,
     poisson_kernel_dk_auto,
     poisson_kernel_series,
     semigroup_mass,
@@ -134,10 +136,24 @@ def cmd_kernel(args) -> int:
     params = JacobiParams(args.alpha, args.beta)
     t = args.t
     theta = _sym_grid(args.level, size_exp=2)
-    # each series column is one call over an outer grid: mode rows per input, not per point
     mass_rule = mu_plus_rule(params, MASS_NODES)
-    kern = poisson_kernel_series(params, t, np.abs(theta)[:, None], mass_rule.nodes[None, :])
-    mass = [mass_rule.integrate(row) for row in kern]
+    # the series columns read two recurrence passes: one over the distinct
+    # |theta|, of (alpha, beta) and, where H_tilde is a series column,
+    # (alpha + 1, beta + 1) stacked, and one of (alpha, beta) over the mass
+    # nodes.  H and the shifted core are even in each angle, and the grid is
+    # bitwise symmetric, so they are summed on |theta| x |theta| and
+    # gathered back to the signed grid
+    abs_theta, back = np.unique(np.abs(theta), return_inverse=True)
+    families = [params] if args.route == "dk" else [params, params.shifted()]
+    n_modes = [n_max_for(p, t) + 1 for p in families]
+    th_rows, ph_rows = ModeRows.outer(abs_theta)
+    th_rows.build(families, max(n_modes))
+    even = ("even", 0, 0, 0)
+    # the mass nodes' table is dropped once their sum returns
+    kern = mode_sum_rows(
+        params, even, t, th_rows, ModeRows(mass_rule.nodes), n_modes=n_modes[0]
+    )[0]
+    mass = np.array([mass_rule.integrate(row) for row in kern])[back]
     th, ph = np.meshgrid(theta, theta, indexing="ij")
     if args.route == "dk":
         # H is even in each variable and Ht odd, so the integral route on
@@ -145,8 +161,11 @@ def cmd_kernel(args) -> int:
         half = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
         odd = np.sign(th) * np.sign(ph) * tilde_kernel(params, t, abs(th), abs(ph), route="dk")
     else:
-        half = poisson_kernel_series(params, t, theta[:, None], theta[None, :])
-        odd = tilde_kernel(params, t, theta[:, None], theta[None, :])
+        half, core = (
+            mode_sum_rows(p, even, t, th_rows, ph_rows, n_modes=n)[0][np.ix_(back, back)]
+            for p, n in zip(families, n_modes)
+        )
+        odd = 0.25 * np.sin(theta[:, None]) * np.sin(theta[None, :]) * core
     cols = [th, ph, half, odd, half + odd, np.repeat(mass, theta.size).reshape(th.shape)]
     header = ["t", "theta", "phi", "H", "H_tilde", "H_full", "mass"]
     if args.route == "both":

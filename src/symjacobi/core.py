@@ -182,16 +182,22 @@ def last_row(table_of, n_rows: int, theta) -> np.ndarray:
     return out.reshape(theta.shape)[()]
 
 
-def trig_poly_table(params: JacobiParams, nmax: int, theta) -> np.ndarray:
+def trig_poly_table(params, nmax: int, theta) -> np.ndarray:
     """All normalized trig polynomials up to degree nmax; shape (nmax+1, ...).
 
-    Built in place by recurrence_rows, so the table takes its own memory
-    plus one scratch row."""
+    params is one JacobiParams, or a sequence of them whose tables one
+    stacked recurrence pass builds on a second axis, shape
+    (nmax+1, len(params), ...); each family's slice holds the bits of its
+    own table.  Built in place by recurrence_rows, so the table takes its
+    own memory plus one scratch row."""
     if nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {nmax}")
     theta = np.asarray(theta, dtype=float)
-    rows = np.empty((nmax + 1, 1) + theta.shape)
-    return recurrence_rows(rows, np.cos(theta), [(params, 1.0)])[:, 0]
+    stacked = not isinstance(params, JacobiParams)
+    families = [(p, 1.0) for p in params] if stacked else [(params, 1.0)]
+    rows = np.empty((nmax + 1, len(families)) + theta.shape)
+    recurrence_rows(rows, np.cos(theta), families)
+    return rows if stacked else rows[:, 0]
 
 
 def eval_trig_poly_deriv(params: JacobiParams, n: int, theta) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 from . import core
 from .core import JacobiParams
 from .basis import ModeRows
-from .kernels import mode_sum_rows, q_fn, q_theta
+from .kernels import mode_sum_rows, q_fn, q_theta, stack_mode_rows
 from .product import HeadKernels, block_moments
 from .quadrature import ball_measure, composite_gauss
 
@@ -72,8 +72,8 @@ L43_EXPONENTS = (1.0, 1.0, 0.0, 0.0, 0.0)
 CELL_NODES = 8
 CELL_DEPTH = 6
 # extra modes of the polynomial tables the tails share: a lowering reads one
-# mode more than its sum, a second derivative two fewer
-ROW_HEADROOM = 3
+# mode more than its sum
+ROW_HEADROOM = 1
 
 
 class EstimateAccuracyError(RuntimeError):
@@ -294,7 +294,9 @@ class FamilyBatch:
     the needed profiles for several kernel families in one pass per point
     pair, so the expensive product-rule moments are built once and reused
     by every assembly, and the mode-sum tails of a pass share their
-    mode-row tables (basis.ModeRows), each built once.  values() reduces
+    mode-row tables (basis.ModeRows): one stacked recurrence pass builds
+    every polynomial family the pass reads (kernels.stack_mode_rows), over
+    both coordinates of its pairs.  values() reduces
     them, and the lemmas' quotients, to every per-pair quantity the ladders
     read, at the working or at a doubled quadrature resolution, sweeping the
     pairs in blocks of unordered pairs sized by core.SWEEP_BYTES, so its
@@ -348,11 +350,13 @@ class FamilyBatch:
         hk = HeadKernels(
             self.params, pairs[:, 0], pairs[:, 1], self.t_head, refine, both=len(parities) == 2
         )
-        # the tails share their row tables; the longest sums (earliest tail
-        # time) go first, so the shorter ones read leading rows
+        # the tails share their row tables: one recurrence pass over the
+        # pairs' two coordinates builds every family the plan reads, as
+        # long as its longest sum, and each sum reads leading rows
         th_rows, ph_rows = ModeRows.pair(pairs[:, 0], pairs[:, 1], headroom=ROW_HEADROOM)
+        stack_mode_rows(self.params, [(spec, t) for _, _, spec, _, t in plan], th_rows)
         out = {}
-        for kid, slot, spec, has_head, t_tail in sorted(plan, key=lambda e: e[4].min()):
+        for kid, slot, spec, has_head, t_tail in plan:
             tail = mode_sum_rows(self.params, spec, t_tail, th_rows, ph_rows)
             out[(kid, slot)] = (hk.profile(spec) if has_head else None, tail)
         return out
@@ -503,8 +507,8 @@ def _sweep_workers(n_tasks: int) -> int:
     union of one block, every refine-2 pass on its own), with one usable
     CPU, where the platform cannot fork, while another thread runs (a fork
     could then deadlock) and in a daemonic process, which may not have
-    children.  Forked workers start from this process's imports and caches;
-    each runs numpy's BLAS with the thread count it inherits."""
+    children.  Forked workers start from this process's imports and caches,
+    and each sets its BLAS to one thread (_one_blas_thread)."""
     if n_tasks < 2:
         return 1
     try:
@@ -520,6 +524,32 @@ def _sweep_workers(n_tasks: int) -> int:
     if multiprocessing.current_process().daemon:
         return 1
     return min(n_tasks, cpus)
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread in this worker, so that the workers
+    do not oversubscribe the CPUs with the threads they inherit.  The
+    setter is looked up through numpy's compiled core module, whose handle
+    also finds the symbols of the BLAS it links:
+    scipy_openblas_set_num_threads64_ in numpy's wheels,
+    openblas_set_num_threads in other OpenBLAS builds.  Where neither is
+    found, the worker keeps the thread count it inherits."""
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 class _Tasks:
@@ -538,7 +568,9 @@ class _Tasks:
         if workers > 1:
             import multiprocessing
 
-            self._pool = multiprocessing.get_context("fork").Pool(workers)
+            self._pool = multiprocessing.get_context("fork").Pool(
+                workers, initializer=_one_blas_thread
+            )
 
     def submit(self, fn, *args):
         if self._pool is None:

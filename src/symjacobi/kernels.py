@@ -151,13 +151,39 @@ def mode_sum(params: JacobiParams, spec, t, theta, phi, pairs=0, n_modes=None) -
     return mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs, n_modes)
 
 
+def _row_args(op):
+    """The ModeRows (order, lowered) of a spec's th_op or ph_op."""
+    return {"low": 0, "low1": 1}.get(op, op), op in ("low", "low1")
+
+
+def _default_modes(params, t) -> int:
+    """mode_sum's mode count: the tail bound with four extra powers at the
+    smallest t."""
+    return n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
+
+
+def stack_mode_rows(params, sums, rows) -> None:
+    """Build, in one stacked recurrence pass over the store of rows (a
+    basis.ModeRows), the polynomial table of every parameter set that
+    mode_sum_rows reads for the (spec, t) pairs in sums, long enough for
+    the longest sum at the default mode count: the sums then read leading
+    rows of these tables, bitwise those of their own.  No sums, no pass."""
+    if not sums:
+        return
+    families = {}
+    for (parity, th_op, ph_op, _), _ in sums:
+        for op in (th_op, ph_op):
+            families.update(dict.fromkeys(ModeRows.reads(params, parity, *_row_args(op))))
+    rows.build(families, max(_default_modes(params, t) for _, t in sums))
+
+
 def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
     """mode_sum with the theta and phi rows read from two basis.ModeRows, so
     that the sums of one evaluation pass share their row tables."""
     parity, th_op, ph_op, m = spec
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if n_modes is None:
-        n_modes = n_max_for(params, float(np.min(t)), extra_power=4.0) + 1
+        n_modes = _default_modes(params, t)
     lam = mode_eigenvalues(params, n_modes, parity)
     root = np.sqrt(lam)
     decay = np.exp(-np.outer(t, root))
@@ -167,8 +193,7 @@ def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
         decay = decay * (lam - params.lam0) ** pairs
 
     def rows(op, table):
-        order = {"low": 0, "low1": 1}.get(op, op)
-        return table(params, n_modes, parity, order, lowered=op in ("low", "low1"))
+        return table(params, n_modes, parity, *_row_args(op))
 
     return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, th_rows), rows(ph_op, ph_rows))
 

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symjacobi import cli
+from symjacobi import cli, core
 from symjacobi.basis import mode_eigenvalues
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
 from symjacobi.estimates import EstimateReport, LadderResult
-from symjacobi.kernels import AccuracyWarning, semigroup_mass
+from symjacobi.kernels import AccuracyWarning, poisson_kernel_series, semigroup_mass, tilde_kernel
+from symjacobi.quadrature import mu_plus_rule
 
 DATA = Path(__file__).parent / "data"
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
@@ -286,13 +287,21 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("route", ["series", "dk", "both"])
     def test_route_computes_only_written_columns(self, tmp_path, monkeypatch, route):
-        """Per table, every column is one call over the whole grid: the series
-        route makes one series H and one series H_tilde call; the dk route
-        makes none and one dk H and one dk H_tilde call; `both` adds one dk H
-        call and no dk H_tilde.  The mass column takes one series call on
-        every route."""
-        calls = {}
-        for name in ("poisson_kernel_series", "tilde_kernel", "poisson_kernel_dk_auto"):
+        """Per table, every column is computed once over the whole grid.  The
+        series columns read two recurrence passes: one over the distinct
+        |theta| that stacks (alpha, beta) with (alpha + 1, beta + 1) where
+        H_tilde is a series column, and one of (alpha, beta) over the mass
+        nodes.  The dk route makes one dk H and one dk H_tilde call; `both`
+        adds one dk H call and no dk H_tilde; the series route makes none."""
+        passes, calls = [], {}
+        inner_rows = core.recurrence_rows
+
+        def stacked(out, x, families):
+            passes.append(len(families))
+            return inner_rows(out, x, families)
+
+        monkeypatch.setattr(core, "recurrence_rows", stacked)
+        for name in ("tilde_kernel", "poisson_kernel_dk_auto"):
             inner = getattr(cli, name)
 
             def counted(*args, _name=name, _inner=inner, **kw):
@@ -305,14 +314,38 @@ class TestKernelTable:
         argv = ["kernel", "--route", route, "--t", "0.8", "--level", "1", "--out", str(out)]
         assert main(argv) == 0
         read_table(out)
-        series = 0 if route == "dk" else 1
+        assert passes == ([1, 1] if route == "dk" else [2, 1])
         want = {
-            "poisson_kernel_series": 1 + series,
-            ("tilde_kernel", "series"): series,
+            ("tilde_kernel", "series"): 0,
             ("tilde_kernel", "dk"): 1 if route == "dk" else 0,
             "poisson_kernel_dk_auto": 0 if route == "series" else 1,
         }
         assert {k: calls.get(k, 0) for k in want} == want
+
+    @pytest.mark.parametrize("t", [0.2, 2.0])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 2.0), (8.0, 7.5)])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_series_table_is_the_per_column_calls(self, tmp_path, level, alpha, beta, t):
+        """The series table is, byte for byte, the one assembled from the
+        public per-column calls: poisson_kernel_series and tilde_kernel on
+        the outer signed grid, and the mass from poisson_kernel_series over
+        |theta| x the mass nodes, integrated per row.  So summing on the
+        distinct |theta| and gathering back moves no bit."""
+        out = tmp_path / "kernel.csv"
+        argv = ["kernel", "--route", "series", "--alpha", repr(alpha), "--beta", repr(beta),
+                "--t", repr(t), "--level", str(level), "--out", str(out)]
+        assert main(argv) == 0
+        _, _, data = read_table(out)
+        params = JacobiParams(alpha, beta)
+        theta = cli._sym_grid(level, size_exp=2)
+        half = poisson_kernel_series(params, t, theta[:, None], theta[None, :])
+        odd = tilde_kernel(params, t, theta[:, None], theta[None, :])
+        rule = mu_plus_rule(params, cli.MASS_NODES)
+        kern = poisson_kernel_series(params, t, np.abs(theta)[:, None], rule.nodes[None, :])
+        mass = np.repeat([rule.integrate(row) for row in kern], theta.size)
+        th, ph = np.meshgrid(theta, theta, indexing="ij")
+        cols = [th.ravel(), ph.ravel(), half.ravel(), odd.ravel(), (half + odd).ravel(), mass]
+        assert data == [[repr(t)] + [repr(float(c)) for c in row] for row in zip(*cols)]
 
     @pytest.mark.parametrize(
         "name, argv",

@@ -7,13 +7,17 @@ the constant weight, the p = 1 power weight) serve as independent oracles.
 """
 
 import contextlib
+import ctypes
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,29 +227,34 @@ class TestSwapReuse:
         batch.values(pairs)
         assert len(calls) == 1 + 2
 
-    @staticmethod
-    def _row_keys(kernel_ids, slots):
-        """Distinct (parity, op) row tables of a pass at theta and at phi."""
-        specs = [_FAMILY[k][s] for k in kernel_ids for s in slots if s in _FAMILY[k]]
-        return len({(c[0], c[1]) for c in specs}) + len({(c[0], c[2]) for c in specs})
-
     @pytest.mark.parametrize("params", [SQUARE, SKEWED, ATOMIC])
     def test_values_builds_each_row_table_once(self, params, monkeypatch):
-        """One values call builds at most one polynomial table per distinct
-        mode-row table of its two passes (all slots of every kernel, then the
-        vector kernels' F slot at the moved pairs): the tails share them."""
+        """One values call over one block makes one recurrence pass per
+        profiles pass, stacking every family the pass reads: (alpha, beta)
+        to (alpha + 2, beta + 2) for all slots of every kernel, and
+        (alpha, beta), (alpha + 1, beta + 1) for the vector kernels' F slot
+        at the moved pairs.  The tails share these tables."""
         calls = []
         inner = basis.trig_poly_table
 
-        def counted(*args):
-            calls.append(args[1])
-            return inner(*args)
+        def counted(families, nmax, theta):
+            calls.append(list(families))
+            return inner(families, nmax, theta)
 
         monkeypatch.setattr(basis, "trig_poly_table", counted)
         FamilyBatch(params).values(pair_grid(1)[::9])
-        tables = self._row_keys(KERNEL_IDS, ("F", "Gth", "Gph"))
-        tables += self._row_keys(VECTOR_KERNELS, ("F",))
-        assert 0 < len(calls) <= tables
+        shifted = params.shifted()
+        assert sorted(calls, key=len) == [[params, shifted], [params, shifted, shifted.shifted()]]
+
+    def test_profiles_of_no_kernel_make_no_pass(self, monkeypatch):
+        """A profiles call whose plan reads no tail (a product lemma only,
+        or a slot no kernel has) returns no profiles and builds no table."""
+        calls = []
+        monkeypatch.setattr(basis, "trig_poly_table", lambda *args: calls.append(args))
+        pairs = np.array([[0.3, 1.2]])
+        assert FamilyBatch(SQUARE, ("Bridge1",)).profiles(pairs) == {}
+        assert FamilyBatch(SQUARE, ("poisson",)).profiles(pairs, ("Gth",)) == {}
+        assert calls == []
 
     @pytest.mark.parametrize("params", [SQUARE, SKEWED])
     def test_shared_rows_give_the_standalone_tails(self, params):
@@ -825,6 +834,77 @@ class TestSuitePool:
         with _deadline(600), pytest.raises(Interrupt):
             run_estimate_suite(SQUARE, (1, 2), lemmas=LEMMA_IDS, exact=(1_000_000, 3))
         assert not multiprocessing.active_children()
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas():
+    """The thread getter and setter of numpy's OpenBLAS, found through
+    numpy's compiled core module, or None where neither pair is."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get, put = (f"{prefix}{verb}_num_threads{suffix}" for verb in ("get", "set"))
+        if hasattr(lib, get) and hasattr(lib, put):
+            get, put = getattr(lib, get), getattr(lib, put)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _worker_blas_threads():
+    return _openblas()[0]()
+
+
+class TestPoolBlasThreads:
+    """The estimates pool sets one BLAS thread in each worker, whatever the
+    thread count of the process that forks it and its environment."""
+
+    def test_worker_runs_one_blas_thread(self):
+        """With this process at two BLAS threads, every task of a two-worker
+        pool reports one."""
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread getter and setter")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            with _deadline(120), estimates._Tasks(2) as tasks:
+                counts = [tasks.submit(_worker_blas_threads)() for _ in range(4)]
+        finally:
+            put(before)
+        assert not multiprocessing.active_children()
+        assert counts == [1, 1, 1, 1]
+
+    def test_pooled_ladders_equal_in_process_unpinned(self):
+        """In a process whose environment has no BLAS thread variables,
+        run_standard_ladders at (8, 7.5), levels 1-2, gives equal ladders
+        from the pool and in process; on more than one usable CPU the first
+        run takes a pool."""
+        script = (
+            "from symjacobi import estimates\n"
+            "from symjacobi.core import JacobiParams\n"
+            "params, free, counts = JacobiParams(8.0, 7.5), estimates._sweep_workers, []\n"
+            "estimates._sweep_workers = lambda n: counts.append(free(n)) or counts[-1]\n"
+            "pooled = estimates.run_standard_ladders(params, levels=(1, 2))\n"
+            "estimates._sweep_workers = lambda n: 1\n"
+            "alone = estimates.run_standard_ladders(params, levels=(1, 2))\n"
+            "print(pooled == alone, counts[0] > 1 or free(2) == 1)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        src = str(Path(estimates.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
 
 
 class TestLemmaSamplers:

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from symjacobi.basis import analyze, mode_eigenvalues, phi_table, synthesize
 from symjacobi.cli import MASS_NODES
-from symjacobi.core import JacobiParams
+from symjacobi.core import JacobiParams, recurrence_rows, trig_poly_table
 from symjacobi.kernels import (
     poisson_kernel_series,
     semigroup_mass,
@@ -117,6 +117,29 @@ def test_phi_table_orthonormal(params, nmax):
     tab = phi_table(params, nmax, rule.nodes)
     gram = (tab * rule.weights) @ tab.T
     assert np.max(np.abs(gram - np.eye(nmax + 1))) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    params=PARAMS,
+    n_families=st.integers(1, 3),
+    nmax=st.integers(0, 40),
+    extra=st.integers(0, 8),
+    theta=st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=1, max_size=64),
+)
+def test_stacked_recurrence_rows_are_each_familys_table(params, n_families, nmax, extra, theta):
+    """recurrence_rows over params and its shifts by +1 and +2, stacked,
+    gives each family's own trig_poly_table bit for bit, also as the leading
+    rows of a longer stacked table: what ModeRows.build relies on."""
+    families = [params]
+    while len(families) < n_families:
+        families.append(families[-1].shifted())
+    theta = np.array(theta)
+    rows = np.empty((nmax + extra + 1, n_families, theta.size))
+    recurrence_rows(rows, np.cos(theta), [(p, 1.0) for p in families])
+    for f, p in enumerate(families):
+        own = trig_poly_table(p, nmax, theta)
+        assert np.array_equal(rows[: nmax + 1, f], own, equal_nan=True), p
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
