@@ -526,14 +526,13 @@ def _sweep_workers(n_tasks: int) -> int:
     return min(n_tasks, cpus)
 
 
-def _one_blas_thread():
-    """Pool initializer: one BLAS thread in this worker, so that the workers
-    do not oversubscribe the CPUs with the threads they inherit.  The
-    setter is looked up through numpy's compiled core module, whose handle
-    also finds the symbols of the BLAS it links:
-    scipy_openblas_set_num_threads64_ in numpy's wheels,
-    openblas_set_num_threads in other OpenBLAS builds.  Where neither is
-    found, the worker keeps the thread count it inherits."""
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """The thread getter and setter of numpy's BLAS, or None.  They are
+    looked up through numpy's compiled core module, whose handle also finds
+    the symbols of the BLAS it links: scipy_openblas_{get,set}_num_threads64_
+    in numpy's wheels, openblas_{get,set}_num_threads in other OpenBLAS
+    builds."""
     import ctypes
 
     try:
@@ -543,13 +542,42 @@ def _one_blas_thread():
     try:
         lib = ctypes.CDLL(umath.__file__)
     except OSError:
-        return
-    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get, put = (f"{prefix}{verb}_num_threads{suffix}" for verb in ("get", "set"))
+        if hasattr(lib, get) and hasattr(lib, put):
+            get, put = getattr(lib, get), getattr(lib, put)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread in this worker, so that the workers
+    do not oversubscribe the CPUs with the threads they inherit.  Where
+    numpy's BLAS has no OpenBLAS setter (_openblas), the worker keeps the
+    thread count it inherits."""
+    blas = _openblas()
+    if blas is not None:
+        blas[1](1)
+
+
+def _on_one_blas_thread(fn, *args):
+    """fn(*args) run in this process on one BLAS thread, as in a worker,
+    with the thread count restored after.  How OpenBLAS splits a product
+    among its threads can change the bits of its entries, so on one thread
+    everywhere a task gives the same bits in a worker and in process."""
+    blas = _openblas()
+    if blas is None:
+        return fn(*args)
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        return fn(*args)
+    finally:
+        put(before)
 
 
 class _Tasks:
@@ -557,7 +585,8 @@ class _Tasks:
     *args) returns a function that gives fn(*args), or raises its
     exception.  With more than one worker a pool of that many forked
     processes takes the tasks in the order they were submitted; with one,
-    each task runs in this process when its result is first asked for, so
+    each task runs in this process, on one BLAS thread as a worker does,
+    when its result is first asked for, so
     the tasks run in the order a sequential run would take them and stop
     at its first error.  No worker outlives the block: the pool is closed
     and joined after it, and terminated and joined when it raises or is
@@ -574,7 +603,7 @@ class _Tasks:
 
     def submit(self, fn, *args):
         if self._pool is None:
-            return functools.partial(fn, *args)
+            return functools.partial(_on_one_blas_thread, fn, *args)
         return self._pool.apply_async(fn, args).get
 
     def __enter__(self):

@@ -882,6 +882,23 @@ class TestPoolBlasThreads:
         assert not multiprocessing.active_children()
         assert counts == [1, 1, 1, 1]
 
+    def test_in_process_task_runs_one_blas_thread(self):
+        """With this process at two BLAS threads, a task of a one-worker
+        queue runs on one, and the process is back at two after it."""
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread getter and setter")
+        get, put = blas
+        before = get()
+        put(2)
+        try:
+            with estimates._Tasks(1) as tasks:
+                count = tasks.submit(_worker_blas_threads)()
+            after = get()
+        finally:
+            put(before)
+        assert (count, after) == (1, 2)
+
     def test_pooled_ladders_equal_in_process_unpinned(self):
         """In a process whose environment has no BLAS thread variables,
         run_standard_ladders at (8, 7.5), levels 1-2, gives equal ladders
