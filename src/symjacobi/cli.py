@@ -48,7 +48,7 @@ from .estimates import (
 from .kernels import (
     mode_sum_rows,
     n_max_for,
-    poisson_kernel_dk_auto,
+    poisson_kernel,
     poisson_kernel_series,
     semigroup_mass,
     symmetrized_kernel,
@@ -158,7 +158,7 @@ def cmd_kernel(args) -> int:
     if args.route == "dk":
         # H is even in each variable and Ht odd, so the integral route on
         # (0, pi) extends to the signed grid by symmetry
-        half = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
+        half = poisson_kernel(params, t, abs(th), abs(ph), route="dk")
         odd = np.sign(th) * np.sign(ph) * tilde_kernel(params, t, abs(th), abs(ph), route="dk")
     else:
         half, core = (
@@ -170,7 +170,7 @@ def cmd_kernel(args) -> int:
     header = ["t", "theta", "phi", "H", "H_tilde", "H_full", "mass"]
     if args.route == "both":
         header.append("rel_diff")
-        h_dk = poisson_kernel_dk_auto(params, t, abs(th), abs(ph))
+        h_dk = poisson_kernel(params, t, abs(th), abs(ph), route="dk")
         cols.append(np.abs(half - h_dk) / np.maximum(np.abs(half), 1e-300))
     for name, col in zip(header[1:], cols):
         bad = np.flatnonzero(~np.isfinite(col))
@@ -354,7 +354,7 @@ def _suite_kernels(args):
         worst, arg = -np.inf, (0.0, 0.0, 0.0)
         for t, th, ph in probes:
             a = poisson_kernel_series(params, t, th, ph)
-            b = poisson_kernel_dk_auto(params, t, th, ph)
+            b = poisson_kernel(params, t, th, ph, route="dk")
             rel = abs(a - b) / abs(a)
             if rel > worst:
                 worst, arg = rel, (t, th, ph)

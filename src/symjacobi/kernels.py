@@ -21,8 +21,10 @@ measures and exponent; both routes must agree, which the tests enforce.  The
 double average runs on the corner-graded rule of symjacobi.product, graded
 toward u = v = 1 down to a fraction of the smallest cosh(t/2) - 1 + q, so
 small t near the diagonal is resolved by more cells, not by a finer tensor
-grid; poisson_kernel_dk_auto raises the Gauss nodes per cell until two
-counts agree at each point.
+grid; the Gauss nodes per cell rise until two counts agree at each point.
+
+poisson_kernel(..., route) is the one place a route is chosen: H, Ht and HH
+evaluate on the route their caller names.
 
 Also here: mode_sum, the one damped half-line mode sum behind the series
 route, the estimate tails and the derivative kernels (time derivatives and
@@ -52,13 +54,11 @@ __all__ = [
     "q_theta",
     "n_max_for",
     "mode_sum",
+    "poisson_kernel",
     "poisson_kernel_series",
-    "poisson_kernel_dk",
-    "poisson_kernel_dk_auto",
     "tilde_kernel",
     "symmetrized_kernel",
     "symmetrized_kernel_mode_sum",
-    "kernel_derivative",
     "semigroup_mass",
     "SupOverT",
     "L2TWeighted",
@@ -68,7 +68,7 @@ __all__ = [
 MODE_CAP = 4096
 TAIL_TOL = 1e-14
 # Gauss nodes per cell side of the integral route's corner rule, and the
-# agreement and node cap at which poisson_kernel_dk_auto stops raising them
+# agreement and node cap at which poisson_kernel stops raising them
 DK_NODES = 12
 DK_REL_TOL = 1e-8
 DK_MAX_NODES = 32
@@ -198,16 +198,55 @@ def mode_sum_rows(params, spec, t, th_rows, ph_rows, pairs=0, n_modes=None):
     return 0.5 * np.einsum("tn,n...,n...->t...", decay, rows(th_op, th_rows), rows(ph_op, ph_rows))
 
 
+def poisson_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series"):
+    """Half-kernel H_t(theta, phi) on the broadcast shape of theta and phi,
+    by the named route; every kernel entry point takes its route from here.
+
+    "series": one mode_sum call, so an outer grid theta[:, None],
+    phi[None, :] builds I + J mode rows.
+
+    "dk": the double product-formula average (alpha, beta >= -1/2), with the
+    Gauss nodes per cell side raised by four, from four below DK_NODES,
+    until two consecutive counts agree to DK_REL_TOL = 1e-8.  Convergence is
+    per point: each point keeps the value at its own first agreeing count,
+    so it does not depend on the other points of the call.  Points still
+    apart at DK_MAX_NODES = 32 keep that count's value, and the call leaves
+    one AccuracyWarning standing."""
+    even = ("even", 0, 0, 0)
+    if route == "series":
+        nmax = n_max_for(params, t)
+        vals = mode_sum(params, even, t, theta, phi, n_modes=nmax + 1)
+        return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+    if route != "dk":
+        raise ValueError(f"unknown route {route!r}")
+    theta, phi = np.broadcast_arrays(
+        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    )
+    n = DK_NODES - 4
+    vals = _dk_eval(params, t, theta, phi, even, n)
+    todo = np.ones(theta.shape, dtype=bool)
+    while todo.any():
+        n = min(n + 4, DK_MAX_NODES)
+        new = _dk_eval(params, t, theta[todo], phi[todo], even, n)
+        gap = np.abs(new - vals[todo]) / np.maximum(np.abs(new), 1e-300)
+        vals[todo] = new
+        todo[todo] = ~(gap <= DK_REL_TOL)
+        if todo.any() and n >= DK_MAX_NODES:
+            warnings.warn(
+                f"integral route not converged to {DK_REL_TOL:.1e} at {n} nodes per cell "
+                f"at {int(todo.sum())} points; avoid t -> 0 near the diagonal",
+                AccuracyWarning,
+            )
+            break
+    return vals
+
+
 def poisson_kernel_series(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
-    """Half-kernel H_t(theta, phi) by the mode sum (series route), on the
-    broadcast shape of theta and phi; one mode_sum call, so an outer grid
-    theta[:, None], phi[None, :] builds I + J mode rows."""
-    nmax = n_max_for(params, t)
-    vals = mode_sum(params, ("even", 0, 0, 0), t, theta, phi, n_modes=nmax + 1)
-    return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+    """poisson_kernel on the series route."""
+    return poisson_kernel(params, t, theta, phi)
 
 
-def _dk_eval(params: JacobiParams, t: float, theta, phi, spec, nodes=None):
+def _dk_eval(params: JacobiParams, t: float, theta, phi, spec, nodes: int):
     """The HeadKernels profile of a mode_sum spec (parity, th_op, ph_op, m)
     on the integral route at each point, with the given nodes per cell side.
 
@@ -231,69 +270,21 @@ def _dk_eval(params: JacobiParams, t: float, theta, phi, spec, nodes=None):
                 f"angle {name}={angle[outside].flat[0]} lies outside the kernel domain [-pi, pi]"
             )
     times = np.array([float(t)])
-    head = HeadKernels(params, theta.ravel(), phi.ravel(), times, nodes=nodes or DK_NODES)
+    head = HeadKernels(params, theta.ravel(), phi.ravel(), times, nodes=nodes)
     return head.profile(spec)[0].reshape(theta.shape)
-
-
-def poisson_kernel_dk(params: JacobiParams, t: float, theta, phi, nodes: int | None = None):
-    """Half-kernel H_t by the double product-formula average (integral route),
-    with `nodes` Gauss points per cell side of the corner rule (DK_NODES by
-    default).  Valid for alpha, beta >= -1/2."""
-    return _dk_eval(params, t, theta, phi, ("even", 0, 0, 0), nodes)
-
-
-def poisson_kernel_dk_auto(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
-    """Integral-route kernel with the Gauss nodes per cell side raised by four,
-    from four below DK_NODES, until two consecutive counts agree to
-    DK_REL_TOL = 1e-8.  Convergence is per point: each point keeps the value
-    at its own first agreeing count, so it does not depend on the other
-    points of the call.  Points still apart at DK_MAX_NODES = 32 keep that
-    count's value, and the call leaves one AccuracyWarning standing."""
-    theta, phi = np.broadcast_arrays(
-        np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    )
-    n = DK_NODES - 4
-    vals = poisson_kernel_dk(params, t, theta, phi, n)
-    todo = np.ones(theta.shape, dtype=bool)
-    while todo.any():
-        n = min(n + 4, DK_MAX_NODES)
-        new = poisson_kernel_dk(params, t, theta[todo], phi[todo], n)
-        gap = np.abs(new - vals[todo]) / np.maximum(np.abs(new), 1e-300)
-        vals[todo] = new
-        todo[todo] = ~(gap <= DK_REL_TOL)
-        if todo.any() and n >= DK_MAX_NODES:
-            warnings.warn(
-                f"integral route not converged to {DK_REL_TOL:.1e} at {n} nodes per cell "
-                f"at {int(todo.sum())} points; avoid t -> 0 near the diagonal",
-                AccuracyWarning,
-            )
-            break
-    return vals
 
 
 def tilde_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series"):
     """Reflected (odd) part Ht_t = (1/4) sin(theta) sin(phi) H_t^{(alpha+1,beta+1)}."""
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    shifted = params.shifted()
-    if route == "series":
-        core = poisson_kernel_series(shifted, t, theta, phi)
-    elif route == "dk":
-        core = poisson_kernel_dk(shifted, t, theta, phi)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    core = poisson_kernel(params.shifted(), t, theta, phi, route)
     return 0.25 * np.sin(theta) * np.sin(phi) * core
 
 
 def symmetrized_kernel(params: JacobiParams, t: float, theta, phi, route: str = "series"):
     """Full kernel HH_t = H_t + Ht_t on (-pi, pi) x (-pi, pi)."""
-    if route == "series":
-        half = poisson_kernel_series(params, t, theta, phi)
-    elif route == "dk":
-        half = poisson_kernel_dk(params, t, theta, phi)
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return half + tilde_kernel(params, t, theta, phi, route=route)
+    return poisson_kernel(params, t, theta, phi, route) + tilde_kernel(params, t, theta, phi, route)
 
 
 def symmetrized_kernel_mode_sum(params: JacobiParams, t: float, theta, phi) -> np.ndarray:
@@ -305,56 +296,6 @@ def symmetrized_kernel_mode_sum(params: JacobiParams, t: float, theta, phi) -> n
     tab_th = phi_table(params, nmax, theta)
     tab_ph = phi_table(params, nmax, phi)
     return np.einsum("n,n...,n...->...", damp, tab_th, tab_ph)
-
-
-def kernel_derivative(
-    params: JacobiParams,
-    t: float,
-    theta,
-    phi,
-    m: int = 0,
-    n_delta: int = 0,
-    parity: str = "even",
-    route: str = "series",
-) -> np.ndarray:
-    """Time derivatives and lowering compositions of the kernel parts.
-
-    Series route (any orders): one mode_sum, the composition acting
-    mode-wise.  For the even part the degree-n term picks up (-sqrt(lam_n))^m
-    from time and (lam_n - lam_0)^{floor(N/2)} from pairs of lowerings, with
-    an odd leftover lowering replacing the theta-factor by its first-order
-    image.  The odd (reflected) part works the same through the shifted family.
-
-    Integral route: the HeadKernels profile of the same mode_sum spec,
-    implemented for m + n_delta <= 1 (first-order differentiation under the
-    double average), used for cross-validation.
-
-    Parameters
-    ----------
-    m : int
-        Time-derivative order.
-    n_delta : int
-        Number of one-sided lowering applications in theta.
-    parity : str
-        "even" acts on H, "odd" on the reflected part.
-    """
-    if m < 0 or n_delta < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    pairs, odd_left = divmod(n_delta, 2)
-    # one leftover lowering is the plain derivative on the even family and
-    # the adjoint lowering onto P_{n+1} on the odd family
-    spec = (parity, ("low" if parity == "odd" else 1) if odd_left else 0, 0, m)
-    if route == "dk":
-        if m + n_delta > 1:
-            raise NotImplementedError("integral route carries first-order derivatives only")
-        return _dk_eval(params, t, theta, phi, spec)
-    if route != "series":
-        raise ValueError(f"unknown route {route!r}")
-    nmax = n_max_for(params, t, extra_power=float(m + n_delta))
-    vals = mode_sum(params, spec, t, theta, phi, pairs, nmax + 1)
-    return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 def semigroup_mass(params: JacobiParams, t: float) -> float:

@@ -3,18 +3,19 @@
 These are finite-difference and sampled stand-ins for operators the package
 computes exactly: the first-order calculus of the symmetrized basis by
 central differences, the second-order Jacobi operator on a uniform grid, the
-table of plain Jacobi polynomials by their classical recurrence, the
-split of full-basis coefficients into the two half-line families, the
-two-sided ball-measure comparison expression, the pointwise exact lemma
-quotients, and the Trig and Comp lemma sups over their whole sample sets at
-once.  The package itself does not call them.
+table of plain Jacobi polynomials by their classical recurrence, the split of
+full-basis coefficients into the two half-line families, the kernel's time
+derivatives and lowering compositions by one mode sum or the fixed-count
+integral route, the two-sided ball-measure comparison expression, the
+pointwise exact lemma quotients, and the Trig and Comp lemma sups over their
+whole sample sets at once.  The package itself does not call them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from symjacobi import estimates
+from symjacobi import estimates, kernels
 from symjacobi.core import JacobiParams, eigenvalue, eval_trig_poly_deriv
 from symjacobi.estimates import EstimateReport, _exact_quotients
 from symjacobi.kernels import q_fn, q_theta
@@ -236,6 +237,61 @@ def combine_symmetrized(even_coeffs, odd_coeffs) -> np.ndarray:
     c[0 : 2 * a.size : 2] = np.sqrt(2.0) * a
     c[1 : 2 * b.size + 1 : 2] = np.sqrt(2.0) * b
     return c
+
+
+# ---------------------------------------------------------------------------
+# derivative kernels, by one mode sum or the fixed-count integral route
+
+
+def kernel_derivative(
+    params: JacobiParams,
+    t: float,
+    theta,
+    phi,
+    m: int = 0,
+    n_delta: int = 0,
+    parity: str = "even",
+    route: str = "series",
+) -> np.ndarray:
+    """Time derivatives and lowering compositions of the kernel parts.
+
+    Series route (any orders): one mode_sum, the composition acting
+    mode-wise.  For the even part the degree-n term picks up (-sqrt(lam_n))^m
+    from time and (lam_n - lam_0)^{floor(N/2)} from pairs of lowerings, with
+    an odd leftover lowering replacing the theta-factor by its first-order
+    image.  The odd (reflected) part works the same through the shifted family.
+
+    Integral route: the HeadKernels profile of the same mode_sum spec at the
+    fixed kernels.DK_NODES nodes per cell side, implemented for
+    m + n_delta <= 1 (first-order differentiation under the double average),
+    used for cross-validation.
+
+    Parameters
+    ----------
+    m : int
+        Time-derivative order.
+    n_delta : int
+        Number of one-sided lowering applications in theta.
+    parity : str
+        "even" acts on H, "odd" on the reflected part.
+    """
+    if m < 0 or n_delta < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    pairs, odd_left = divmod(n_delta, 2)
+    # one leftover lowering is the plain derivative on the even family and
+    # the adjoint lowering onto P_{n+1} on the odd family
+    spec = (parity, ("low" if parity == "odd" else 1) if odd_left else 0, 0, m)
+    if route == "dk":
+        if m + n_delta > 1:
+            raise NotImplementedError("integral route carries first-order derivatives only")
+        return kernels._dk_eval(params, t, theta, phi, spec, kernels.DK_NODES)
+    if route != "series":
+        raise ValueError(f"unknown route {route!r}")
+    nmax = kernels.n_max_for(params, t, extra_power=float(m + n_delta))
+    vals = kernels.mode_sum(params, spec, t, theta, phi, pairs, nmax + 1)
+    return vals.reshape(np.broadcast_shapes(np.shape(theta), np.shape(phi)))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from symjacobi.estimates import (
 from symjacobi.kernels import (
     L2TWeighted,
     bnorm,
-    poisson_kernel_dk_auto,
+    poisson_kernel,
     poisson_kernel_series,
     semigroup_mass,
     symmetrized_kernel,
@@ -138,7 +138,7 @@ def test_ac03_route_agreement():
         ph = rng.uniform(0.05, np.pi - 0.05, 20)
         for t in (0.1, 0.5, 1.0, 3.0):
             ser = poisson_kernel_series(p, t, th, ph)
-            dk = poisson_kernel_dk_auto(p, t, th, ph)
+            dk = poisson_kernel(p, t, th, ph, route="dk")
             worst = max(worst, float(np.max(np.abs(dk - ser) / np.abs(ser))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 60.0

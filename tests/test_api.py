@@ -49,6 +49,7 @@ ORACLE_NAMES = (
     "nested_samples",
     "_nested_samples",
     "nested_lemma_reports",
+    "kernel_derivative",
 )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from symjacobi import cli, core
+from symjacobi import cli, core, kernels
 from symjacobi.basis import mode_eigenvalues
 from symjacobi.cli import _check_entry, _ladder_entry, main
 from symjacobi.core import JacobiParams
@@ -291,36 +291,30 @@ class TestKernelTable:
         series columns read two recurrence passes: one over the distinct
         |theta| that stacks (alpha, beta) with (alpha + 1, beta + 1) where
         H_tilde is a series column, and one of (alpha, beta) over the mass
-        nodes.  The dk route makes one dk H and one dk H_tilde call; `both`
-        adds one dk H call and no dk H_tilde; the series route makes none."""
+        nodes.  kernels.poisson_kernel is called on the dk route only: twice
+        on the dk route (H, and the shifted core of H_tilde), once on `both`
+        (H), never on the series route."""
         passes, calls = [], {}
         inner_rows = core.recurrence_rows
+        inner_kernel = kernels.poisson_kernel
 
         def stacked(out, x, families):
             passes.append(len(families))
             return inner_rows(out, x, families)
 
+        def counted(params, t, theta, phi, route="series"):
+            calls[route] = calls.get(route, 0) + 1
+            return inner_kernel(params, t, theta, phi, route)
+
         monkeypatch.setattr(core, "recurrence_rows", stacked)
-        for name in ("tilde_kernel", "poisson_kernel_dk_auto"):
-            inner = getattr(cli, name)
-
-            def counted(*args, _name=name, _inner=inner, **kw):
-                key = (_name, kw.get("route", "series")) if _name == "tilde_kernel" else _name
-                calls[key] = calls.get(key, 0) + 1
-                return _inner(*args, **kw)
-
-            monkeypatch.setattr(cli, name, counted)
+        for module in (cli, kernels):
+            monkeypatch.setattr(module, "poisson_kernel", counted)
         out = tmp_path / "kernel.csv"
         argv = ["kernel", "--route", route, "--t", "0.8", "--level", "1", "--out", str(out)]
         assert main(argv) == 0
         read_table(out)
         assert passes == ([1, 1] if route == "dk" else [2, 1])
-        want = {
-            ("tilde_kernel", "series"): 0,
-            ("tilde_kernel", "dk"): 1 if route == "dk" else 0,
-            "poisson_kernel_dk_auto": 0 if route == "series" else 1,
-        }
-        assert {k: calls.get(k, 0) for k in want} == want
+        assert calls == {"series": {}, "dk": {"dk": 2}, "both": {"dk": 1}}[route]
 
     @pytest.mark.parametrize("t", [0.2, 2.0])
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 2.0), (8.0, 7.5)])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import kernel_derivative
 
 from symjacobi import kernels
 from symjacobi.basis import mode_eigenvalues, mode_table
@@ -23,11 +24,9 @@ from symjacobi.kernels import (
     L2TWeighted,
     SupOverT,
     bnorm,
-    kernel_derivative,
     mode_sum,
     n_max_for,
-    poisson_kernel_dk,
-    poisson_kernel_dk_auto,
+    poisson_kernel,
     poisson_kernel_series,
     q_fn,
     q_theta,
@@ -158,25 +157,25 @@ class TestDKRoute:
             ph = rng.uniform(0.05, np.pi - 0.05, 20)
             for t in [0.1, 0.5, 1.0, 3.0]:
                 ser = poisson_kernel_series(p, t, th, ph)
-                dk = poisson_kernel_dk_auto(p, t, th, ph)
+                dk = poisson_kernel(p, t, th, ph, route="dk")
                 assert_allclose(dk, ser, rtol=1e-6)
 
     def test_atomic_case_exact(self):
         """(-1/2,-1/2) reduces to four corner evaluations and is exact."""
         p = JacobiParams(-0.5, -0.5)
         ser = poisson_kernel_series(p, 0.7, 0.9, 2.0)
-        dk = poisson_kernel_dk(p, 0.7, 0.9, 2.0)
+        dk = poisson_kernel(p, 0.7, 0.9, 2.0, route="dk")
         assert_allclose(dk, ser, rtol=1e-13)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError, match="-1/2"):
-            poisson_kernel_dk(JacobiParams(-0.75, 0.0), 1.0, 1.0, 2.0)
+            poisson_kernel(JacobiParams(-0.75, 0.0), 1.0, 1.0, 2.0, route="dk")
 
     @pytest.mark.parametrize("theta, phi, name", [(0.6, 3.5, "phi"), (-3.5, 1.0, "theta")])
     def test_angle_outside_domain_rejected(self, theta, phi, name):
         message = rf"{name}=-?3\.5 lies outside the kernel domain \[-pi, pi\]"
         with pytest.raises(ValueError, match=message):
-            poisson_kernel_dk(JacobiParams(0.5, 1.0), 1.0, theta, phi)
+            poisson_kernel(JacobiParams(0.5, 1.0), 1.0, theta, phi, route="dk")
 
     @pytest.mark.parametrize("t", [1500.0, np.inf])
     @pytest.mark.parametrize("a, b", KERNEL_PAIRS)
@@ -185,7 +184,7 @@ class TestDKRoute:
         every integral-route value would be NaN."""
         p = JacobiParams(a, b)
         for evaluate in (
-            lambda: poisson_kernel_dk(p, t, 1.0, 1.2),
+            lambda: poisson_kernel(p, t, 1.0, 1.2, route="dk"),
             lambda: tilde_kernel(p, t, 1.0, 1.2, route="dk"),
             lambda: kernel_derivative(p, t, 1.0, 1.2, m=1, route="dk"),
         ):
@@ -194,25 +193,27 @@ class TestDKRoute:
 
     def test_largest_finite_time_still_evaluated(self):
         p = JacobiParams(-0.5, -0.5)
-        assert_allclose(poisson_kernel_dk(p, 1420.0, 1.0, 1.2), 1.0 / (2.0 * np.pi), rtol=1e-14)
+        val = poisson_kernel(p, 1420.0, 1.0, 1.2, route="dk")
+        assert_allclose(val, 1.0 / (2.0 * np.pi), rtol=1e-14)
 
     def test_layer_warning_and_auto_upgrade(self, monkeypatch):
         """Near-diagonal small-t evaluation: the corner rule resolves the
-        boundary layer at the default nodes, the auto variant converges
-        without a warning and matches the series value, and it warns only
-        when its node cap stops it short of rel_tol."""
+        boundary layer at the default nodes, the integral route of H and of
+        Ht converges without a warning and matches the series value, and
+        each warns only when its node cap stops it short of rel_tol."""
         p = JacobiParams(0.0, 0.0)
         t, th, ph = 0.05, 1.0, 1.01
-        ser = poisson_kernel_series(p, t, th, ph)
         with warnings.catch_warnings():
             warnings.simplefilter("error", AccuracyWarning)
-            assert_allclose(poisson_kernel_dk(p, t, th, ph), ser, rtol=1e-7)
-            val = poisson_kernel_dk_auto(p, t, th, ph)
-        assert_allclose(val, ser, rtol=1e-7)
+            fixed = kernels._dk_eval(p, t, th, ph, ("even", 0, 0, 0), kernels.DK_NODES)
+            assert_allclose(fixed, poisson_kernel_series(p, t, th, ph), rtol=1e-7)
+            for part in (poisson_kernel, tilde_kernel):
+                assert_allclose(part(p, t, th, ph, route="dk"), part(p, t, th, ph), rtol=1e-7)
         monkeypatch.setattr(kernels, "DK_REL_TOL", 1e-17)
         monkeypatch.setattr(kernels, "DK_MAX_NODES", 12)
-        with pytest.warns(AccuracyWarning, match="not converged"):
-            poisson_kernel_dk_auto(p, t, th, ph)
+        for part in (poisson_kernel, tilde_kernel):
+            with pytest.warns(AccuracyWarning, match="not converged"):
+                part(p, t, th, ph, route="dk")
 
     def test_auto_value_does_not_depend_on_batch(self):
         """Each point keeps the value at its own first agreeing node count:
@@ -221,9 +222,38 @@ class TestDKRoute:
         th, ph = np.array([1.0, 0.05]), np.array([1.001, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
-            block = poisson_kernel_dk_auto(p, t, th, ph)
-            single = [poisson_kernel_dk_auto(p, t, x, y) for x, y in zip(th, ph)]
+            block = poisson_kernel(p, t, th, ph, route="dk")
+            single = [poisson_kernel(p, t, x, y, route="dk") for x, y in zip(th, ph)]
         assert np.array_equal(block, np.array(single))
+
+
+class TestRouteChoice:
+    """poisson_kernel is the one function that reads `route`: the public
+    kernel parts evaluate through it on the route they are given."""
+
+    @pytest.mark.parametrize("route", ["series", "dk"])
+    @pytest.mark.parametrize("a, b", KERNEL_PAIRS + [(8.0, 7.5)])
+    def test_symmetrized_is_sum_of_parts(self, a, b, route):
+        p = JacobiParams(a, b)
+        th, ph = np.random.default_rng(41).uniform(-np.pi + 0.1, np.pi - 0.1, (2, 9))
+        for t in (0.35, 1.0):
+            parts = poisson_kernel(p, t, th, ph, route=route) + tilde_kernel(
+                p, t, th, ph, route=route
+            )
+            assert np.array_equal(symmetrized_kernel(p, t, th, ph, route=route), parts)
+
+    @pytest.mark.parametrize("a, b", KERNEL_PAIRS + [(8.0, 7.5), (-0.75, 3.0)])
+    def test_series_name_is_the_series_route(self, a, b):
+        p = JacobiParams(a, b)
+        th = np.linspace(-3.0, 3.0, 7)
+        for t in (0.2, 2.0):
+            got = poisson_kernel_series(p, t, th[:, None], th[None, :])
+            assert np.array_equal(got, poisson_kernel(p, t, th[:, None], th[None, :], route="series"))
+
+    @pytest.mark.parametrize("part", [poisson_kernel, tilde_kernel, symmetrized_kernel])
+    def test_unknown_route_named(self, part):
+        with pytest.raises(ValueError, match="unknown route 'product'"):
+            part(JacobiParams(0.0, 0.0), 1.0, 1.0, 2.0, route="product")
 
 
 class TestSymmetrizedKernel:
@@ -266,7 +296,8 @@ class TestSymmetrizedKernel:
         ph = rng.uniform(-np.pi + 0.1, np.pi - 0.1, 12)
         for a, b in KERNEL_PAIRS:
             p = JacobiParams(a, b)
-            assert np.array_equal(poisson_kernel_dk(p, 0.6, th, -ph), poisson_kernel_dk(p, 0.6, th, ph))
+            mirror = poisson_kernel(p, 0.6, th, -ph, route="dk")
+            assert np.array_equal(mirror, poisson_kernel(p, 0.6, th, ph, route="dk"))
             dk = symmetrized_kernel(p, 0.6, th, ph, route="dk")
             assert_allclose(dk, symmetrized_kernel(p, 0.6, th, ph), rtol=1e-8)
             for m, nd, par in [(1, 0, "even"), (0, 1, "even"), (1, 0, "odd"), (0, 1, "odd")]:
